@@ -15,7 +15,9 @@
 //! 2. **Loopback serving under load** (wall-clock, informational): a
 //!    real daemon on `127.0.0.1` with closed-loop clients — requests/sec
 //!    and the p50/p99 round-trip profile, with per-connection
-//!    monotonicity verified through real sockets.
+//!    monotonicity verified through real sockets, beside the server's
+//!    own view of the run: how late it took its seals, how often its
+//!    loop woke, and whether a connection was held back.
 
 use std::time::Duration;
 
@@ -120,6 +122,7 @@ fn loadgen_row(clients: usize, seal_every: f64, duration: Duration) -> Vec<Strin
         "interval lows regressed across reads on a live connection"
     );
     assert_eq!(server.stats.containment_violations, 0);
+    let (late_mean_us, late_p99_us) = server.seal_lateness_us().expect("the daemon sealed");
     vec![
         clients.to_string(),
         fnum(seal_every),
@@ -127,6 +130,10 @@ fn loadgen_row(clients: usize, seal_every: f64, duration: Duration) -> Vec<Strin
         format!("{:.0}", report.rps),
         format!("{:.1}", report.p50_us),
         format!("{:.1}", report.p99_us),
+        format!("{late_mean_us:.1}"),
+        format!("{late_p99_us:.0}"),
+        server.metrics.counter("server/wakeups").to_string(),
+        server.metrics.counter("server/backpressured").to_string(),
         report.epochs_seen.to_string(),
         report.errors.to_string(),
         report.monotonicity_violations.to_string(),
@@ -205,6 +212,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "rps",
             "p50_us",
             "p99_us",
+            "seal_late_mean_us",
+            "seal_late_p99_le_us",
+            "wakeups",
+            "backpressured",
             "epochs_seen",
             "errors",
             "mono_viol",

@@ -1,17 +1,23 @@
 //! A tiny blocking client for the daemon's wire protocol.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::service::IntervalRead;
-use crate::wire::{self, op, WireStats};
+use crate::wire::{self, op, Decoded, RecvBuf, WireStats};
 
 /// One TCP connection speaking the length-prefixed protocol, blocking,
 /// one request in flight at a time.
+///
+/// The request frame and the response bytes live in two buffers the
+/// client owns, so a call allocates nothing, and a response that arrives
+/// whole (the usual case: at most 61 bytes) costs one `read`.
 pub struct TimedClient {
     stream: TcpStream,
     next_req: u64,
+    request: Vec<u8>,
+    response: RecvBuf,
 }
 
 impl TimedClient {
@@ -28,35 +34,44 @@ impl TimedClient {
         Ok(TimedClient {
             stream,
             next_req: 1,
+            request: Vec::with_capacity(wire::LEN_PREFIX + wire::BODY_HEADER),
+            response: RecvBuf::new(),
         })
     }
 
-    fn call(&mut self, request_op: u8) -> io::Result<(u8, Vec<u8>)> {
+    /// Sends one request and returns the payload of its response,
+    /// borrowed from the response buffer.
+    fn call(&mut self, request_op: u8) -> io::Result<&[u8]> {
         let req_id = self.next_req;
         self.next_req += 1;
-        let mut frame = Vec::with_capacity(wire::LEN_PREFIX + wire::BODY_HEADER);
-        wire::encode_request(request_op, req_id, &mut frame);
-        self.stream.write_all(&frame)?;
+        self.request.clear();
+        wire::encode_request(request_op, req_id, &mut self.request);
+        self.stream.write_all(&self.request)?;
 
-        let mut len_buf = [0u8; 4];
-        self.stream.read_exact(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if !(wire::BODY_HEADER..=wire::MAX_FRAME).contains(&len) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad response length {len}"),
-            ));
-        }
-        let mut body = vec![0u8; len];
-        self.stream.read_exact(&mut body)?;
-        let got_id = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
+        let (response_op, got_id, consumed) = loop {
+            match wire::decode_frame(self.response.pending()) {
+                Decoded::Frame(f) => break (f.op, f.req_id, f.consumed),
+                Decoded::Incomplete => match self.response.fill(&mut self.stream) {
+                    Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                },
+                Decoded::Malformed => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "bad response length",
+                    ));
+                }
+            }
+        };
+        let frame = self.response.consume(consumed);
         if got_id != req_id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("response id {got_id} != request id {req_id}"),
             ));
         }
-        let response_op = body[0];
         if response_op == op::ERROR {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -69,7 +84,7 @@ impl TimedClient {
                 format!("response op {response_op} != request op {request_op}"),
             ));
         }
-        Ok((response_op, body[wire::BODY_HEADER..].to_vec()))
+        Ok(&frame[wire::LEN_PREFIX + wire::BODY_HEADER..])
     }
 
     /// A bounded-uncertainty interval read.
@@ -78,8 +93,8 @@ impl TimedClient {
     ///
     /// Returns IO errors and protocol violations as `InvalidData`.
     pub fn read_interval(&mut self) -> io::Result<IntervalRead> {
-        let (_, payload) = self.call(op::READ_INTERVAL)?;
-        wire::decode_interval(&payload)
+        let payload = self.call(op::READ_INTERVAL)?;
+        wire::decode_interval(payload)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad interval payload"))
     }
 
@@ -89,8 +104,8 @@ impl TimedClient {
     ///
     /// Returns IO errors and protocol violations as `InvalidData`.
     pub fn now(&mut self) -> io::Result<(u64, f64)> {
-        let (_, payload) = self.call(op::NOW)?;
-        wire::decode_now(&payload)
+        let payload = self.call(op::NOW)?;
+        wire::decode_now(payload)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad now payload"))
     }
 
@@ -100,8 +115,8 @@ impl TimedClient {
     ///
     /// Returns IO errors and protocol violations as `InvalidData`.
     pub fn server_stats(&mut self) -> io::Result<WireStats> {
-        let (_, payload) = self.call(op::STATS)?;
-        wire::decode_stats(&payload)
+        let payload = self.call(op::STATS)?;
+        wire::decode_stats(payload)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad stats payload"))
     }
 

@@ -26,6 +26,8 @@
 //! and answer each request by copying the template and patching 8 bytes
 //! of `req_id`.
 
+use std::io::{self, Read};
+
 use crate::service::{IntervalRead, ServiceStats};
 use crate::snapshot::Snapshot;
 
@@ -118,6 +120,78 @@ pub fn decode_frame(buf: &[u8]) -> Decoded<'_> {
         payload: &body[BODY_HEADER..],
         consumed: LEN_PREFIX + len,
     })
+}
+
+/// Initial size of a [`RecvBuf`]: hundreds of request frames, one page.
+const RECV_CHUNK: usize = 4096;
+
+/// A reassembly buffer between a socket and [`decode_frame`]: bytes are
+/// read straight into its free tail and consumed from its front by
+/// moving a cursor, so a frame is never copied between buffers and the
+/// unread bytes move only when the tail is used up.
+///
+/// It holds one page and doubles, up to the largest legal frame, only
+/// while a single frame does not fit.
+pub(crate) struct RecvBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl RecvBuf {
+    pub(crate) fn new() -> Self {
+        RecvBuf {
+            buf: vec![0; RECV_CHUNK],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The bytes read and not yet consumed.
+    pub(crate) fn pending(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Consumes the first `n` pending bytes and returns them; they stay
+    /// in place until the next [`RecvBuf::fill`].
+    pub(crate) fn consume(&mut self, n: usize) -> &[u8] {
+        let at = self.start;
+        self.start += n;
+        assert!(self.start <= self.end, "consumed more than was pending");
+        &self.buf[at..self.start]
+    }
+
+    /// One `read` from `src` into the free tail; returns its count (0 is
+    /// end of stream).
+    ///
+    /// # Errors
+    ///
+    /// Returns `src`'s error, or `OutOfMemory` when the pending bytes
+    /// already fill the largest buffer a legal frame needs, which means
+    /// the caller did not consume a complete frame.
+    pub(crate) fn fill(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.end == self.buf.len() && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == self.buf.len() {
+            let largest = LEN_PREFIX + MAX_FRAME;
+            if self.buf.len() >= largest {
+                return Err(io::Error::new(
+                    io::ErrorKind::OutOfMemory,
+                    "receive buffer full",
+                ));
+            }
+            self.buf.resize((self.buf.len() * 2).min(largest), 0);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
 }
 
 /// Overwrites the `req_id` of an already-encoded frame starting at
@@ -266,6 +340,58 @@ mod tests {
         tiny.extend_from_slice(&3u32.to_le_bytes());
         tiny.extend_from_slice(&[0, 0, 0]);
         assert_eq!(decode_frame(&tiny), Decoded::Malformed);
+    }
+
+    /// A reader that hands out its bytes at most `step` per call.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(self.1).min(out.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn recv_buf_reassembles_frames_across_reads_and_compactions() {
+        // 1000 frames through a one-page buffer in 7-byte reads: the
+        // tail is used up and compacted many times over.
+        let mut stream = Vec::new();
+        for id in 0..1000 {
+            encode_frame(op::PING, id, &[id as u8; 3], &mut stream);
+        }
+        let mut src = Trickle(&stream, 7);
+        let mut buf = RecvBuf::new();
+        let mut next = 0;
+        while buf.fill(&mut src).unwrap() > 0 {
+            while let Decoded::Frame(f) = decode_frame(buf.pending()) {
+                assert_eq!((f.req_id, f.payload), (next, &[next as u8; 3][..]));
+                let n = f.consumed;
+                assert_eq!(buf.consume(n).len(), n);
+                next += 1;
+            }
+        }
+        assert_eq!(next, 1000);
+        assert_eq!(buf.buf.len(), RECV_CHUNK, "small frames never grow it");
+    }
+
+    #[test]
+    fn recv_buf_grows_for_one_large_frame_and_no_further() {
+        let mut stream = Vec::new();
+        encode_frame(op::PING, 5, &vec![9; MAX_FRAME - BODY_HEADER], &mut stream);
+        stream.extend_from_slice(&[0; 64]);
+        let mut src = Trickle(&stream, usize::MAX);
+        let mut buf = RecvBuf::new();
+        while decode_frame(buf.pending()) == Decoded::Incomplete {
+            assert!(buf.fill(&mut src).unwrap() > 0);
+        }
+        assert_eq!(buf.buf.len(), LEN_PREFIX + MAX_FRAME);
+        // Pending bytes nobody consumes: a refusal, not unbounded growth
+        // and not a 0 that would read as end of stream.
+        let err = buf.fill(&mut src).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::OutOfMemory);
     }
 
     #[test]

@@ -111,4 +111,24 @@ fn main() {
         "clean shutdown after {} seals, {} requests over {} connections — containment clean",
         server.stats.seals, server.requests, server.connections
     );
+
+    // The server's side of the same run, next to the client's latency
+    // above: what woke the loop, how late it took its seals, and whether
+    // any connection had to be held back.
+    let count = |name: &str| server.metrics.counter(name);
+    println!(
+        "server loop: {} wake-ups ({} ready, {} seal deadline, {} waker), {} back-pressured",
+        count("server/wakeups"),
+        count("server/wake_ready"),
+        count("server/wake_deadline"),
+        count("server/wake_waker"),
+        count("server/backpressured"),
+    );
+    let (late_mean_us, late_p99_us) = server.seal_lateness_us().expect("the daemon sealed");
+    println!("seals taken {late_mean_us:.1}us past due on average, p99 within {late_p99_us:.0}us");
+    assert_eq!(
+        count("server/wake_waker"),
+        1,
+        "exactly the shutdown wakes the loop through the waker"
+    );
 }
