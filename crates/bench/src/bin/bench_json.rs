@@ -5,12 +5,12 @@
 //! machine-readable JSON report of median nanoseconds per iteration. A
 //! second mode compares two reports and fails (exit code 1) when any
 //! benchmark regressed beyond a tolerance, which is how CI pins
-//! `BENCH_PR10.json` against the committed `BENCH_baseline.json`.
+//! `target/bench_report.json` against the committed `BENCH_baseline.json`.
 //!
 //! ```text
-//! bench_json --out BENCH_PR10.json             # measure and write
+//! bench_json --out target/bench_report.json             # measure and write
 //! bench_json --filter clocks --out -           # subset, to stdout
-//! bench_json --check BENCH_baseline.json BENCH_PR10.json --tolerance 0.25
+//! bench_json --check BENCH_baseline.json target/bench_report.json --tolerance 0.25
 //! ```
 //!
 //! The JSON is deliberately flat (one `"id": {"median_ns": N}` object

@@ -22,11 +22,11 @@
 //!
 //! ```text
 //! # measure (quick mode) and emit machine-readable medians
-//! cargo run --release -p gcs-bench --bin bench_json -- --out BENCH_PR10.json
+//! cargo run --release -p gcs-bench --bin bench_json -- --out target/bench_report.json
 //!
 //! # fail if any tracked benchmark regressed >25% against the baseline
 //! cargo run --release -p gcs-bench --bin bench_json -- \
-//!     --check BENCH_baseline.json BENCH_PR10.json --tolerance 0.25
+//!     --check BENCH_baseline.json target/bench_report.json --tolerance 0.25
 //!
 //! # re-bless the baseline after an intentional perf change
 //! cargo run --release -p gcs-bench --bin bench_json -- --out BENCH_baseline.json

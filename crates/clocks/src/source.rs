@@ -8,7 +8,11 @@
 //!
 //! - [`EagerSchedule`] wraps today's precomputed `Vec<RateSchedule>` —
 //!   the right choice for recorded runs, goldens, and the adversarial
-//!   lower-bound constructions, whose schedules are data.
+//!   lower-bound constructions, whose schedules are data. When every
+//!   node's rate is constant it reads from one flat `Vec` of rates (one
+//!   load per query where the per-schedule path is a binary search and
+//!   two loads into per-node allocations), and its storage is shared by
+//!   reference count, so a sharded run's per-shard forks cost nothing.
 //! - [`LazyDriftSource`] regenerates a bounded random walk (the
 //!   [`DriftModel`] walk) *windowed on demand*: segments materialize only
 //!   as the run's probe/event frontier reaches them, and
@@ -28,6 +32,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::drift::DriftModel;
 use crate::RateSchedule;
@@ -183,21 +188,44 @@ impl ClockSource for [RateSchedule] {
     }
 }
 
+/// Where every single-segment [`RateSchedule`] starts: real time 0 with
+/// hardware value 0. The flat read path spells both out so its float
+/// expressions keep the shape of [`RateSchedule::value_at`] and
+/// [`RateSchedule::time_at_value`] (`0.0 + x` is not `x` at `-0.0`).
+const FLAT_START: f64 = 0.0;
+const FLAT_VALUE_AT_START: f64 = 0.0;
+
 /// The eager [`ClockSource`]: a precomputed [`RateSchedule`] per node.
 ///
 /// This is exactly the representation the engine used before clock
 /// sources existed; wrapping a schedule vector in an `EagerSchedule`
 /// changes nothing observable about a run.
+///
+/// When every schedule is a single segment (constant-rate clocks, the
+/// large-network case), queries are answered from one flat vector of
+/// rates, bit-identically to the per-schedule path. Schedules and rates
+/// sit behind [`Arc`]s, so a clone or [`ClockSource::fork`] is two
+/// reference counts whatever the node count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EagerSchedule {
-    schedules: Vec<RateSchedule>,
+    schedules: Arc<Vec<RateSchedule>>,
+    /// Node `i`'s constant rate, present iff every schedule has exactly
+    /// one segment.
+    flat_rates: Option<Arc<[f64]>>,
 }
 
 impl EagerSchedule {
     /// Wraps precomputed per-node schedules.
     #[must_use]
     pub fn new(schedules: Vec<RateSchedule>) -> Self {
-        Self { schedules }
+        let flat_rates = schedules
+            .iter()
+            .all(|s| s.segments().len() == 1)
+            .then(|| schedules.iter().map(|s| s.segments()[0].1).collect());
+        Self {
+            schedules: Arc::new(schedules),
+            flat_rates,
+        }
     }
 
     /// The wrapped schedules.
@@ -219,23 +247,47 @@ impl ClockSource for EagerSchedule {
     }
 
     fn rate_at(&self, node: usize, t: f64) -> f64 {
-        self.schedules[node].rate_at(t)
+        match &self.flat_rates {
+            Some(rates) => {
+                assert!(t >= 0.0, "schedules are defined on t >= 0, got {t}");
+                rates[node]
+            }
+            None => self.schedules[node].rate_at(t),
+        }
     }
 
     fn value_at(&self, node: usize, t: f64) -> f64 {
-        self.schedules[node].value_at(t)
+        match &self.flat_rates {
+            Some(rates) => {
+                assert!(t >= 0.0, "schedules are defined on t >= 0, got {t}");
+                FLAT_VALUE_AT_START + rates[node] * (t - FLAT_START)
+            }
+            None => self.schedules[node].value_at(t),
+        }
     }
 
     fn time_at_value(&self, node: usize, value: f64) -> f64 {
-        self.schedules[node].time_at_value(value)
+        match &self.flat_rates {
+            Some(rates) => {
+                assert!(
+                    value >= 0.0,
+                    "hardware clock values are nonnegative: {value}"
+                );
+                FLAT_START + (value - FLAT_VALUE_AT_START) / rates[node]
+            }
+            None => self.schedules[node].time_at_value(value),
+        }
     }
 
     fn live_segments(&self) -> usize {
-        self.schedules.as_slice().live_segments()
+        match &self.flat_rates {
+            Some(rates) => rates.len(),
+            None => self.schedules.as_slice().live_segments(),
+        }
     }
 
     fn materialize_prefix(&self, _horizon: f64) -> Vec<RateSchedule> {
-        self.schedules.clone()
+        self.schedules.to_vec()
     }
 
     fn find_non_finite(&self) -> Option<usize> {
@@ -777,6 +829,120 @@ mod tests {
         source.compact_before(50.0);
         assert_eq!(source.value_at(0, 1.0), schedules[0].value_at(1.0));
         assert_eq!(source.materialize_prefix(42.0), schedules);
+    }
+
+    /// Random constant rates and query points, the signed zeros included.
+    fn flat_cases(seed: u64, n: usize) -> (Vec<RateSchedule>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schedules = (0..n)
+            .map(|_| RateSchedule::constant(rng.random_range(0.5..=2.0)))
+            .collect();
+        let mut points = vec![0.0, -0.0, f64::MIN_POSITIVE, 1e300, f64::INFINITY];
+        points.extend((0..200).map(|_| rng.random_range(0.0..=1e6)));
+        (schedules, points)
+    }
+
+    /// Asserts two sources give the same bits for all three queries at
+    /// every node and point.
+    fn assert_same_answers<A, B>(a: &A, b: &B, points: &[f64])
+    where
+        A: ClockSource + ?Sized,
+        B: ClockSource + ?Sized,
+    {
+        assert_eq!(a.node_count(), b.node_count());
+        for node in 0..a.node_count() {
+            for &x in points {
+                assert_eq!(
+                    a.value_at(node, x).to_bits(),
+                    b.value_at(node, x).to_bits(),
+                    "value_at, node {node}, t {x:?}"
+                );
+                assert_eq!(
+                    a.time_at_value(node, x).to_bits(),
+                    b.time_at_value(node, x).to_bits(),
+                    "time_at_value, node {node}, value {x:?}"
+                );
+                assert_eq!(
+                    a.rate_at(node, x).to_bits(),
+                    b.rate_at(node, x).to_bits(),
+                    "rate_at, node {node}, t {x:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_path_matches_per_schedule_path_bit_for_bit() {
+        for seed in 0..8 {
+            let (schedules, points) = flat_cases(seed, 17);
+            let source = EagerSchedule::new(schedules.clone());
+            assert!(source.flat_rates.is_some(), "constant rates read flat");
+            assert_eq!(source.live_segments(), schedules.len());
+            assert_same_answers(&source, schedules.as_slice(), &points);
+        }
+    }
+
+    #[test]
+    fn one_two_segment_schedule_takes_the_general_path() {
+        let (mut schedules, points) = flat_cases(3, 5);
+        schedules[2] = RateSchedule::builder(1.0).rate_from(7.0, 1.5).build();
+        let source = EagerSchedule::new(schedules.clone());
+        assert!(source.flat_rates.is_none());
+        assert_eq!(source.live_segments(), 6);
+        assert_same_answers(&source, schedules.as_slice(), &points);
+        assert_eq!(source.schedules(), schedules.as_slice());
+        assert_eq!(source.materialize_prefix(1.0), schedules);
+    }
+
+    #[test]
+    fn eager_fork_shares_storage_and_answers_like_its_parent() {
+        let (schedules, points) = flat_cases(5, 9);
+        let source = EagerSchedule::new(schedules);
+        let copy = source.clone();
+        assert!(Arc::ptr_eq(&source.schedules, &copy.schedules));
+        assert!(Arc::ptr_eq(
+            source.flat_rates.as_ref().unwrap(),
+            copy.flat_rates.as_ref().unwrap()
+        ));
+        assert_eq!(source, copy);
+        let fork = source.fork().expect("eager sources fork");
+        assert_eq!(fork.live_segments(), 9);
+        assert_same_answers(&*fork, &source, &points);
+    }
+
+    /// Both read paths, so each panic test covers the two of them.
+    fn flat_and_general() -> [EagerSchedule; 2] {
+        [
+            EagerSchedule::new(vec![RateSchedule::constant(1.25)]),
+            EagerSchedule::new(vec![RateSchedule::builder(1.0)
+                .rate_from(3.0, 1.25)
+                .build()]),
+        ]
+    }
+
+    #[test]
+    fn negative_time_panics_on_both_paths() {
+        for source in flat_and_general() {
+            for query in [EagerSchedule::value_at, EagerSchedule::rate_at] {
+                let err = std::panic::catch_unwind(|| query(&source, 0, -0.5))
+                    .expect_err("negative time must panic");
+                let msg = err.downcast_ref::<String>().expect("formatted panic");
+                assert!(msg.contains("schedules are defined on t >= 0"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_value_panics_on_both_paths() {
+        for source in flat_and_general() {
+            let err = std::panic::catch_unwind(|| source.time_at_value(0, -0.5))
+                .expect_err("negative value must panic");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                msg.contains("hardware clock values are nonnegative"),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

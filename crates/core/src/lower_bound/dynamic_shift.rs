@@ -532,7 +532,7 @@ fn fast_side(topology: &Topology, fast: usize, bridge: (usize, usize)) -> Vec<bo
     side[fast] = true;
     let mut stack = vec![fast];
     while let Some(i) = stack.pop() {
-        for j in topology.neighbors(i) {
+        for &j in topology.neighbors_of(i) {
             if (i.min(j), i.max(j)) == bridge || side[j] {
                 continue;
             }

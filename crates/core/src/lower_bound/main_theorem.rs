@@ -238,10 +238,7 @@ impl MainTheorem {
         let max_neighbor_dist = (0..d)
             .flat_map(|i| {
                 let t = &topology;
-                t.neighbors(i)
-                    .into_iter()
-                    .map(move |j| t.distance(i, j))
-                    .collect::<Vec<_>>()
+                t.neighbors_of(i).iter().map(move |&j| t.distance(i, j))
             })
             .fold(0.0_f64, f64::max);
 
@@ -278,6 +275,9 @@ impl MainTheorem {
                 .apply(&alpha, AddSkewParams::window(fast, slow, start))
                 .map_err(|source| MainTheoremError::AddSkew { round: k, source })?;
             let beta = outcome.transformed;
+            // `alpha` is dead until the replay replaces it; freeing it here
+            // keeps the replay's peak at two executions, not three.
+            drop(alpha);
             let t_prime = beta.horizon();
             let skew_after_transform = beta.skew(fast, slow, t_prime);
 

@@ -1,5 +1,17 @@
 //! Time-varying topology views compiled from a base [`Topology`] and a
 //! [`ChurnSchedule`].
+//!
+//! The engines ask one question of a view per delivery, "did churn lose
+//! this message", through [`DynamicTopology::link_interrupted`]. A
+//! per-node flag computed at compile time (does any link at this node
+//! ever change) settles it without touching the tracked-pair list for
+//! every delivery between nodes churn never reaches, which at 100k nodes
+//! and a few dozen toggles is nearly all of them; the rest pay one binary
+//! search where `link_tracked` followed by `link_uninterrupted` paid two.
+//!
+//! Compiling costs one copy of the adjacency lists per epoch: each epoch
+//! is the one before with that instant's flips applied, and the base
+//! topology's lists are borrowed throughout.
 
 use std::fmt;
 
@@ -83,7 +95,9 @@ impl std::error::Error for DynamicTopologyError {}
 /// over the tracked pairs, so neighbor queries are a binary search over
 /// epochs and link-liveness queries a binary search over that one edge's
 /// history. Memory is `O(epochs · live_edges + churn events)`, letting
-/// views scale to thousands of nodes.
+/// views scale to thousands of nodes. Compiling borrows the base
+/// topology's adjacency lists and allocates per tracked pair only for its
+/// interval history.
 ///
 /// Initially every base-topology neighbor pair is live; an edge inserted
 /// by churn between non-adjacent base nodes uses the base distance matrix
@@ -120,6 +134,12 @@ pub struct DynamicTopology {
     /// and formation-time queries are a binary search over the pair's own
     /// history, independent of the node count.
     intervals: Vec<Vec<(f64, f64)>>,
+    /// Per node: whether it is an endpoint of some tracked pair whose
+    /// history is anything but the single interval `(-inf, +inf)`. A pair
+    /// with an unflagged endpoint is either untracked or up forever, which
+    /// is how [`DynamicTopology::link_interrupted`] answers most
+    /// deliveries without searching `tracked`.
+    churned: Vec<bool>,
 }
 
 impl DynamicTopology {
@@ -157,7 +177,7 @@ impl DynamicTopology {
         let mut tracked_set: std::collections::BTreeSet<(usize, usize)> =
             std::collections::BTreeSet::new();
         for i in 0..n {
-            for j in base.neighbors(i) {
+            for &j in base.neighbors_of(i) {
                 if i < j {
                     tracked_set.insert((i, j));
                 }
@@ -180,7 +200,7 @@ impl DynamicTopology {
         // liveness (a leave preserves edge state so a rejoin restores it).
         let mut edge_state: Vec<bool> = tracked
             .iter()
-            .map(|&(a, b)| base.neighbors(a).contains(&b))
+            .map(|&(a, b)| base.neighbors_of(a).contains(&b))
             .collect();
         let mut active = vec![true; n];
 
@@ -248,7 +268,7 @@ impl DynamicTopology {
             }
             // Record the live-set delta (elides redundant schedule events)
             // and extend each flipped pair's interval history.
-            let mut changed = false;
+            let first_change = changes.len();
             for (idx, (&was, &is)) in live.iter().zip(next_live.iter()).enumerate() {
                 if was != is {
                     let (a, b) = tracked[idx];
@@ -266,17 +286,41 @@ impl DynamicTopology {
                             .expect("a live link has an open interval")
                             .1 = t;
                     }
-                    changed = true;
                 }
             }
             // Node-activity flips matter even when no live edge moved
             // (e.g. an already-isolated node leaving), so they also open
             // a new epoch.
-            let active_flipped = epochs.last().expect("initial epoch").active != active;
+            let last = epochs.last().expect("initial epoch");
             live = next_live;
-            if changed || active_flipped {
+            if changes.len() > first_change || last.active != active {
+                // The new epoch is the last one with this instant's flips
+                // applied in place, which keeps every list sorted; a
+                // rebuild from `live` would walk every tracked pair.
+                let mut neighbors = last.neighbors.clone();
+                for change in &changes[first_change..] {
+                    for (node, peer) in [(change.a, change.b), (change.b, change.a)] {
+                        let list = &mut neighbors[node];
+                        match list.binary_search(&peer) {
+                            Err(pos) if change.up => list.insert(pos, peer),
+                            Ok(pos) if !change.up => drop(list.remove(pos)),
+                            _ => unreachable!("a flip changes the last epoch's live set"),
+                        }
+                    }
+                }
                 epoch_starts.push(t);
-                epochs.push(make_epoch(&live, &active));
+                epochs.push(Epoch {
+                    neighbors,
+                    active: active.clone(),
+                });
+            }
+        }
+
+        let mut churned = vec![false; n];
+        for (&(a, b), history) in tracked.iter().zip(&intervals) {
+            if history.as_slice() != [(f64::NEG_INFINITY, f64::INFINITY)] {
+                churned[a] = true;
+                churned[b] = true;
             }
         }
 
@@ -288,6 +332,7 @@ impl DynamicTopology {
             changes,
             tracked,
             intervals,
+            churned,
         })
     }
 
@@ -442,6 +487,31 @@ impl DynamicTopology {
         }
     }
 
+    /// Whether churn loses a message on `{a, b}` sent at `t0` and due at
+    /// `t1`: the pair is tracked and was *not* up continuously over
+    /// `(t0, t1]`. Equal to `link_tracked(a, b) && !link_uninterrupted(a,
+    /// b, t0, t1)` for finite times, in at most one search of the tracked
+    /// pairs, and in none unless both endpoints touch a link that ever
+    /// changed. This is the question the engines ask once per delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
+    #[must_use]
+    pub fn link_interrupted(&self, a: usize, b: usize, t0: f64, t1: f64) -> bool {
+        debug_assert!(
+            t0.is_finite() && t1.is_finite(),
+            "send and arrival times are finite, got ({t0}, {t1}]"
+        );
+        if !(self.churned[a] && self.churned[b]) {
+            return false;
+        }
+        self.pair_index(a, b).is_some_and(|idx| {
+            self.formed_at_index(idx, t1)
+                .is_none_or(|formed| formed > t0)
+        })
+    }
+
     /// The live edges `(a, b)` with `a < b` at time `t`, ascending.
     #[must_use]
     pub fn live_edges_at(&self, t: f64) -> Vec<(usize, usize)> {
@@ -481,6 +551,8 @@ impl fmt::Display for DynamicTopology {
 mod tests {
     use super::*;
     use crate::churn::ChurnEvent;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn static_view_matches_base_neighbors() {
@@ -526,6 +598,131 @@ mod tests {
         assert!(!d.link_uninterrupted(0, 1, 9.0, 11.0)); // down at arrival
         assert!(!d.link_uninterrupted(0, 1, 9.0, 21.0)); // re-formed after send
         assert!(d.link_uninterrupted(0, 1, 20.5, 21.0)); // inside new interval
+    }
+
+    /// A random schedule over `n` nodes: edge toggles on arbitrary pairs
+    /// (base edges or not), node leaves and joins, a share of them at
+    /// time zero, times drawn from a small grid so instants collide.
+    fn random_schedule(rng: &mut StdRng, n: usize) -> ChurnSchedule {
+        let events = (0..rng.random_range(0..=12usize))
+            .map(|_| {
+                let a = rng.random_range(0..n);
+                let b = (a + rng.random_range(1..n)) % n;
+                let kind = match rng.random_range(0..6u32) {
+                    0 | 1 => ChurnKind::EdgeDown { a, b },
+                    2 | 3 => ChurnKind::EdgeUp { a, b },
+                    4 => ChurnKind::NodeLeave { node: a },
+                    _ => ChurnKind::NodeJoin { node: a },
+                };
+                let time = f64::from(rng.random_range(0..=8u32)) * 2.5;
+                ChurnEvent { time, kind }
+            })
+            .collect();
+        ChurnSchedule::new(events)
+    }
+
+    #[test]
+    fn link_interrupted_is_tracked_and_not_uninterrupted() {
+        let mut rng = StdRng::seed_from_u64(0x11A7);
+        let (mut hits, mut shortcuts, mut searched) = (0, 0, 0);
+        for case in 0..300 {
+            let n = rng.random_range(3..=9usize);
+            let base = match case % 3 {
+                0 => Topology::line(n),
+                1 => Topology::ring(n),
+                _ => Topology::star(n),
+            };
+            let d = DynamicTopology::new(base, random_schedule(&mut rng, n)).unwrap();
+            for a in 0..n {
+                for b in 0..n {
+                    if a == b {
+                        continue;
+                    }
+                    for _ in 0..6 {
+                        // Half-grid instants land on, between and past
+                        // the churn times.
+                        let t0 = f64::from(rng.random_range(0..=20u32)) * 1.25;
+                        let t1 = t0 + f64::from(rng.random_range(0..=8u32)) * 1.25;
+                        let expected = d.link_tracked(a, b) && !d.link_uninterrupted(a, b, t0, t1);
+                        assert_eq!(
+                            d.link_interrupted(a, b, t0, t1),
+                            expected,
+                            "case {case}: pair ({a}, {b}) over ({t0}, {t1}] in {d}"
+                        );
+                        hits += usize::from(expected);
+                        if d.churned[a] && d.churned[b] {
+                            searched += 1;
+                        } else {
+                            shortcuts += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The generator reaches both answers and both code paths.
+        assert!(hits > 1000, "interrupted answers: {hits}");
+        assert!(
+            shortcuts > 1000 && searched > 1000,
+            "{shortcuts} / {searched}"
+        );
+    }
+
+    #[test]
+    fn epoch_neighbor_lists_match_the_link_histories() {
+        // Epochs are built by applying each instant's flips to the epoch
+        // before; the per-pair interval lists are built independently, so
+        // the two must describe the same graph at every instant.
+        let mut rng = StdRng::seed_from_u64(0xE90C);
+        for case in 0..200 {
+            let n = rng.random_range(3..=9usize);
+            let base = if case % 2 == 0 {
+                Topology::ring(n)
+            } else {
+                Topology::star(n)
+            };
+            let d = DynamicTopology::new(base, random_schedule(&mut rng, n)).unwrap();
+            for step in 0..=18u32 {
+                let t = f64::from(step) * 1.25;
+                for i in 0..n {
+                    let expected: Vec<usize> = (0..n)
+                        .filter(|&j| j != i && d.link_up_at(i, j, t))
+                        .collect();
+                    assert_eq!(
+                        d.neighbors_at(i, t),
+                        expected,
+                        "case {case}: node {i} at {t} in {d}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_endpoints_of_changed_links_are_flagged() {
+        // One flapping ring edge and one inserted chord that never comes
+        // up: their endpoints are flagged, the rest of the ring is not.
+        let churn = ChurnSchedule::periodic_flap(0, 1, 10.0, 35.0).merge(ChurnSchedule::new(vec![
+            ChurnEvent {
+                time: 5.0,
+                kind: ChurnKind::EdgeDown { a: 3, b: 5 },
+            },
+        ]));
+        let d = DynamicTopology::new(Topology::ring(8), churn).unwrap();
+        assert_eq!(
+            d.churned,
+            [true, true, false, true, false, true, false, false]
+        );
+        assert!(d.link_interrupted(0, 1, 9.0, 11.0));
+        assert!(d.link_interrupted(3, 5, 1.0, 2.0), "tracked, never up");
+        assert!(
+            !d.link_interrupted(1, 3, 1.0, 50.0),
+            "untracked, both flagged"
+        );
+        assert!(!d.link_interrupted(6, 7, 1.0, 50.0), "tracked, up forever");
+        assert!(DynamicTopology::static_view(Topology::ring(8))
+            .churned
+            .iter()
+            .all(|&c| !c));
     }
 
     #[test]

@@ -24,12 +24,18 @@
 //!    goldens.
 //! 3. **O(Σ degree) state** — peak RSS (`VmHWM`) stays orders of
 //!    magnitude below the dense-state footprint at full scale.
+//!
+//! A third table says where the plain multi-shard run's wall time went:
+//! per shard, windows, events and busy time from
+//! [`gcs_sim::ShardedSimulation::counters`], the coordinator's serial
+//! phases, and how much of each shard's busy time fell in stretches of
+//! the run where the other shards had next to nothing to do.
 
 use std::time::Instant;
 
 use gcs_algorithms::AlgorithmKind;
 use gcs_dynamic::ChurnSchedule;
-use gcs_sim::GlobalSkewObserver;
+use gcs_sim::{GlobalSkewObserver, ShardedCounters};
 use gcs_testkit::Scenario;
 
 use crate::table::fnum;
@@ -42,7 +48,19 @@ struct ScaleRun {
     worst_skew: f64,
     worst_at: f64,
     peak_rss_mib: Option<f64>,
+    counters: ShardedCounters,
+    /// Per shard: nanoseconds of `run_ns` accumulated in slices of the
+    /// run where this shard did at least [`ALONE_SHARE`] of all shards'
+    /// dispatch work.
+    alone_ns: Vec<u64>,
 }
+
+/// Every run advances in this many equal slices of its horizon, reading
+/// the shard counters in between.
+const SLICES: u32 = 20;
+/// A shard "ran alone" in a slice when it did at least this share of the
+/// slice's dispatch work.
+const ALONE_SHARE: f64 = 0.9;
 
 /// Process-lifetime peak resident set (`VmHWM`) in MiB, if the platform
 /// exposes it (Linux procfs; `None` elsewhere). Monotone over the
@@ -126,8 +144,24 @@ fn run_sharded(
     let mut sim = tuned.build_sharded_with(shards, |id, n| kind.build(id, n));
     sim.set_probe_schedule(0.0, horizon / 4.0);
     let mut global = GlobalSkewObserver::new();
+    let mut alone_ns = vec![0u64; sim.shard_count()];
+    let mut before = sim.counters();
     let t0 = Instant::now();
-    sim.run_until_observed(horizon, &mut [&mut global]);
+    for slice in 1..=SLICES {
+        let until = horizon * f64::from(slice) / f64::from(SLICES);
+        sim.run_until_observed(until, &mut [&mut global]);
+        let after = sim.counters();
+        let spent: Vec<u64> = (after.shards.iter().zip(&before.shards))
+            .map(|(a, b)| a.run_ns - b.run_ns)
+            .collect();
+        let total: u64 = spent.iter().sum();
+        for (alone, &ns) in alone_ns.iter_mut().zip(&spent) {
+            if ns as f64 >= ALONE_SHARE * total as f64 {
+                *alone += ns;
+            }
+        }
+        before = after;
+    }
     let wall_secs = t0.elapsed().as_secs_f64();
     ScaleRun {
         dispatched: sim.dispatched(),
@@ -135,7 +169,78 @@ fn run_sharded(
         worst_skew: global.worst(),
         worst_at: global.worst_at(),
         peak_rss_mib: peak_rss_mib(),
+        counters: before,
+        alone_ns,
     }
+}
+
+/// Where the wall time of one sharded run went: a row per shard, the
+/// coordinator's two serial phases, then busy time summed over shards
+/// against wall. A sum near the wall time with `alone_share` near 1 means
+/// the shards took turns; a sum near `shards x wall` means they
+/// overlapped.
+#[allow(clippy::cast_precision_loss)]
+fn shard_table(n: usize, k: usize, run: &ScaleRun) -> Table {
+    let ms = |ns: u64| fnum(ns as f64 / 1e6);
+    let wall_ns = run.wall_secs * 1e9;
+    let of_wall = |ns: u64| fnum(ns as f64 / wall_ns.max(1.0));
+    let blank = String::new;
+    let mut table = Table::new(
+        "e15",
+        &format!(
+            "Where the wall time went (n = {n}, dynamic-gradient, shards = {k}, knobs \
+             off): per-shard busy time against wall; alone_share is the part of a \
+             shard's run_ms spent in twentieths of the horizon where it did at least \
+             {ALONE_SHARE} of all dispatch work"
+        ),
+        &[
+            "part",
+            "windows",
+            "events",
+            "run_ms",
+            "drain_ms",
+            "share_of_wall",
+            "alone_share",
+        ],
+    );
+    let mut busy = 0u64;
+    for (i, (c, &alone)) in run.counters.shards.iter().zip(&run.alone_ns).enumerate() {
+        busy += c.run_ns + c.drain_ns;
+        table.row_owned(vec![
+            format!("shard {i}"),
+            c.windows.to_string(),
+            c.events.to_string(),
+            ms(c.run_ns),
+            ms(c.drain_ns),
+            of_wall(c.run_ns + c.drain_ns),
+            fnum(alone as f64 / (c.run_ns as f64).max(1.0)),
+        ]);
+    }
+    for (part, ns) in [
+        ("coordinator merge", run.counters.finish_ns),
+        ("coordinator probes", run.counters.probe_ns),
+        ("shards summed", busy),
+    ] {
+        table.row_owned(vec![
+            part.to_string(),
+            blank(),
+            blank(),
+            ms(ns),
+            blank(),
+            of_wall(ns),
+            blank(),
+        ]);
+    }
+    table.row_owned(vec![
+        "wall".to_string(),
+        blank(),
+        run.dispatched.to_string(),
+        fnum(run.wall_secs * 1e3),
+        blank(),
+        fnum(1.0),
+        blank(),
+    ]);
+    table
 }
 
 fn rss_cell(r: &ScaleRun) -> String {
@@ -223,6 +328,16 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
 
+    // The plain multi-shard row: no knob moves work between threads or
+    // window boundaries, so its counters are the protocol's own.
+    let ((plain_k, _, _), plain) = &matrix_runs[1];
+    let shards = shard_table(n, *plain_k, plain);
+    let counted: u64 = plain.counters.shards.iter().map(|c| c.events).sum();
+    assert_eq!(
+        counted, plain.dispatched,
+        "per-shard event counters must add up to the run's dispatched events"
+    );
+
     let (_, reference) = &matrix_runs[0];
     assert!(
         reference.dispatched > n as u64,
@@ -302,7 +417,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
     }
 
-    vec![knob_table, coverage]
+    vec![knob_table, coverage, shards]
 }
 
 #[cfg(test)]
@@ -313,11 +428,13 @@ mod tests {
     fn quick_scale_is_deterministic_across_shard_counts() {
         // The in-experiment assertions do the heavy lifting; this pins
         // the quick configuration's shape: one knob-matrix table (5
-        // configurations) plus one coverage table (8 algorithms).
+        // configurations), one coverage table (8 algorithms) and the
+        // wall-time table (4 shards, 3 sums, wall).
         let tables = run(Scale::Quick);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         assert_eq!(tables[0].rows().len(), 5);
         assert_eq!(tables[1].rows().len(), 8);
+        assert_eq!(tables[2].rows().len(), 4 + 3 + 1);
     }
 
     #[test]

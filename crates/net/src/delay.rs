@@ -203,7 +203,7 @@ impl UniformDelay {
 
 impl DelayPolicy for UniformDelay {
     fn bind_topology(&mut self, topology: &Topology) {
-        *self = self.clone().bound_to(topology);
+        self.topology = Some(topology.clone());
     }
 
     fn min_delay_bound(&self) -> f64 {

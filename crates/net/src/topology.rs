@@ -1,6 +1,12 @@
 //! Node sets with distance (delay-uncertainty) matrices.
+//!
+//! A [`Topology`] is immutable shared data: cloning one costs two
+//! reference counts, not a copy of its distances and adjacency lists, so
+//! a run that hands the topology to its engine, its delay policy and its
+//! dynamic view holds it once.
 
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -27,12 +33,18 @@ use rand::{Rng, SeedableRng};
 /// assert_eq!(t.diameter(), 4.0);
 /// assert_eq!(t.neighbors(2), vec![1, 3]);
 /// ```
+///
+/// Distances and adjacency lists sit behind [`Arc`]s: a clone is two
+/// reference counts whatever the size, and every holder of a clone (the
+/// engine, a bound delay policy, each shard's fork of it, a dynamic view)
+/// reads the same memory. [`Topology::normalized`] copies before it
+/// writes, so it never changes another clone's distances.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     n: usize,
-    repr: Repr,
+    repr: Arc<Repr>,
     /// Adjacency lists for the neighbor relation.
-    neighbors: Vec<Vec<usize>>,
+    neighbors: Arc<Vec<Vec<usize>>>,
 }
 
 /// Distance storage. Small and irregular topologies keep the full matrix;
@@ -352,13 +364,13 @@ impl Topology {
         let diameter = (max_pairwise_euclid(&points) * scale).max(1.0);
         Self {
             n,
-            repr: Repr::Geometric {
+            repr: Arc::new(Repr::Geometric {
                 points,
                 scale,
                 min_dist,
                 diameter,
-            },
-            neighbors,
+            }),
+            neighbors: Arc::new(neighbors),
         }
     }
 
@@ -440,7 +452,10 @@ impl Topology {
         for list in &mut neighbors {
             list.sort_unstable();
         }
-        Ok(Self { neighbors, ..topo })
+        Ok(Self {
+            neighbors: Arc::new(neighbors),
+            ..topo
+        })
     }
 
     /// A balanced `arity`-ary tree of `n` nodes with unit edges (node 0 is
@@ -496,8 +511,8 @@ impl Topology {
         }
         Ok(Self {
             n,
-            repr: Repr::Dense(dist),
-            neighbors,
+            repr: Arc::new(Repr::Dense(dist)),
+            neighbors: Arc::new(neighbors),
         })
     }
 
@@ -518,8 +533,8 @@ impl Topology {
         if n == 1 {
             return Ok(Self {
                 n,
-                repr: Repr::Dense(dist),
-                neighbors: vec![Vec::new()],
+                repr: Arc::new(Repr::Dense(dist)),
+                neighbors: Arc::new(vec![Vec::new()]),
             });
         }
         Self::from_matrix(dist, neighbor_radius)
@@ -547,7 +562,7 @@ impl Topology {
     #[must_use]
     pub fn distance(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "node index out of range");
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(dist) => dist[i * self.n + j],
             Repr::Geometric { points, scale, .. } => {
                 if i == j {
@@ -563,7 +578,7 @@ impl Topology {
     /// (cached at construction), an O(n²) scan for dense ones.
     #[must_use]
     pub fn diameter(&self) -> f64 {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(dist) => dist.iter().copied().fold(0.0, f64::max),
             Repr::Geometric { diameter, .. } => *diameter,
         }
@@ -573,7 +588,7 @@ impl Topology {
     /// O(1) for geometric topologies (cached at construction).
     #[must_use]
     pub fn min_distance(&self) -> f64 {
-        match &self.repr {
+        match &*self.repr {
             Repr::Dense(dist) => {
                 let mut min = f64::INFINITY;
                 for i in 0..self.n {
@@ -592,7 +607,8 @@ impl Topology {
     /// Rescales all distances so the minimum off-diagonal distance is exactly
     /// 1, as the paper's model requires. No-op for single-node topologies
     /// (and for geometric topologies, which are normalized by construction:
-    /// their minimum distance is within one ulp of 1).
+    /// their minimum distance is within one ulp of 1). Rescaling copies the
+    /// matrix first if another clone shares it.
     #[must_use]
     pub fn normalized(mut self) -> Self {
         if self.n < 2 {
@@ -600,7 +616,7 @@ impl Topology {
         }
         let min = self.min_distance();
         if (min - 1.0).abs() > 1e-12 && min.is_finite() && min > 0.0 {
-            match &mut self.repr {
+            match Arc::make_mut(&mut self.repr) {
                 Repr::Dense(dist) => {
                     for d in dist.iter_mut() {
                         *d /= min;
@@ -621,8 +637,19 @@ impl Topology {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn neighbors(&self, i: usize) -> Vec<usize> {
+        self.neighbors_of(i).to_vec()
+    }
+
+    /// The neighbors of node `i` (ascending order), borrowed: what a
+    /// caller that only reads should use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    pub fn neighbors_of(&self, i: usize) -> &[usize] {
         assert!(i < self.n, "node index out of range");
-        self.neighbors[i].clone()
+        &self.neighbors[i]
     }
 
     /// The neighbor relation as an edge list: every pair `(i, j)` with
@@ -660,7 +687,7 @@ impl Topology {
         seen[0] = true;
         let mut reached = 1;
         while let Some(i) = stack.pop() {
-            for &j in &self.neighbors[i] {
+            for &j in self.neighbors_of(i) {
                 if !seen[j] {
                     seen[j] = true;
                     reached += 1;
@@ -987,6 +1014,35 @@ mod tests {
         assert!(t.min_distance() >= 1.0);
         assert!(t.diameter() > t.min_distance());
         assert!(t.distance(0, 1) >= 1.0);
+    }
+
+    #[test]
+    fn clones_share_storage() {
+        for t in [
+            Topology::ring(16),
+            Topology::random_geometric(40, 10.0, 2.0, 3),
+        ] {
+            let copy = t.clone();
+            assert!(Arc::ptr_eq(&t.repr, &copy.repr));
+            assert!(Arc::ptr_eq(&t.neighbors, &copy.neighbors));
+            assert!(std::ptr::eq(t.neighbors_of(3), copy.neighbors_of(3)));
+            assert_eq!(t, copy);
+            assert_eq!(t.neighbors(3), t.neighbors_of(3));
+        }
+    }
+
+    #[test]
+    fn normalizing_a_clone_leaves_the_original_untouched() {
+        let original = Topology::from_matrix(vec![0.0, 3.0, 3.0, 0.0], 3.0).unwrap();
+        let normalized = original.clone().normalized();
+        assert_eq!(normalized.distance(0, 1), 1.0);
+        assert_eq!(original.distance(0, 1), 3.0);
+        assert_eq!(original.min_distance(), 3.0);
+        // Adjacency is not rescaled, so the two still share it.
+        assert!(Arc::ptr_eq(&original.neighbors, &normalized.neighbors));
+        // An already-normalized topology is returned as the same storage.
+        let ring = Topology::ring(8);
+        assert!(Arc::ptr_eq(&ring.repr, &ring.clone().normalized().repr));
     }
 
     #[test]

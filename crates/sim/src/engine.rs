@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Instant;
 
@@ -14,6 +14,7 @@ use crate::execution::Execution;
 use crate::node::{Actions, Context, Node};
 use crate::observer::{Observer, Probe};
 use crate::profile::{add_elapsed, ProfileState, ProfiledClock, SimProfile};
+use crate::send_seq::SendSeq;
 use crate::trace::{DropReason, TraceEvent, Tracer};
 use crate::{NodeId, TimerId};
 
@@ -602,7 +603,7 @@ impl SimulationBuilder {
                 .map(|_| PiecewiseLinear::new(0.0, 0.0, 1.0))
                 .collect(),
             next_timer: vec![0; n],
-            send_seq: HashMap::new(),
+            send_seq: SendSeq::new(0..n),
             queue: BinaryHeap::new(),
             tie: 0,
             events: Vec::new(),
@@ -707,7 +708,7 @@ pub struct Simulation<M> {
     neighbors: Vec<Vec<NodeId>>,
     trajectories: Vec<PiecewiseLinear>,
     next_timer: Vec<TimerId>,
-    send_seq: HashMap<(NodeId, NodeId), u64>,
+    send_seq: SendSeq,
     queue: BinaryHeap<QueuedEvent>,
     tie: u64,
     events: Vec<EventRecord>,
@@ -1014,9 +1015,7 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
                     let Some(arrival) = m.arrival_time else {
                         continue;
                     };
-                    if view.link_tracked(m.from, m.to)
-                        && !view.link_uninterrupted(m.from, m.to, m.send_time, arrival.min(horizon))
-                    {
+                    if view.link_interrupted(m.from, m.to, m.send_time, arrival.min(horizon)) {
                         m.status = MessageStatus::Dropped;
                         m.arrival_time = None;
                         m.arrival_hw = None;
@@ -1291,9 +1290,9 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         } = kind
         {
             if let Some(view) = &self.dynamic {
-                if self.drop_on_link_down && view.link_tracked(from, node) {
+                if self.drop_on_link_down {
                     let sent = self.messages[msg_index].send_time;
-                    if !view.link_uninterrupted(from, node, sent, time) {
+                    if view.link_interrupted(from, node, sent, time) {
                         let m = &mut self.messages[msg_index];
                         m.status = MessageStatus::Dropped;
                         m.arrival_time = None;
@@ -1482,9 +1481,7 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         time: f64,
         hw: f64,
     ) -> Result<(), SimError> {
-        let seq_entry = self.send_seq.entry((from, to)).or_insert(0);
-        let seq = *seq_entry;
-        *seq_entry += 1;
+        let seq = self.send_seq.next(from, to);
 
         let d = self.topology.distance(from, to);
         let outcome = self.delay.decide(from, to, seq, time);

@@ -127,6 +127,7 @@ mod execution;
 mod node;
 pub mod observer;
 pub mod profile;
+mod send_seq;
 mod shard;
 pub mod trace;
 
@@ -143,7 +144,7 @@ pub use observer::{
     Probe, ValidityObserver,
 };
 pub use profile::SimProfile;
-pub use shard::ShardedSimulation;
+pub use shard::{ShardCounters, ShardedCounters, ShardedSimulation};
 pub use trace::{DropReason, TraceEvent, Tracer};
 
 /// Index of a node in the network (`0..topology.len()`).

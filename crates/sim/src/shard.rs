@@ -87,13 +87,23 @@
 //! A policy with zero lookahead cannot overlap shards; the build falls
 //! back to a single shard (whose window is unbounded), which keeps the
 //! calendar-queue path exact while giving up parallelism.
+//!
+//! # Where the wall time went
+//!
+//! Every run counts, per shard, the windows it entered, the events it
+//! dispatched and the nanoseconds it spent dispatching and draining its
+//! mailbox, and on the coordinator the time spent merging between
+//! super-windows and firing probes ([`ShardedSimulation::counters`]). The
+//! cost is two clock reads per shard per phase per window. Busy time
+//! summed over shards against the run's wall time says whether the
+//! shards overlapped or took turns; E15 prints the table.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as MemOrder};
 use std::sync::{Barrier, Mutex, MutexGuard};
+use std::time::Instant;
 
 use gcs_clocks::{ClockSource, EagerSchedule, PiecewiseLinear, RateSchedule};
 use gcs_dynamic::DynamicTopology;
@@ -105,6 +115,8 @@ use crate::event::{EventKind, EventRecord, MessageRecord, MessageStatus};
 use crate::execution::Execution;
 use crate::node::{Actions, Context, Node};
 use crate::observer::{Observer, Probe};
+use crate::profile::add_elapsed;
+use crate::send_seq::SendSeq;
 use crate::{NodeId, TimerId};
 
 /// A queued event in a shard's calendar queue. Mirrors the single-heap
@@ -142,7 +154,8 @@ enum ShardEventKind<M> {
         from: NodeId,
         seq: u64,
         send_time: f64,
-        /// `(shard index, message slot)` in the sender's log.
+        /// `(shard index, message slot)` in the sender's log; the slot is
+        /// [`NO_SLOT`] in streaming mode.
         owner: (usize, usize),
         payload: M,
     },
@@ -208,10 +221,17 @@ struct Handoff<M> {
     send_time: f64,
     arrival_time: f64,
     arrival_hw: f64,
-    /// `(shard index, message slot)` in the sender's log.
+    /// `(shard index, message slot)` in the sender's log; the slot is
+    /// [`NO_SLOT`] in streaming mode.
     owner: (usize, usize),
     payload: M,
 }
+
+/// The slot of a cross-shard message that is in no log. A streaming run
+/// reads a message record only to deliver it, and a cross-shard delivery
+/// reads the handoff instead, so such a send is neither logged by the
+/// sender nor written back by the receiver.
+const NO_SLOT: usize = usize::MAX;
 
 /// A deferred status write-back for a message owned by another shard's
 /// log: `(owner shard, slot, delivered?)`. `delivered == false` means
@@ -235,6 +255,37 @@ impl MsgKey {
             .then_with(|| self.sender_key.cmp(&other.sender_key))
             .then_with(|| self.action_index.cmp(&other.action_index))
     }
+}
+
+/// Wall-clock accounting of one shard: what it did and how long it was
+/// busy doing it. Always on: the cost is two clock reads per shard per
+/// window and per mailbox drain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardCounters {
+    /// Conservative windows this shard entered (one per round).
+    pub windows: u64,
+    /// Events this shard dispatched.
+    pub events: u64,
+    /// Nanoseconds inside the window's dispatch loop.
+    pub run_ns: u64,
+    /// Nanoseconds sorting and enqueuing cross-shard deliveries.
+    pub drain_ns: u64,
+}
+
+/// Where a sharded run's wall time went, from
+/// [`ShardedSimulation::counters`]: per-shard busy time beside the
+/// coordinator's serial phases. Shards whose `run_ns` sum to the run's
+/// wall time took turns; shards that each come close to it overlapped.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardedCounters {
+    /// One entry per shard, in shard order.
+    pub shards: Vec<ShardCounters>,
+    /// Coordinator nanoseconds between super-windows: status write-backs,
+    /// event merge and observer replay (probes excluded).
+    pub finish_ns: u64,
+    /// Coordinator nanoseconds firing probes: trajectory compaction and
+    /// the observers' `on_probe`.
+    pub probe_ns: u64,
 }
 
 /// Ceiling on the adaptive super-window multiplier: at most this many
@@ -281,7 +332,7 @@ struct Shard<M> {
     tie: u64,
     clock: Box<dyn ClockSource + Send>,
     delay: Box<dyn DelayPolicy + Send>,
-    send_seq: HashMap<(NodeId, NodeId), u64>,
+    send_seq: SendSeq,
     messages: Vec<MessageRecord<M>>,
     /// Merge keys, parallel to `messages`.
     msg_keys: Vec<MsgKey>,
@@ -299,6 +350,7 @@ struct Shard<M> {
     window_dispatched: u64,
     dropped_loss: u64,
     dropped_link_down: u64,
+    counters: ShardCounters,
 }
 
 impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
@@ -310,6 +362,14 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
 
     fn owns(&self, node: NodeId) -> bool {
         (self.lo..self.hi).contains(&node)
+    }
+
+    /// Queues the status write-back for a delivered or churn-dropped
+    /// message whose record lives in another shard's log, if it has one.
+    fn write_back(&mut self, owner: (usize, usize), delivered: bool) {
+        if owner.1 != NO_SLOT {
+            self.status_updates.push((owner.0, owner.1, delivered));
+        }
     }
 
     /// Time of this shard's next pending event.
@@ -384,26 +444,19 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
                 let dropped = match &kind {
                     ShardEventKind::DeliverLocal {
                         from, msg_index, ..
-                    } if view.link_tracked(*from, node) => {
+                    } => {
                         let sent = self.messages[*msg_index].send_time;
-                        if view.link_uninterrupted(*from, node, sent, time) {
-                            None
-                        } else {
-                            Some(Ok(*msg_index))
-                        }
+                        view.link_interrupted(*from, node, sent, time)
+                            .then_some(Ok(*msg_index))
                     }
                     ShardEventKind::DeliverRemote {
                         from,
                         send_time,
                         owner,
                         ..
-                    } if view.link_tracked(*from, node) => {
-                        if view.link_uninterrupted(*from, node, *send_time, time) {
-                            None
-                        } else {
-                            Some(Err(*owner))
-                        }
-                    }
+                    } => view
+                        .link_interrupted(*from, node, *send_time, time)
+                        .then_some(Err(*owner)),
                     _ => None,
                 };
                 if let Some(where_) = dropped {
@@ -417,7 +470,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
                                 self.free_slots.push(msg_index);
                             }
                         }
-                        Err(owner) => self.status_updates.push((owner.0, owner.1, false)),
+                        Err(owner) => self.write_back(owner, false),
                     }
                     self.dropped_link_down += 1;
                     return Ok(());
@@ -488,7 +541,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
                     payload,
                     ..
                 } => {
-                    self.status_updates.push((owner.0, owner.1, true));
+                    self.write_back(owner, true);
                     nodes[local].on_message(&mut cb, from, &payload);
                 }
             }
@@ -547,9 +600,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
         hw: f64,
         key: MsgKey,
     ) -> Result<(), SimError> {
-        let seq_entry = self.send_seq.entry((from, to)).or_insert(0);
-        let seq = *seq_entry;
-        *seq_entry += 1;
+        let seq = self.send_seq.next(from, to);
 
         let d = ctx.topology.distance(from, to);
         let outcome = self.delay.decide(from, to, seq, time);
@@ -620,46 +671,61 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
             return Ok(());
         }
 
-        let record = MessageRecord {
-            from,
-            to,
-            seq,
-            send_time: time,
-            send_hw: hw,
-            arrival_time: arrival,
-            arrival_hw,
-            status,
-            payload: payload.clone(),
-        };
-        let msg_index = match self.free_slots.pop() {
-            Some(slot) => {
-                self.messages[slot] = record;
-                self.msg_keys[slot] = key;
-                slot
-            }
-            None => {
-                self.messages.push(record);
-                self.msg_keys.push(key);
-                self.messages.len() - 1
-            }
+        let remote = arrival.is_some() && !self.owns(to);
+        let (msg_index, carried) = if remote && !ctx.record_events {
+            // Streaming: the handoff carries the message whole.
+            (NO_SLOT, Some(payload))
+        } else {
+            // Only a recorded cross-shard send needs two copies of the
+            // payload: one stays in this shard's log, one crosses the
+            // barrier in the handoff.
+            let carried = remote.then(|| payload.clone());
+            let record = MessageRecord {
+                from,
+                to,
+                seq,
+                send_time: time,
+                send_hw: hw,
+                arrival_time: arrival,
+                arrival_hw,
+                status,
+                payload,
+            };
+            // Slots are recycled in streaming mode only, and merge keys
+            // are read by `into_execution` in recording mode only.
+            let slot = match self.free_slots.pop() {
+                Some(slot) => {
+                    self.messages[slot] = record;
+                    slot
+                }
+                None => {
+                    self.messages.push(record);
+                    if ctx.record_events {
+                        self.msg_keys.push(key);
+                    }
+                    self.messages.len() - 1
+                }
+            };
+            (slot, carried)
         };
 
         if let (Some(t), Some(h)) = (arrival, arrival_hw) {
-            if self.owns(to) {
-                let tie = self.bump_tie();
-                self.queue.push(ShardEvent {
-                    time: t,
-                    tie,
-                    node: to,
-                    hw: h,
-                    kind: ShardEventKind::DeliverLocal {
-                        from,
-                        seq,
-                        msg_index,
-                    },
-                });
-            } else {
-                self.outbox.push(Handoff {
+            match carried {
+                None => {
+                    let tie = self.bump_tie();
+                    self.queue.push(ShardEvent {
+                        time: t,
+                        tie,
+                        node: to,
+                        hw: h,
+                        kind: ShardEventKind::DeliverLocal {
+                            from,
+                            seq,
+                            msg_index,
+                        },
+                    });
+                }
+                Some(payload) => self.outbox.push(Handoff {
                     from,
                     to,
                     seq,
@@ -668,7 +734,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Shard<M> {
                     arrival_hw: h,
                     owner: (self.index, msg_index),
                     payload,
-                });
+                }),
             }
         }
         Ok(())
@@ -705,14 +771,21 @@ struct ShardTask<'a, M> {
 
 impl<M: Clone + fmt::Debug + Send + 'static> ShardTask<'_, M> {
     fn run_window(&mut self, ctx: &WindowCtx<'_>, window_end: f64) -> Result<(), SimError> {
-        self.shard.run_window(
+        let started = Instant::now();
+        let before = self.shard.window_dispatched;
+        let result = self.shard.run_window(
             ctx,
             window_end,
             self.nodes,
             self.trajectories,
             self.neighbors,
             self.next_timer,
-        )
+        );
+        let counters = &mut self.shard.counters;
+        counters.windows += 1;
+        counters.events += self.shard.window_dispatched - before;
+        add_elapsed(&mut counters.run_ns, Some(started));
+        result
     }
 }
 
@@ -781,6 +854,10 @@ pub struct ShardedSimulation<M> {
     /// Current super-window multiplier, in `[1, ADAPTIVE_MAX_MULT]`;
     /// stays 1 unless `adaptive` is on.
     window_mult: u64,
+    /// Coordinator time in `finish_super_window`, probes excluded.
+    finish_ns: u64,
+    /// Coordinator time in `emit_probes`.
+    probe_ns: u64,
 }
 
 impl<M> fmt::Debug for ShardedSimulation<M> {
@@ -854,15 +931,16 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
             let forked_delay = delay.fork().ok_or_else(|| SimError::ShardUnsupported {
                 reason: "the delay policy does not support fork()".into(),
             })?;
+            let (lo, hi) = (index * n / k, (index + 1) * n / k);
             shards.push(Shard {
                 index,
-                lo: index * n / k,
-                hi: (index + 1) * n / k,
+                lo,
+                hi,
                 queue: CalendarQueue::new(),
                 tie: 0,
                 clock: forked_clock,
                 delay: forked_delay,
-                send_seq: HashMap::new(),
+                send_seq: SendSeq::new(lo..hi),
                 messages: Vec::new(),
                 msg_keys: Vec::new(),
                 free_slots: Vec::new(),
@@ -873,6 +951,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                 window_dispatched: 0,
                 dropped_loss: 0,
                 dropped_link_down: 0,
+                counters: ShardCounters::default(),
             });
         }
         let mut node_shard = vec![0u32; n];
@@ -916,6 +995,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
             adaptive: builder.adaptive_window,
             steal: builder.steal,
             window_mult: 1,
+            finish_ns: 0,
+            probe_ns: 0,
         })
     }
 
@@ -948,6 +1029,17 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
     #[must_use]
     pub fn dispatched(&self) -> u64 {
         self.dispatched
+    }
+
+    /// Where the wall time went so far: per-shard busy time and the
+    /// coordinator's serial phases — see [`ShardedCounters`].
+    #[must_use]
+    pub fn counters(&self) -> ShardedCounters {
+        ShardedCounters {
+            shards: self.shards.iter().map(|s| s.counters).collect(),
+            finish_ns: self.finish_ns,
+            probe_ns: self.probe_ns,
+        }
     }
 
     /// Configures observer probes — identical semantics to
@@ -1212,6 +1304,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                         {
                             let mut task = lock_unpoisoned(&tasks[i]);
                             let mut inbox = std::mem::take(&mut *lock_unpoisoned(&mailboxes[i]));
+                            let started = Instant::now();
                             let outcome = catch_unwind(AssertUnwindSafe(|| {
                                 inbox.sort_by(|a, b| {
                                     a.arrival_time
@@ -1237,6 +1330,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                                     });
                                 }
                             }));
+                            add_elapsed(&mut task.shard.counters.drain_ns, Some(started));
                             if let Err(payload) = outcome {
                                 let mut slot = lock_unpoisoned(first_panic);
                                 if slot.as_ref().is_none_or(|(j, _)| i < *j) {
@@ -1304,6 +1398,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
     /// The super-window barrier work: foreign status write-backs, event
     /// merge, observer replay, and the adaptive-multiplier update.
     fn finish_super_window(&mut self, rounds: u64, observers: &mut [&mut dyn Observer]) {
+        let started = Instant::now();
+        let probe_ns_before = self.probe_ns;
         // 1. Foreign-owned message status write-backs. Deferring these to
         // the super-window boundary is safe: nothing reads a message's
         // status before finalization, and a foreign-owned slot is only
@@ -1373,6 +1469,11 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                 self.window_mult = (self.window_mult * 2).min(ADAPTIVE_MAX_MULT);
             }
         }
+        // Probes fired between merged records are `probe_ns`, not this.
+        add_elapsed(&mut self.finish_ns, Some(started));
+        self.finish_ns = self
+            .finish_ns
+            .saturating_sub(self.probe_ns - probe_ns_before);
     }
 
     /// Fires every probe due at or before `limit` (strictly before
@@ -1382,12 +1483,16 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         let Some(every) = self.probe_every else {
             return;
         };
+        // Called once per merged record: read the clock only when a probe
+        // is due.
+        let mut started = None;
         loop {
             let t = self.probe_from + (self.next_probe as f64) * every;
             let due = if inclusive { t <= limit } else { t < limit };
             if !due {
-                return;
+                break;
             }
+            started.get_or_insert_with(Instant::now);
             self.next_probe += 1;
             if !self.record_events {
                 for (i, traj) in self.trajectories.iter_mut().enumerate() {
@@ -1400,6 +1505,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                 obs.on_probe(&view);
             }
         }
+        add_elapsed(&mut self.probe_ns, started);
     }
 
     /// Enqueues start events and (in dynamic mode) the churn timeline
@@ -1468,9 +1574,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                     let Some(arrival) = m.arrival_time else {
                         continue;
                     };
-                    if view.link_tracked(m.from, m.to)
-                        && !view.link_uninterrupted(m.from, m.to, m.send_time, arrival.min(horizon))
-                    {
+                    if view.link_interrupted(m.from, m.to, m.send_time, arrival.min(horizon)) {
                         m.status = MessageStatus::Dropped;
                         m.arrival_time = None;
                         m.arrival_hw = None;
