@@ -253,32 +253,6 @@ pub mod workloads {
         sim.dispatched()
     }
 
-    /// The sharded ring run with the engine's throughput knobs set —
-    /// the `engine/adaptive_window_*` and `engine/steal_*` rows. The
-    /// output is bit-identical to [`sharded_ring_run`] by the engine's
-    /// determinism contract; these rows track what the knobs cost (or
-    /// save) in wall clock, release over release.
-    #[must_use]
-    pub fn tuned_sharded_ring_run(
-        n: usize,
-        horizon: f64,
-        shards: usize,
-        adaptive: bool,
-        steal: bool,
-    ) -> u64 {
-        let mut sim = SimulationBuilder::new(Topology::ring(n))
-            .schedules(drift_model().generate_network(1, n, horizon))
-            .delay_policy(UniformDelay::new(0.25, 0.75, 99))
-            .record_events(false)
-            .shards(shards)
-            .adaptive_window(adaptive)
-            .steal(steal)
-            .build_sharded_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
-            .unwrap();
-        sim.run_until(horizon);
-        sim.dispatched()
-    }
-
     /// A churned dynamic-gradient ring streamed through the single-heap
     /// engine — the `algorithms/dynamic_gradient_sparse_*` row. The hot
     /// path is the node's sparse O(degree) formation map: one binary
@@ -591,22 +565,6 @@ pub mod tracked {
                 id: "engine/sharded_ring64_k4_100t",
                 run: || {
                     std::hint::black_box(workloads::sharded_ring_run(64, 100.0, 4));
-                },
-            },
-            TrackedBench {
-                id: "engine/adaptive_window_ring64_k4_100t",
-                run: || {
-                    std::hint::black_box(workloads::tuned_sharded_ring_run(
-                        64, 100.0, 4, true, false,
-                    ));
-                },
-            },
-            TrackedBench {
-                id: "engine/steal_ring64_k4_100t",
-                run: || {
-                    std::hint::black_box(workloads::tuned_sharded_ring_run(
-                        64, 100.0, 4, false, true,
-                    ));
                 },
             },
             TrackedBench {

@@ -15,17 +15,15 @@
 //! Three claims, asserted:
 //!
 //! 1. **Coverage** — all eight algorithms complete the churned full-scale
-//!    run under the throughput knobs (adaptive super-windows + work
-//!    stealing) and report events/sec.
+//!    run on `k` shards and report events/sec.
 //! 2. **Determinism at scale** — `DynamicGradient` produces bit-identical
 //!    observer streams (worst global skew and its instant compared by
-//!    `to_bits`) across every shard count × adaptive × stealing setting,
-//!    the same invariant `tests/shard_determinism.rs` pins on small
-//!    goldens.
+//!    `to_bits`) on one shard and on `k`, the same invariant
+//!    `tests/shard_determinism.rs` pins on small goldens.
 //! 3. **O(Σ degree) state** — peak RSS (`VmHWM`) stays orders of
 //!    magnitude below the dense-state footprint at full scale.
 //!
-//! A third table says where the plain multi-shard run's wall time went:
+//! A third table says where the multi-shard run's wall time went:
 //! per shard, windows, events and busy time from
 //! [`gcs_sim::ShardedSimulation::counters`], the coordinator's serial
 //! phases, and how much of each shard's busy time fell in stretches of
@@ -132,16 +130,9 @@ fn scale_scenario(
         .record_events(false)
 }
 
-fn run_sharded(
-    scenario: &Scenario,
-    shards: usize,
-    adaptive: bool,
-    steal: bool,
-    horizon: f64,
-) -> ScaleRun {
-    let tuned = scenario.clone().adaptive_window(adaptive).steal(steal);
-    let kind = tuned.algorithm_kind();
-    let mut sim = tuned.build_sharded_with(shards, |id, n| kind.build(id, n));
+fn run_sharded(scenario: &Scenario, shards: usize, horizon: f64) -> ScaleRun {
+    let kind = scenario.algorithm_kind();
+    let mut sim = scenario.build_sharded_with(shards, |id, n| kind.build(id, n));
     sim.set_probe_schedule(0.0, horizon / 4.0);
     let mut global = GlobalSkewObserver::new();
     let mut alone_ns = vec![0u64; sim.shard_count()];
@@ -188,9 +179,9 @@ fn shard_table(n: usize, k: usize, run: &ScaleRun) -> Table {
     let mut table = Table::new(
         "e15",
         &format!(
-            "Where the wall time went (n = {n}, dynamic-gradient, shards = {k}, knobs \
-             off): per-shard busy time against wall; alone_share is the part of a \
-             shard's run_ms spent in twentieths of the horizon where it did at least \
+            "Where the wall time went (n = {n}, dynamic-gradient, shards = {k}): \
+             per-shard busy time against wall; alone_share is the part of a shard's \
+             run_ms spent in twentieths of the horizon where it did at least \
              {ALONE_SHARE} of all dispatch work"
         ),
         &[
@@ -267,11 +258,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Full => threads.clamp(2, 16),
     };
 
-    // ── Determinism matrix: DynamicGradient across shard counts × knobs.
+    // ── Determinism matrix: DynamicGradient on one shard and on kmax.
     //
-    // (1, off, off) is the reference — a single shard is the plain heap
-    // discipline — and every tuned configuration must reproduce its
-    // observer stream bit for bit.
+    // One shard is the reference — the plain heap discipline — and kmax
+    // shards must reproduce its observer stream bit for bit.
     let dyn_scenario = scale_scenario(
         dynamic_gradient(period, horizon / 4.0),
         n,
@@ -281,24 +271,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
         horizon,
         42,
     );
-    let matrix: [(usize, bool, bool); 5] = [
-        (1, false, false),
-        (kmax, false, false),
-        (kmax, true, false),
-        (kmax, false, true),
-        (kmax, true, true),
-    ];
-    let mut knob_table = Table::new(
+    let mut shard_matrix = Table::new(
         "e15",
         &format!(
             "Determinism at scale (churned random-geometric, n = {n}, streaming \
-             dynamic-gradient to horizon {horizon}): shard count and engine knobs \
-             never change the output"
+             dynamic-gradient to horizon {horizon}): the shard count never changes \
+             the output"
         ),
         &[
             "shards",
-            "adaptive",
-            "steal",
             "dispatched_events",
             "wall_secs",
             "events_per_sec",
@@ -308,18 +289,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
     // Configurations run sequentially: each saturates the machine with
     // its own shard threads, so an outer fan-out would only oversubscribe.
-    let mut matrix_runs: Vec<((usize, bool, bool), ScaleRun)> = Vec::new();
-    for &(k, adaptive, steal) in &matrix {
-        matrix_runs.push((
-            (k, adaptive, steal),
-            run_sharded(&dyn_scenario, k, adaptive, steal, horizon),
-        ));
-    }
-    for ((k, adaptive, steal), run) in &matrix_runs {
-        knob_table.row_owned(vec![
+    let mut matrix_runs: Vec<(usize, ScaleRun)> = [1, kmax]
+        .into_iter()
+        .map(|k| (k, run_sharded(&dyn_scenario, k, horizon)))
+        .collect();
+    for (k, run) in &matrix_runs {
+        shard_matrix.row_owned(vec![
             k.to_string(),
-            adaptive.to_string(),
-            steal.to_string(),
             run.dispatched.to_string(),
             fnum(run.wall_secs),
             fnum(run.dispatched as f64 / run.wall_secs.max(1e-9)),
@@ -328,13 +304,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ]);
     }
 
-    // The plain multi-shard row: no knob moves work between threads or
-    // window boundaries, so its counters are the protocol's own.
-    let ((plain_k, _, _), plain) = &matrix_runs[1];
-    let shards = shard_table(n, *plain_k, plain);
-    let counted: u64 = plain.counters.shards.iter().map(|c| c.events).sum();
+    let (_, multi) = &matrix_runs[1];
+    let shards = shard_table(n, kmax, multi);
+    let counted: u64 = multi.counters.shards.iter().map(|c| c.events).sum();
     assert_eq!(
-        counted, plain.dispatched,
+        counted, multi.dispatched,
         "per-shard event counters must add up to the run's dispatched events"
     );
 
@@ -344,27 +318,24 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "the scale run barely ran: {} events over {n} nodes",
         reference.dispatched
     );
-    for ((k, adaptive, steal), run) in &matrix_runs[1..] {
-        assert!(
-            run.worst_skew.to_bits() == reference.worst_skew.to_bits()
-                && run.worst_at.to_bits() == reference.worst_at.to_bits(),
-            "shards={k} adaptive={adaptive} steal={steal} diverged from the \
-             single-shard run at n = {n}: worst {} @ {} vs {} @ {}",
-            run.worst_skew,
-            run.worst_at,
-            reference.worst_skew,
-            reference.worst_at,
-        );
-    }
+    assert!(
+        multi.worst_skew.to_bits() == reference.worst_skew.to_bits()
+            && multi.worst_at.to_bits() == reference.worst_at.to_bits(),
+        "shards={kmax} diverged from the single-shard run at n = {n}: worst {} @ {} \
+         vs {} @ {}",
+        multi.worst_skew,
+        multi.worst_at,
+        reference.worst_skew,
+        reference.worst_at,
+    );
 
-    // ── Coverage: every algorithm completes the churned run at kmax with
-    // both throughput knobs on. DynamicGradient reuses its matrix run.
+    // ── Coverage: every algorithm completes the churned run at kmax.
+    // DynamicGradient reuses its matrix run.
     let mut coverage = Table::new(
         "e15",
         &format!(
             "Every algorithm at scale (churned random-geometric, n = {n}, \
-             streaming to horizon {horizon}, shards = {kmax}, adaptive + \
-             stealing on)"
+             streaming to horizon {horizon}, shards = {kmax})"
         ),
         &[
             "algorithm",
@@ -379,11 +350,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for kind in catalog(period, horizon / 4.0) {
         let name = kind.name();
         let run = if name == dyn_name {
-            let ((_, _, _), run) = matrix_runs.pop().expect("matrix ran");
+            let (_, run) = matrix_runs.pop().expect("matrix ran");
             run
         } else {
             let scenario = scale_scenario(kind, n, extent, radius, period, horizon, 42);
-            run_sharded(&scenario, kmax, true, true, horizon)
+            run_sharded(&scenario, kmax, horizon)
         };
         // Every algorithm must genuinely run; NoSync still dispatches its
         // n Start events plus the probe grid.
@@ -417,7 +388,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
     }
 
-    vec![knob_table, coverage, shards]
+    vec![shard_matrix, coverage, shards]
 }
 
 #[cfg(test)]
@@ -427,12 +398,12 @@ mod tests {
     #[test]
     fn quick_scale_is_deterministic_across_shard_counts() {
         // The in-experiment assertions do the heavy lifting; this pins
-        // the quick configuration's shape: one knob-matrix table (5
-        // configurations), one coverage table (8 algorithms) and the
-        // wall-time table (4 shards, 3 sums, wall).
+        // the quick configuration's shape: one shard-matrix table (1 and
+        // 4 shards), one coverage table (8 algorithms) and the wall-time
+        // table (4 shards, 3 sums, wall).
         let tables = run(Scale::Quick);
         assert_eq!(tables.len(), 3);
-        assert_eq!(tables[0].rows().len(), 5);
+        assert_eq!(tables[0].rows().len(), 2);
         assert_eq!(tables[1].rows().len(), 8);
         assert_eq!(tables[2].rows().len(), 4 + 3 + 1);
     }

@@ -1,4 +1,7 @@
-//! A bucketed calendar queue: the sharded engine's per-shard event queue.
+//! A bucketed calendar queue. No engine uses it: both dispatch from a
+//! `BinaryHeap`, which measured level on the hold model and ahead end to
+//! end. It is kept, public, only for the benchmark's hold-model metric,
+//! which compares the two queues.
 //!
 //! A calendar queue spreads items over an array of time buckets (one
 //! "year" of `nb` buckets, each `quantum` wide) so that a push costs one
@@ -7,8 +10,7 @@
 //! which resolves same-bucket ordering — including exact ties on the time
 //! axis — by the item's full `Ord`. The structure therefore dequeues in
 //! *exactly* the order a single `BinaryHeap` over the same `Ord` would,
-//! which is the property the engine's determinism contract needs and the
-//! property the calendar proptests pin.
+//! the property the calendar proptests pin.
 //!
 //! Items that land before the current year (or carry a non-finite axis)
 //! go to a `past` catch-all heap consulted on every pop; items beyond the

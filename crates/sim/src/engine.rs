@@ -1,117 +1,26 @@
-//! The discrete-event simulation engine.
+//! The single-heap discrete-event simulation engine: the dispatch core
+//! ([`crate::partition`]) over every node, plus the stepping API, the
+//! live tracer, the phase profile and per-event observers.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Instant;
 
-use gcs_clocks::{ClockSource, EagerSchedule, PiecewiseLinear, RateSchedule};
+use gcs_clocks::{ClockSource, EagerSchedule, RateSchedule};
 use gcs_dynamic::DynamicTopology;
-use gcs_net::{DelayOutcome, DelayPolicy, FixedFractionDelay, Topology};
+use gcs_net::{DelayPolicy, FixedFractionDelay, Topology};
 
-use crate::event::{EventKind, EventRecord, MessageRecord, MessageStatus};
+use crate::event::EventRecord;
 use crate::execution::Execution;
-use crate::node::{Actions, Context, Node};
-use crate::observer::{Observer, Probe};
+use crate::node::Node;
+use crate::observer::Observer;
+use crate::partition::{cap_exceeded, Frame, Halt, Partition};
 use crate::profile::{add_elapsed, ProfileState, ProfiledClock, SimProfile};
-use crate::send_seq::SendSeq;
-use crate::trace::{DropReason, TraceEvent, Tracer};
-use crate::{NodeId, TimerId};
+use crate::trace::{TraceEvent, Tracer};
+use crate::NodeId;
 
 /// Default cap on the number of dispatched events, guarding against
 /// algorithms that generate unbounded zero-delay message storms.
 pub const DEFAULT_EVENT_CAP: u64 = 100_000_000;
-
-/// A queued (not yet dispatched) event.
-///
-/// Deliveries carry an index into the message log instead of the payload,
-/// so the log is the single owner of message data and the queue needs no
-/// message type parameter.
-struct QueuedEvent {
-    time: f64,
-    /// Monotonic tie-breaker making the dispatch order total and
-    /// deterministic.
-    tie: u64,
-    node: NodeId,
-    hw: f64,
-    kind: QueuedKind,
-}
-
-#[derive(Clone, Copy)]
-enum QueuedKind {
-    Start,
-    Deliver {
-        from: NodeId,
-        seq: u64,
-        msg_index: usize,
-    },
-    Timer {
-        id: TimerId,
-    },
-    TopoChange {
-        peer: NodeId,
-        up: bool,
-    },
-}
-
-impl QueuedKind {
-    /// The [`EventKind`] this queued event is recorded as.
-    fn record_kind(&self) -> EventKind {
-        match self {
-            QueuedKind::Start => EventKind::Start,
-            QueuedKind::Deliver { from, seq, .. } => EventKind::Deliver {
-                from: *from,
-                seq: *seq,
-            },
-            QueuedKind::Timer { id } => EventKind::Timer { id: *id },
-            QueuedKind::TopoChange { peer, up } => EventKind::TopologyChange {
-                peer: *peer,
-                up: *up,
-            },
-        }
-    }
-}
-
-impl QueuedEvent {
-    /// Canonical ordering key for simultaneous events — delegated to
-    /// [`EventKind::tie_key`], the single definition shared with the
-    /// retiming engine: insertion order depends on *when senders acted*,
-    /// which an execution re-timing changes, while the canonical key
-    /// depends only on data that indistinguishability preserves. This
-    /// makes replays of transformed executions order-identical to their
-    /// predictions even when two messages reach a node at exactly the
-    /// same instant.
-    fn tie_key(&self) -> (NodeId, u8, u64, u64) {
-        self.kind.record_kind().tie_key(self.node)
-    }
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.tie == other.tie
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        // Event times are validated finite before they enter the queue,
-        // but the ordering stays total anyway (IEEE total order as the
-        // fallback): a stray NaN must surface as a typed error at its
-        // source, never as a corrupted heap invariant here.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or_else(|| other.time.total_cmp(&self.time))
-            .then_with(|| other.tie_key().cmp(&self.tie_key()))
-            .then_with(|| other.tie.cmp(&self.tie))
-    }
-}
 
 /// Errors from building or running a [`Simulation`].
 #[derive(Debug, Clone, PartialEq)]
@@ -213,22 +122,22 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A run's clock source and bound delay policy, taken out of the builder.
+type ClockAndDelay = (Box<dyn ClockSource>, Box<dyn DelayPolicy>);
+
 /// Builder for [`Simulation`]. See [`Simulation::builder`].
 pub struct SimulationBuilder {
-    pub(crate) topology: Topology,
-    pub(crate) dynamic: Option<DynamicTopology>,
-    pub(crate) drop_on_link_down: bool,
-    pub(crate) clock: Option<Box<dyn ClockSource>>,
-    pub(crate) delay: Option<Box<dyn DelayPolicy>>,
-    pub(crate) event_cap: u64,
-    pub(crate) record_events: bool,
-    pub(crate) probe_from: f64,
-    pub(crate) probe_every: Option<f64>,
+    topology: Topology,
+    dynamic: Option<DynamicTopology>,
+    drop_on_link_down: bool,
+    clock: Option<Box<dyn ClockSource>>,
+    delay: Option<Box<dyn DelayPolicy>>,
+    event_cap: u64,
+    record_events: bool,
+    probe_every: Option<f64>,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     pub(crate) profile: bool,
     pub(crate) shards: usize,
-    pub(crate) adaptive_window: bool,
-    pub(crate) steal: bool,
 }
 
 impl fmt::Debug for SimulationBuilder {
@@ -253,13 +162,10 @@ impl SimulationBuilder {
             delay: None,
             event_cap: DEFAULT_EVENT_CAP,
             record_events: true,
-            probe_from: 0.0,
             probe_every: None,
             tracer: None,
             profile: false,
             shards: 1,
-            adaptive_window: false,
-            steal: false,
         }
     }
 
@@ -436,37 +342,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Enables adaptive window batching on the sharded engine (default
-    /// off). When the conservative windows are sparse — each one
-    /// dispatching fewer events than a density threshold — the engine
-    /// runs a growing number of consecutive windows (up to a bounded
-    /// multiple of the lookahead) inside one thread scope, amortizing
-    /// thread spawn and coordinator merges; when windows get dense it
-    /// shrinks back. This only moves synchronization boundaries: the
-    /// dispatch schedule, and therefore the [`Execution`], is
-    /// bit-identical with the knob on or off. Ignored by the single-heap
-    /// paths.
-    #[must_use]
-    pub fn adaptive_window(mut self, enabled: bool) -> Self {
-        self.adaptive_window = enabled;
-        self
-    }
-
-    /// Enables work stealing across shards inside a window (default
-    /// off). Shards become a claimable task pool: each worker thread
-    /// claims whatever shard is next unprocessed, so a worker that
-    /// finishes a drained shard immediately picks up a loaded one
-    /// instead of idling at the barrier. Shard *ownership* of nodes and
-    /// queues never changes — only which thread runs a shard's window —
-    /// and handoffs are still merged by `(time, tie_key)`, so the
-    /// [`Execution`] is bit-identical with the knob on or off. Ignored
-    /// by the single-heap paths.
-    #[must_use]
-    pub fn steal(mut self, enabled: bool) -> Self {
-        self.steal = enabled;
-        self
-    }
-
     /// Builds a sharded simulation (see [`crate::ShardedSimulation`]),
     /// constructing one node per topology entry with `make(node_id,
     /// node_count)`. The shard count comes from
@@ -545,17 +420,46 @@ impl SimulationBuilder {
     ///
     /// Returns [`SimError::NodeCount`] or [`SimError::ScheduleCount`] on
     /// size mismatches.
-    pub fn build_boxed<M>(self, nodes: Vec<Box<dyn Node<M>>>) -> Result<Simulation<M>, SimError> {
+    pub fn build_boxed<M>(
+        mut self,
+        nodes: Vec<Box<dyn Node<M>>>,
+    ) -> Result<Simulation<M>, SimError> {
+        let (clock, delay) = self.take_parts(nodes.len())?;
+        // Profiling wraps the clock in a timing decorator; every query
+        // still delegates unchanged, so profiled runs stay bit-identical.
+        let (clock, profile) = if self.profile {
+            let ns = std::rc::Rc::new(std::cell::Cell::new(0u64));
+            let wrapped: Box<dyn ClockSource> = Box::new(ProfiledClock::new(clock, ns.clone()));
+            (wrapped, Some(ProfileState::new(ns)))
+        } else {
+            (clock, None)
+        };
+        let tracer = self.tracer.take();
+        let frame = self.into_frame();
+        let core = Partition::new(0, 0..nodes.len(), nodes, &frame, clock, delay, false);
+        Ok(Simulation {
+            frame,
+            core,
+            tracer,
+            profile,
+            peak_trajectory_breakpoints: 0,
+        })
+    }
+
+    /// Checks `nodes` against the topology and takes the clock source
+    /// (perfect rate-1 clocks by default) and the delay policy, bound to
+    /// the topology, out of the builder.
+    pub(crate) fn take_parts(&mut self, nodes: usize) -> Result<ClockAndDelay, SimError> {
         let n = self.topology.len();
-        if nodes.len() != n {
+        if nodes != n {
             return Err(SimError::NodeCount {
                 expected: n,
-                got: nodes.len(),
+                got: nodes,
             });
         }
-        // The documented default: perfect rate-1 clocks for every node.
         let clock = self
             .clock
+            .take()
             .unwrap_or_else(|| Box::new(EagerSchedule::new(vec![RateSchedule::default(); n])));
         if clock.node_count() != n {
             return Err(SimError::ScheduleCount {
@@ -570,62 +474,24 @@ impl SimulationBuilder {
         if let Some(node) = clock.find_non_finite() {
             return Err(SimError::NonFiniteRate { node });
         }
-        // Profiling wraps the clock in a timing decorator; every query
-        // still delegates unchanged, so profiled runs stay bit-identical.
-        let (clock, profile) = if self.profile {
-            let ns = std::rc::Rc::new(std::cell::Cell::new(0u64));
-            let wrapped: Box<dyn ClockSource> = Box::new(ProfiledClock::new(clock, ns.clone()));
-            (wrapped, Some(ProfileState::new(ns)))
-        } else {
-            (clock, None)
-        };
         let mut delay = self
             .delay
+            .take()
             .unwrap_or_else(|| Box::new(FixedFractionDelay::for_topology(&self.topology, 0.5)));
         delay.bind_topology(&self.topology);
+        Ok((clock, delay))
+    }
 
-        // In dynamic mode the live neighbor sets start from the view's
-        // time-zero epoch and are updated as TopoChange events dispatch.
-        let neighbors: Vec<Vec<NodeId>> = match &self.dynamic {
-            Some(view) => (0..n).map(|i| view.neighbors_at(i, 0.0).to_vec()).collect(),
-            None => (0..n).map(|i| self.topology.neighbors(i)).collect(),
-        };
-
-        Ok(Simulation {
-            topology: self.topology,
-            dynamic: self.dynamic,
-            drop_on_link_down: self.drop_on_link_down,
-            clock,
-            delay,
-            nodes,
-            neighbors,
-            trajectories: (0..n)
-                .map(|_| PiecewiseLinear::new(0.0, 0.0, 1.0))
-                .collect(),
-            next_timer: vec![0; n],
-            send_seq: SendSeq::new(0..n),
-            queue: BinaryHeap::new(),
-            tie: 0,
-            events: Vec::new(),
-            messages: Vec::new(),
-            free_slots: Vec::new(),
-            actions: Actions::default(),
-            event_cap: self.event_cap,
-            record_events: self.record_events,
-            started: false,
-            ran_to: 0.0,
-            dispatched: 0,
-            probe_from: self.probe_from,
-            probe_every: self.probe_every,
-            next_probe: 0,
-            tracer: self.tracer,
-            profile,
-            peak_queued_events: 0,
-            peak_message_slots: 0,
-            peak_trajectory_breakpoints: 0,
-            dropped_loss: 0,
-            dropped_link_down: 0,
-        })
+    /// The frame both engines keep beside their partitions.
+    pub(crate) fn into_frame(self) -> Frame {
+        Frame::new(
+            self.topology,
+            self.dynamic,
+            self.drop_on_link_down,
+            self.event_cap,
+            self.record_events,
+            self.probe_every,
+        )
     }
 }
 
@@ -699,56 +565,23 @@ pub struct SimStats {
 /// horizon, return the execution) replaces the pre-0.2 consuming
 /// `run_until(self, horizon)` and produces a bit-identical record.
 pub struct Simulation<M> {
-    topology: Topology,
-    dynamic: Option<DynamicTopology>,
-    drop_on_link_down: bool,
-    clock: Box<dyn ClockSource>,
-    delay: Box<dyn DelayPolicy>,
-    nodes: Vec<Box<dyn Node<M>>>,
-    neighbors: Vec<Vec<NodeId>>,
-    trajectories: Vec<PiecewiseLinear>,
-    next_timer: Vec<TimerId>,
-    send_seq: SendSeq,
-    queue: BinaryHeap<QueuedEvent>,
-    tie: u64,
-    events: Vec<EventRecord>,
-    messages: Vec<MessageRecord<M>>,
-    /// Recycled message slots (streaming mode): a delivered or dropped
-    /// message's slot is reused by a later send, bounding the log by the
-    /// peak in-flight count instead of the total sent.
-    free_slots: Vec<usize>,
-    /// Long-lived send/timer buffers reused across dispatches.
-    actions: Actions<M>,
-    event_cap: u64,
-    record_events: bool,
-    started: bool,
-    /// The time the run has been driven to: the max `run_until` horizon
-    /// and the latest stepped event time. This becomes the horizon of the
-    /// final [`Execution`].
-    ran_to: f64,
-    dispatched: u64,
-    probe_from: f64,
-    probe_every: Option<f64>,
-    /// Index of the next probe: probe `k` fires at `probe_from + k · every`.
-    next_probe: u64,
+    frame: Frame,
+    /// The one partition, over every node.
+    core: Partition<M, Box<dyn Node<M>>, dyn ClockSource, dyn DelayPolicy>,
     /// Structured trace sink (see [`crate::trace`]); `None` costs one
     /// branch per event.
     tracer: Option<Box<dyn Tracer>>,
     /// Wall-clock phase accumulators, armed by
     /// [`SimulationBuilder::profile`].
     profile: Option<ProfileState>,
-    peak_queued_events: usize,
-    peak_message_slots: usize,
     peak_trajectory_breakpoints: usize,
-    dropped_loss: u64,
-    dropped_link_down: u64,
 }
 
 impl<M> fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
-            .field("topology", &self.topology)
-            .field("queued", &self.queue.len())
+            .field("topology", &self.frame.topology)
+            .field("queued", &self.core.queue.len())
             .finish_non_exhaustive()
     }
 }
@@ -858,38 +691,17 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         observers: &mut [&mut dyn Observer],
     ) -> Result<(), SimError> {
         self.ensure_started();
-        while let Some(next_time) = self.queue.peek().map(|ev| ev.time) {
+        while let Some(next_time) = self.core.next_time() {
             if next_time > horizon {
                 break;
             }
             // Probes strictly before the next event fire first, so a probe
             // at time t always sees the state after *all* events at ≤ t.
             self.emit_probes(next_time, false, observers);
-            let ev = self.queue.pop().expect("peeked above");
-            let dispatch_t0 = self.profile.as_ref().map(|_| Instant::now());
-            let dispatched = self.try_dispatch(ev);
-            if let Some(p) = self.profile.as_mut() {
-                add_elapsed(&mut p.dispatch_ns, dispatch_t0);
-            }
-            if let Some(record) = dispatched? {
-                let observe_t0 = self.profile.as_ref().map(|_| Instant::now());
-                let view = Probe::new(
-                    record.time,
-                    &self.topology,
-                    self.clock.as_ref(),
-                    &self.trajectories,
-                );
-                for obs in observers.iter_mut() {
-                    obs.on_event(&view, &record);
-                }
-                if let Some(p) = self.profile.as_mut() {
-                    add_elapsed(&mut p.observer_ns, observe_t0);
-                }
-            }
+            self.dispatch_next(observers)?;
         }
-
         self.emit_probes(horizon, true, observers);
-        self.ran_to = self.ran_to.max(horizon);
+        self.frame.ran_to = self.frame.ran_to.max(horizon);
         Ok(())
     }
 
@@ -938,33 +750,16 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         observers: &mut [&mut dyn Observer],
     ) -> Result<Option<EventRecord>, SimError> {
         self.ensure_started();
-        loop {
-            let Some(next_time) = self.queue.peek().map(|ev| ev.time) else {
-                return Ok(None);
-            };
+        while let Some(next_time) = self.core.next_time() {
             self.emit_probes(next_time, false, observers);
-            let ev = self.queue.pop().expect("peeked above");
-            self.ran_to = self.ran_to.max(next_time);
-            let dispatch_t0 = self.profile.as_ref().map(|_| Instant::now());
-            let dispatched = self.try_dispatch(ev);
-            if let Some(p) = self.profile.as_mut() {
-                add_elapsed(&mut p.dispatch_ns, dispatch_t0);
-            }
+            self.frame.ran_to = self.frame.ran_to.max(next_time);
             // A dynamic-dropped delivery is bookkeeping, not an event the
             // caller stepped over — keep going until something dispatches.
-            if let Some(record) = dispatched? {
-                let view = Probe::new(
-                    record.time,
-                    &self.topology,
-                    self.clock.as_ref(),
-                    &self.trajectories,
-                );
-                for obs in observers.iter_mut() {
-                    obs.on_event(&view, &record);
-                }
+            if let Some(record) = self.dispatch_next(observers)? {
                 return Ok(Some(record));
             }
         }
+        Ok(None)
     }
 
     /// Steps the simulation while `keep_going(self)` holds (the predicate
@@ -990,67 +785,29 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     /// message whose tracked link went down within the horizon is recorded
     /// dropped), so recorded-mode output is bit-identical to it.
     #[must_use]
-    pub fn into_execution(mut self) -> Execution<M> {
-        let horizon = self.ran_to;
-        if !self.record_events {
-            // Streaming mode: slots were recycled, so the log's contents
-            // are not a coherent message history — the execution carries
-            // the run's shape (topology, schedules, horizon, trajectories)
-            // for metric consumers only, and there is nothing to
-            // reconcile.
-            self.messages.clear();
-        }
-        // In dynamic mode a message only crosses a *tracked* link that
-        // stays up from send to arrival. Deliveries inside the horizon
-        // were already resolved at dispatch; for messages still in flight,
-        // only churn at or before the horizon counts — a link failing
-        // beyond the simulated window must not leak post-horizon
-        // information into the record.
-        if let Some(view) = &self.dynamic {
-            if self.drop_on_link_down {
-                for m in &mut self.messages {
-                    if m.status != MessageStatus::InFlight {
-                        continue;
-                    }
-                    let Some(arrival) = m.arrival_time else {
-                        continue;
-                    };
-                    if view.link_interrupted(m.from, m.to, m.send_time, arrival.min(horizon)) {
-                        m.status = MessageStatus::Dropped;
-                        m.arrival_time = None;
-                        m.arrival_hw = None;
-                    }
-                }
-            }
-        }
-        // Materialize the clock prefix the run touched: eager sources
-        // return their schedule vector unchanged (recorded output stays
-        // byte-identical to the pre-`ClockSource` engine); lazy sources
-        // regenerate `[0, horizon]` from the seed, bit-identical to the
-        // eager construction of the same walk.
-        let schedules = self.clock.materialize_prefix(horizon);
-        Execution::new(
-            self.topology,
-            schedules,
-            horizon,
-            self.events,
-            self.messages,
-            self.trajectories,
-            self.dynamic,
-        )
-        .with_drop_in_flight(self.drop_on_link_down)
+    pub fn into_execution(self) -> Execution<M> {
+        // Streaming mode recycled slots, so the log is not a coherent
+        // message history: the execution carries the run's shape
+        // (topology, schedules, horizon, trajectories) for metric
+        // consumers only.
+        let messages = if self.frame.record_events {
+            self.core.messages
+        } else {
+            Vec::new()
+        };
+        self.frame.finish(messages, &*self.core.clock)
     }
 
     /// The number of simulated nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.core.nodes.len()
     }
 
     /// The furthest simulated time this run has been driven to.
     #[must_use]
     pub fn now(&self) -> f64 {
-        self.ran_to
+        self.frame.ran_to
     }
 
     /// The time of the next queued event, if any. Activates the
@@ -1058,34 +815,30 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     #[must_use]
     pub fn next_event_time(&mut self) -> Option<f64> {
         self.ensure_started();
-        self.queue.peek().map(|ev| ev.time)
+        self.core.next_time()
     }
 
     /// Progress and memory counters — see [`SimStats`].
     #[must_use]
     pub fn stats(&self) -> SimStats {
-        let trajectory_breakpoints: usize = self
-            .trajectories
-            .iter()
-            .map(|t| t.breakpoints().len())
-            .sum();
+        let core = &self.core;
+        let trajectory_breakpoints = self.frame.breakpoints();
+        let occupied = core.messages.len() - core.free_slots.len();
         SimStats {
-            dispatched: self.dispatched,
-            queued_events: self.queue.len(),
-            recorded_events: self.events.len(),
-            message_slots: self.messages.len(),
-            free_message_slots: self.free_slots.len(),
+            dispatched: core.dispatched,
+            queued_events: core.queue.len(),
+            recorded_events: self.frame.events.len(),
+            message_slots: core.messages.len(),
+            free_message_slots: core.free_slots.len(),
             trajectory_breakpoints,
-            live_schedule_segments: self.clock.live_segments(),
-            peak_queued_events: self.peak_queued_events.max(self.queue.len()),
-            peak_message_slots: self
-                .peak_message_slots
-                .max(self.messages.len() - self.free_slots.len()),
+            live_schedule_segments: core.clock.live_segments(),
+            peak_queued_events: core.peak_queued_events.max(core.queue.len()),
+            peak_message_slots: core.peak_message_slots.max(occupied),
             peak_trajectory_breakpoints: self
                 .peak_trajectory_breakpoints
                 .max(trajectory_breakpoints),
-            dropped_loss: self.dropped_loss,
-            dropped_link_down: self.dropped_link_down,
+            dropped_loss: core.dropped_loss,
+            dropped_link_down: core.dropped_link_down,
         }
     }
 
@@ -1105,7 +858,9 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     /// [`SimulationBuilder::profile`] was not armed. See [`SimProfile`].
     #[must_use]
     pub fn profile_report(&self) -> Option<SimProfile> {
-        self.profile.as_ref().map(|p| p.report(self.dispatched))
+        self.profile
+            .as_ref()
+            .map(|p| p.report(self.core.dispatched))
     }
 
     /// Configures observer probes: probe `k` fires at `from + k · every`,
@@ -1126,512 +881,86 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     /// Panics unless `every` is finite and strictly positive and `from` is
     /// finite and nonnegative.
     pub fn set_probe_schedule(&mut self, from: f64, every: f64) {
-        assert!(
-            every.is_finite() && every > 0.0,
-            "probe interval must be positive, got {every}"
-        );
-        assert!(
-            from.is_finite() && from >= 0.0,
-            "probe start must be finite and nonnegative, got {from}"
-        );
-        self.probe_from = from;
-        self.probe_every = Some(every);
-        self.next_probe = 0;
+        self.frame.set_probe_schedule(from, every);
     }
 
     /// Enqueues the start events and (in dynamic mode) every scheduled
     /// topology change. Idempotent; called by every advancing method.
     fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let n = self.topology.len();
-        for node in 0..n {
-            let tie = self.bump_tie();
-            self.push_event(QueuedEvent {
-                time: 0.0,
-                tie,
-                node,
-                hw: 0.0,
-                kind: QueuedKind::Start,
-            });
-        }
-        // Dynamic topologies: every edge change notifies both endpoints.
-        // All changes are enqueued up front — the run has no final horizon
-        // any more; changes beyond wherever it stops simply never dispatch.
-        if let Some(view) = &self.dynamic {
-            let mut pending = Vec::new();
-            for change in view.edge_changes() {
-                for (node, peer) in [(change.a, change.b), (change.b, change.a)] {
-                    pending.push((change.time, node, peer, change.up));
-                }
-            }
-            for (time, node, peer, up) in pending {
-                let tie = self.bump_tie();
-                // The hardware reading is computed at *dispatch* (the
-                // queue never orders on it), so enqueuing the whole churn
-                // timeline here does not force a lazy clock source to
-                // materialize its walk out to the last change.
-                self.push_event(QueuedEvent {
-                    time,
-                    tie,
-                    node,
-                    hw: f64::NAN,
-                    kind: QueuedKind::TopoChange { peer, up },
-                });
+        if self.frame.start() {
+            for (time, node, hw, kind) in self.frame.initial_events() {
+                self.core.push(time, node, hw, kind);
             }
         }
     }
 
     /// Fires every probe due at or before `limit` (strictly before unless
-    /// `inclusive`). Streaming mode compacts trajectories behind each
-    /// probe: nothing can query earlier state afterwards.
+    /// `inclusive`).
     fn emit_probes(&mut self, limit: f64, inclusive: bool, observers: &mut [&mut dyn Observer]) {
-        if self.probe_every.is_none() {
+        if self.frame.probe_every.is_none() {
             return;
         }
         let probe_t0 = self.profile.as_ref().map(|_| Instant::now());
-        self.emit_probes_inner(limit, inclusive, observers);
-        if let Some(p) = self.profile.as_mut() {
-            add_elapsed(&mut p.probe_ns, probe_t0);
-        }
-    }
-
-    fn emit_probes_inner(
-        &mut self,
-        limit: f64,
-        inclusive: bool,
-        observers: &mut [&mut dyn Observer],
-    ) {
-        let Some(every) = self.probe_every else {
-            return;
-        };
-        loop {
-            let t = self.probe_from + (self.next_probe as f64) * every;
-            let due = if inclusive { t <= limit } else { t < limit };
-            if !due {
-                return;
-            }
-            self.next_probe += 1;
+        while let Some(t) = self.frame.next_probe_due(limit, inclusive) {
             if let Some(tr) = &mut self.tracer {
                 tr.record(&TraceEvent::ProbeFired {
                     time: t,
-                    index: self.next_probe - 1,
+                    index: self.frame.next_probe - 1,
                 });
             }
             // Sample the breakpoint high-water mark at probe cadence —
             // before compaction, so it captures the worst case a
             // streaming run held between probes.
-            let breakpoints: usize = self
-                .trajectories
-                .iter()
-                .map(|t| t.breakpoints().len())
-                .sum();
-            self.peak_trajectory_breakpoints = self.peak_trajectory_breakpoints.max(breakpoints);
-            if !self.record_events {
-                for (i, traj) in self.trajectories.iter_mut().enumerate() {
-                    traj.compact_before(self.clock.value_at(i, t));
-                }
-                // A windowing clock source drops schedule segments
-                // behind the frontier too (no-op for eager sources).
-                self.clock.compact_before(t);
-            }
-            let view = Probe::new(t, &self.topology, self.clock.as_ref(), &self.trajectories);
-            for obs in observers.iter_mut() {
-                obs.on_probe(&view);
-            }
+            self.peak_trajectory_breakpoints = self
+                .peak_trajectory_breakpoints
+                .max(self.frame.breakpoints());
+            self.frame.fire_probe(t, &*self.core.clock, observers);
+        }
+        if let Some(p) = self.profile.as_mut() {
+            add_elapsed(&mut p.probe_ns, probe_t0);
         }
     }
 
-    fn bump_tie(&mut self) -> u64 {
-        let t = self.tie;
-        self.tie += 1;
-        t
-    }
-
-    /// Enqueues an event, maintaining the queue-depth high-water mark.
-    fn push_event(&mut self, ev: QueuedEvent) {
-        self.queue.push(ev);
-        self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
-    }
-
-    /// Dispatches one popped event. Returns its record, or `Ok(None)` when
-    /// the event turned out to be a delivery whose tracked link went down
-    /// while the message was in flight (the message is marked dropped and
-    /// no callback runs). A non-finite delay or timer target produced by
-    /// the callback's actions is a typed error.
-    fn try_dispatch(&mut self, ev: QueuedEvent) -> Result<Option<EventRecord>, SimError> {
-        let QueuedEvent {
-            time,
-            node,
-            hw,
-            kind,
-            ..
-        } = ev;
-        // Topology changes enqueue with a placeholder reading (see
-        // `ensure_started`); resolve it now, at dispatch.
-        let hw = if matches!(kind, QueuedKind::TopoChange { .. }) {
-            self.clock.value_at(node, time)
-        } else {
-            hw
-        };
-
-        // In dynamic mode a message only crosses a *tracked* link that
-        // stays up from send to arrival; the churn timeline is known in
-        // advance, so the drop resolves deterministically the instant the
-        // delivery comes due. Untracked pairs (direct sends outside the
-        // communication graph, e.g. tree-sync probes to a distant source)
-        // keep the static always-deliver semantics.
-        if let QueuedKind::Deliver {
-            from,
-            seq,
-            msg_index,
-        } = kind
-        {
-            if let Some(view) = &self.dynamic {
-                if self.drop_on_link_down {
-                    let sent = self.messages[msg_index].send_time;
-                    if view.link_interrupted(from, node, sent, time) {
-                        let m = &mut self.messages[msg_index];
-                        m.status = MessageStatus::Dropped;
-                        m.arrival_time = None;
-                        m.arrival_hw = None;
-                        if !self.record_events {
-                            self.free_slots.push(msg_index);
-                        }
-                        self.dropped_link_down += 1;
-                        if let Some(tr) = &mut self.tracer {
-                            tr.record(&TraceEvent::Drop {
-                                time,
-                                from,
-                                to: node,
-                                seq,
-                                send_time: sent,
-                                reason: DropReason::LinkDown,
-                            });
-                        }
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-
-        self.dispatched += 1;
-        assert!(
-            self.dispatched <= self.event_cap,
-            "event cap of {} exceeded at t = {}; the algorithm may be \
-             generating an unbounded message storm",
-            self.event_cap,
-            time
-        );
-
-        // Topology changes mutate the live neighbor set before the node's
-        // callback runs, so `Context::neighbors` reflects the new graph.
-        if let QueuedKind::TopoChange { peer, up } = kind {
-            let list = &mut self.neighbors[node];
-            if up {
-                if let Err(pos) = list.binary_search(&peer) {
-                    list.insert(pos, peer);
-                }
-            } else if let Ok(pos) = list.binary_search(&peer) {
-                list.remove(pos);
-            }
-        }
-
-        let record = EventRecord {
-            time,
-            node,
-            hw,
-            kind: kind.record_kind(),
-        };
-        if self.record_events {
-            self.events.push(record.clone());
-        }
-
-        // The engine-owned action buffers are moved out for the duration of
-        // the callback (the borrow checker cannot see through `self`) and
-        // moved back — drained, capacity intact — afterwards.
-        let mut actions = std::mem::take(&mut self.actions);
-        {
-            let mut ctx = Context::new(
-                node,
-                self.topology.len(),
-                hw,
-                &self.neighbors[node],
-                &self.topology,
-                &mut self.trajectories[node],
-                &mut self.next_timer[node],
-                &mut actions,
-            );
-            match kind {
-                QueuedKind::Start => self.nodes[node].on_start(&mut ctx),
-                QueuedKind::Deliver {
-                    from, msg_index, ..
-                } => {
-                    // The payload lives in the message log; clone it out to
-                    // satisfy the borrow checker (payloads are small).
-                    let payload = self.messages[msg_index].payload.clone();
-                    self.messages[msg_index].status = MessageStatus::Delivered;
-                    if !self.record_events {
-                        // Streaming: the slot is consumed by this delivery
-                        // and immediately reusable by the callback's sends.
-                        self.free_slots.push(msg_index);
-                    }
-                    self.nodes[node].on_message(&mut ctx, from, &payload);
-                }
-                QueuedKind::Timer { id } => self.nodes[node].on_timer(&mut ctx, id),
-                QueuedKind::TopoChange { peer, up } => {
-                    self.nodes[node].on_topology_change(&mut ctx, peer, up);
-                }
-            }
-        }
-
-        // The dispatch trace event fires after the callback (so the
-        // logical reading reflects any adoption) but before the send
-        // drain, keeping every `Send` after its causing event. The
-        // delivered message's slot, though freed in streaming mode, is
-        // only reused by the sends drained below — its record is intact.
-        if self.tracer.is_some() {
-            let logical = self.trajectories[node].value_at(hw);
-            let tev = match kind {
-                QueuedKind::Start => TraceEvent::NodeStarted {
-                    time,
-                    node,
-                    hw,
-                    logical,
-                },
-                QueuedKind::Deliver {
-                    from,
-                    seq,
-                    msg_index,
-                } => TraceEvent::Deliver {
-                    time,
-                    from,
-                    to: node,
-                    seq,
-                    send_time: self.messages[msg_index].send_time,
-                    hw,
-                    logical,
-                },
-                QueuedKind::Timer { id } => TraceEvent::TimerFired {
-                    time,
-                    node,
-                    id,
-                    hw,
-                    logical,
-                },
-                QueuedKind::TopoChange { peer, up } => TraceEvent::LinkChanged {
-                    time,
-                    node,
-                    peer,
-                    up,
-                    hw,
-                },
-            };
-            if let Some(tr) = &mut self.tracer {
-                tr.record(&tev);
-            }
-        }
-
-        // Drain both buffers fully even if an action errors (the buffers
-        // are long-lived and must come back empty), reporting the first
-        // error once the buffers are restored.
-        let mut err = None;
-        for (to, payload) in actions.sends.drain(..) {
-            if err.is_none() {
-                err = self.try_send_message(node, to, payload, time, hw).err();
-            }
-        }
-        for (id, target_hw) in actions.timers.drain(..) {
-            if err.is_some() {
-                continue;
-            }
-            if !target_hw.is_finite() {
-                err = Some(SimError::NonFiniteTimer { node, target_hw });
-                continue;
-            }
-            let fire_time = self.clock.time_at_value(node, target_hw);
-            if !fire_time.is_finite() {
-                err = Some(SimError::NonFiniteTimer { node, target_hw });
-                continue;
-            }
-            let tie = self.bump_tie();
-            self.push_event(QueuedEvent {
-                time: fire_time,
-                tie,
-                node,
-                hw: target_hw,
-                kind: QueuedKind::Timer { id },
-            });
-        }
-        self.actions = actions;
-        if let Some(e) = err {
-            return Err(e);
-        }
-
-        Ok(Some(record))
-    }
-
-    fn try_send_message(
+    /// Pops and dispatches the next event, hands it to `observers` and
+    /// keeps its record. `Ok(None)` when it was a delivery dropped by a
+    /// link outage.
+    fn dispatch_next(
         &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: M,
-        time: f64,
-        hw: f64,
-    ) -> Result<(), SimError> {
-        let seq = self.send_seq.next(from, to);
-
-        let d = self.topology.distance(from, to);
-        let outcome = self.delay.decide(from, to, seq, time);
-        // Non-finite outcomes are typed errors (bad input, reportable);
-        // finite-but-out-of-range outcomes stay model-violation panics (a
-        // broken delay policy is a programming error, not a scenario).
-        let (arrival, arrival_hw, status) = match outcome {
-            DelayOutcome::Delay(delay) => {
-                if !delay.is_finite() {
-                    return Err(SimError::NonFiniteDelay {
-                        from,
-                        to,
-                        send_time: time,
-                    });
-                }
-                assert!(
-                    (0.0..=d + 1e-9).contains(&delay),
-                    "delay policy violated the model: delay {delay} for \
-                     {from}->{to} with distance {d}"
-                );
-                let t = time + delay;
-                (Some(t), Some(self.clock.value_at(to, t)), None)
-            }
-            DelayOutcome::ArriveAt(t) => {
-                if !t.is_finite() {
-                    return Err(SimError::NonFiniteDelay {
-                        from,
-                        to,
-                        send_time: time,
-                    });
-                }
-                assert!(
-                    t >= time - 1e-9 && t <= time + d + 1e-9,
-                    "delay policy violated the model: arrival {t} for \
-                     {from}->{to} sent at {time} with distance {d}"
-                );
-                (Some(t), Some(self.clock.value_at(to, t)), None)
-            }
-            DelayOutcome::ArriveAtHw(h) => {
-                if !h.is_finite() {
-                    return Err(SimError::NonFiniteDelay {
-                        from,
-                        to,
-                        send_time: time,
-                    });
-                }
-                let t = self.clock.time_at_value(to, h);
-                if !t.is_finite() {
-                    return Err(SimError::NonFiniteDelay {
-                        from,
-                        to,
-                        send_time: time,
-                    });
-                }
-                assert!(
-                    t >= time - 1e-9 && t <= time + d + 1e-9,
-                    "delay policy violated the model: hw arrival {h} (real \
-                     {t}) for {from}->{to} sent at {time} with distance {d}"
-                );
-                (Some(t), Some(h), None)
-            }
-            DelayOutcome::Drop => (None, None, Some(MessageStatus::Dropped)),
+        observers: &mut [&mut dyn Observer],
+    ) -> Result<Option<EventRecord>, SimError> {
+        let ev = self.core.queue.pop().expect("the caller peeked an event");
+        let cap = self.frame.event_cap;
+        let dispatch_t0 = self.profile.as_ref().map(|_| Instant::now());
+        let (env, trajectories) = self.frame.split();
+        let dispatched =
+            self.core
+                .dispatch(ev, &env, trajectories, cap, self.tracer.as_deref_mut());
+        if let Some(p) = self.profile.as_mut() {
+            add_elapsed(&mut p.dispatch_ns, dispatch_t0);
+        }
+        let record = match dispatched {
+            Ok(Some(record)) => record,
+            Ok(None) => return Ok(None),
+            Err(Halt::Cap(record)) => cap_exceeded(cap, record.time),
+            Err(Halt::Error(e)) => return Err(e),
         };
-
-        // Every message starts `InFlight`; delivery (or a link outage)
-        // resolves it at dispatch time, and `into_execution` reconciles
-        // whatever is still in flight at the final horizon — which is what
-        // lets a run be extended past any horizon chosen up front.
-        let status = status.unwrap_or(MessageStatus::InFlight);
-        let dropped = status == MessageStatus::Dropped;
-
-        // Trace and count before any mode-specific bookkeeping, so the
-        // event stream is identical in recorded and streaming mode.
-        if let Some(tr) = &mut self.tracer {
-            tr.record(&TraceEvent::Send {
-                time,
-                from,
-                to,
-                seq,
-                hw,
-                arrival,
-            });
-            if dropped {
-                tr.record(&TraceEvent::Drop {
-                    time,
-                    from,
-                    to,
-                    seq,
-                    send_time: time,
-                    reason: DropReason::Loss,
-                });
-            }
+        let observe_t0 = self.profile.as_ref().map(|_| Instant::now());
+        self.frame.observe(&record, &*self.core.clock, observers);
+        if let Some(p) = self.profile.as_mut() {
+            add_elapsed(&mut p.observer_ns, observe_t0);
         }
-        if dropped {
-            self.dropped_loss += 1;
-        }
-
-        if dropped && !self.record_events {
-            // Streaming mode keeps no record and schedules no delivery:
-            // the message is gone.
-            return Ok(());
-        }
-
-        let record = MessageRecord {
-            from,
-            to,
-            seq,
-            send_time: time,
-            send_hw: hw,
-            arrival_time: arrival,
-            arrival_hw,
-            status,
-            payload,
-        };
-        let msg_index = match self.free_slots.pop() {
-            Some(slot) => {
-                self.messages[slot] = record;
-                slot
-            }
-            None => {
-                self.messages.push(record);
-                self.messages.len() - 1
-            }
-        };
-        self.peak_message_slots = self
-            .peak_message_slots
-            .max(self.messages.len() - self.free_slots.len());
-
-        if let (Some(t), Some(h)) = (arrival, arrival_hw) {
-            let tie = self.bump_tie();
-            self.push_event(QueuedEvent {
-                time: t,
-                tie,
-                node: to,
-                hw: h,
-                kind: QueuedKind::Deliver {
-                    from,
-                    seq,
-                    msg_index,
-                },
-            });
-        }
-        Ok(())
+        Ok(Some(record))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gcs_net::AdversarialDelay;
+    use crate::event::{EventKind, MessageStatus};
+    use crate::node::Context;
+    use crate::observer::Probe;
+    use crate::TimerId;
+    use gcs_net::{AdversarialDelay, DelayOutcome};
 
     /// Node that broadcasts its logical clock every `period` hardware units
     /// and jumps its clock to any larger received value.
@@ -2091,26 +1420,6 @@ mod tests {
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap_err();
         assert_eq!(err, SimError::NonFiniteRate { node: 1 });
-    }
-
-    #[test]
-    fn queue_ordering_is_total_even_with_nan_times() {
-        // The heap comparator must never panic or violate totality, even
-        // if a NaN time were to slip past the typed-error gates.
-        let ev = |time: f64, tie: u64| QueuedEvent {
-            time,
-            tie,
-            node: 0,
-            hw: 0.0,
-            kind: QueuedKind::Start,
-        };
-        let a = ev(f64::NAN, 0);
-        let b = ev(1.0, 1);
-        let c = ev(f64::NAN, 2);
-        // Antisymmetry and consistency, not any particular NaN placement.
-        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
-        assert_eq!(a.cmp(&c), c.cmp(&a).reverse());
-        assert_eq!(a.cmp(&a), Ordering::Equal);
     }
 
     #[test]

@@ -113,9 +113,11 @@
 //! conservative-window parallel engine ([`ShardedSimulation`]): the
 //! topology is partitioned into shards that dispatch in parallel on
 //! scoped threads, windowed by the delay policy's
-//! [`gcs_net::DelayPolicy::min_delay_bound`] lookahead, with each shard's
-//! pending events held in a bucketed [`CalendarQueue`]. Executions are
-//! bit-identical to the single-heap engine for every shard count.
+//! [`gcs_net::DelayPolicy::min_delay_bound`] lookahead. Both engines run
+//! one dispatch core: [`Simulation`] is that core over every node,
+//! [`ShardedSimulation`] is one core per shard — each with its own
+//! `BinaryHeap` of pending events — plus the window protocol. Executions
+//! are bit-identical to the single-heap engine for every shard count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -126,6 +128,7 @@ mod event;
 mod execution;
 mod node;
 pub mod observer;
+mod partition;
 pub mod profile;
 mod send_seq;
 mod shard;

@@ -133,10 +133,16 @@ pub trait Observer {
     /// Called after every dispatched event. `view` reflects the state
     /// *after* the node's callback ran.
     ///
-    /// Replay caveat: [`observe_execution`] hands the final-state view
-    /// (trajectories as of the end of the run), which can differ from the
-    /// live mid-run view only when a node overwrites a trajectory point at
-    /// the exact same hardware reading later; probe views never differ.
+    /// The one rule for views: a view is past-stable — it answers the same
+    /// whenever it is evaluated — except when a trajectory point is
+    /// overwritten at the same hardware reading later in the run (a second
+    /// event at the same node and instant, such as two simultaneous
+    /// deliveries); a view evaluated after that shows the overwriting
+    /// value. The single heap evaluates each view live, right after its
+    /// event; a sharded run with more than one shard evaluates them at the
+    /// super-window barrier and [`observe_execution`] at the end of the
+    /// run, so those two agree with each other and can differ from the
+    /// live stream only at such instants. Probe views never differ.
     fn on_event(&mut self, view: &Probe<'_>, event: &EventRecord) {
         let _ = (view, event);
     }

@@ -1,0 +1,1025 @@
+//! The dispatch core both engines run on.
+//!
+//! A [`Partition`] owns a contiguous node range `[lo, hi)`: its nodes,
+//! their live neighbour lists and timer counters, a `BinaryHeap` of
+//! pending events with its tie counter, a clock source and a delay
+//! policy, the per-pair sequence numbers, the message slab, and the drop
+//! and peak counters. [`crate::Simulation`] is one partition over every
+//! node; [`crate::ShardedSimulation`] is `k` of them plus the window
+//! protocol. A [`Frame`] holds what both engines keep beside their
+//! partitions: the network, every node's logical trajectory (probe views
+//! read them all at once, so each partition borrows its slice), the event
+//! log and the probe grid.
+//!
+//! The partition is generic over the node, clock and delay box types, so
+//! the single heap keeps accepting non-`Send` nodes and clocks while the
+//! sharded engine moves its partitions onto worker threads. The per-event
+//! paths are `#[inline]`: both engines call them from other modules, and
+//! without the hint a 4096-node ring ran about 10 percent slower per
+//! event on the single heap.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::Range;
+
+use gcs_clocks::{ClockSource, PiecewiseLinear};
+use gcs_dynamic::DynamicTopology;
+use gcs_net::{DelayOutcome, DelayPolicy, Topology};
+
+use crate::engine::SimError;
+use crate::event::{EventKind, EventRecord, MessageRecord, MessageStatus};
+use crate::execution::Execution;
+use crate::node::{Actions, Context, Node};
+use crate::observer::{Observer, Probe};
+use crate::send_seq::SendSeq;
+use crate::shard::ShardCounters;
+use crate::trace::{DropReason, TraceEvent, Tracer};
+use crate::{NodeId, TimerId};
+
+/// The canonical key of simultaneous events ([`EventKind::tie_key`]).
+type TieKey = (NodeId, u8, u64, u64);
+
+/// A queued (not yet dispatched) event.
+///
+/// Deliveries carry an index into a slab instead of the payload, so the
+/// queue needs no message type parameter.
+pub(crate) struct Queued {
+    pub(crate) time: f64,
+    /// Monotonic tie-breaker making the dispatch order total and
+    /// deterministic.
+    tie: u64,
+    node: NodeId,
+    hw: f64,
+    kind: QueuedKind,
+}
+
+#[derive(Clone, Copy)]
+pub(crate) enum QueuedKind {
+    Start,
+    /// A message sent inside this partition: `msg_index` is its slot in
+    /// the partition's message log.
+    Deliver {
+        from: NodeId,
+        seq: u64,
+        msg_index: usize,
+    },
+    /// A message from another partition: `parked` is its slot in the
+    /// receiver's slab of handoffs.
+    DeliverRemote {
+        from: NodeId,
+        seq: u64,
+        parked: usize,
+    },
+    Timer {
+        id: TimerId,
+    },
+    TopoChange {
+        peer: NodeId,
+        up: bool,
+    },
+}
+
+impl QueuedKind {
+    /// The [`EventKind`] this queued event is recorded as.
+    fn record_kind(self) -> EventKind {
+        match self {
+            QueuedKind::Start => EventKind::Start,
+            QueuedKind::Deliver { from, seq, .. } | QueuedKind::DeliverRemote { from, seq, .. } => {
+                EventKind::Deliver { from, seq }
+            }
+            QueuedKind::Timer { id } => EventKind::Timer { id },
+            QueuedKind::TopoChange { peer, up } => EventKind::TopologyChange { peer, up },
+        }
+    }
+}
+
+impl Queued {
+    /// Canonical ordering key for simultaneous events — delegated to
+    /// [`EventKind::tie_key`], the single definition shared with the
+    /// retiming engine: insertion order depends on *when senders acted*,
+    /// which an execution re-timing changes, while the canonical key
+    /// depends only on data that indistinguishability preserves. This
+    /// makes replays of transformed executions order-identical to their
+    /// predictions even when two messages reach a node at exactly the
+    /// same instant, and makes the dispatch order independent of how the
+    /// nodes are partitioned.
+    fn tie_key(&self) -> TieKey {
+        self.kind.record_kind().tie_key(self.node)
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.time == other.time && self.tie == other.tie
+    }
+}
+impl Eq for Queued {}
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
+        // Event times are validated finite before they enter the queue,
+        // but the ordering stays total anyway (IEEE total order as the
+        // fallback): a stray NaN must surface as a typed error at its
+        // source, never as a corrupted heap invariant here.
+        other
+            .time
+            .partial_cmp(&self.time)
+            .unwrap_or_else(|| other.time.total_cmp(&self.time))
+            .then_with(|| other.tie_key().cmp(&self.tie_key()))
+            .then_with(|| other.tie.cmp(&self.tie))
+    }
+}
+
+/// The dispatch order of recorded events: time, then the canonical key.
+pub(crate) fn canonical_order(a: &EventRecord, b: &EventRecord) -> Ordering {
+    a.time
+        .total_cmp(&b.time)
+        .then_with(|| a.kind.tie_key(a.node).cmp(&b.kind.tie_key(b.node)))
+}
+
+/// A message crossing from its sender's partition to its receiver's.
+pub(crate) struct Handoff<M> {
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) seq: u64,
+    send_time: f64,
+    pub(crate) arrival_time: f64,
+    arrival_hw: f64,
+    /// `(partition index, message slot)` in the sender's log; the slot is
+    /// [`NO_SLOT`] in streaming mode.
+    owner: (usize, usize),
+    payload: M,
+}
+
+/// The slot of a cross-partition message that is in no log. A streaming
+/// run reads a message record only to deliver it, and a cross-partition
+/// delivery reads the handoff instead, so such a send is neither logged
+/// by the sender nor written back by the receiver.
+const NO_SLOT: usize = usize::MAX;
+
+/// A deferred status write-back for a message owned by another
+/// partition's log: `(owner partition, slot, delivered?)`.
+/// `delivered == false` means a link outage dropped it in flight.
+pub(crate) type StatusUpdate = (usize, usize, bool);
+
+/// Merge key reproducing the single heap's message-log append order:
+/// sends are appended per dispatched event (events are totally ordered by
+/// `(time, tie_key)`), in action order within one event.
+#[derive(Clone, Copy)]
+pub(crate) struct MsgKey {
+    send_time: f64,
+    sender_key: TieKey,
+    action_index: usize,
+}
+
+impl MsgKey {
+    pub(crate) fn cmp(&self, other: &Self) -> Ordering {
+        self.send_time
+            .total_cmp(&other.send_time)
+            .then_with(|| self.sender_key.cmp(&other.sender_key))
+            .then_with(|| self.action_index.cmp(&other.action_index))
+    }
+}
+
+/// Resolves an in-flight message record: delivered, or dropped by a link
+/// outage.
+pub(crate) fn settle<M>(m: &mut MessageRecord<M>, delivered: bool) {
+    if delivered {
+        m.status = MessageStatus::Delivered;
+    } else {
+        m.status = MessageStatus::Dropped;
+        m.arrival_time = None;
+        m.arrival_hw = None;
+    }
+}
+
+/// Stores `item` in a free slot of `slab` (or a new one) and returns the
+/// slot.
+fn store<T>(slab: &mut Vec<T>, free: &mut Vec<usize>, item: T) -> usize {
+    match free.pop() {
+        Some(slot) => {
+            slab[slot] = item;
+            slot
+        }
+        None => {
+            slab.push(item);
+            slab.len() - 1
+        }
+    }
+}
+
+/// Why a dispatch stopped short of returning a record.
+pub(crate) enum Halt {
+    /// The event that would have exceeded the event cap, not dispatched.
+    Cap(EventRecord),
+    /// A non-finite delay or timer target.
+    Error(SimError),
+}
+
+impl From<SimError> for Halt {
+    fn from(e: SimError) -> Self {
+        Halt::Error(e)
+    }
+}
+
+/// The event-cap panic, raised where the single heap raises it: at the
+/// first event past the cap, in dispatch order.
+pub(crate) fn cap_exceeded(cap: u64, time: f64) -> ! {
+    panic!(
+        "event cap of {cap} exceeded at t = {time}; the algorithm may be \
+         generating an unbounded message storm"
+    )
+}
+
+/// The read-only network a dispatch runs against.
+pub(crate) struct Env<'a> {
+    topology: &'a Topology,
+    /// The churn view, when in-flight messages drop on link outages.
+    outages: Option<&'a DynamicTopology>,
+    pub(crate) record_events: bool,
+}
+
+/// What both engines keep beside their partitions.
+pub(crate) struct Frame {
+    pub(crate) topology: Topology,
+    pub(crate) dynamic: Option<DynamicTopology>,
+    pub(crate) drop_on_link_down: bool,
+    pub(crate) trajectories: Vec<PiecewiseLinear>,
+    pub(crate) events: Vec<EventRecord>,
+    pub(crate) event_cap: u64,
+    pub(crate) record_events: bool,
+    started: bool,
+    /// The time the run has been driven to: the max `run_until` horizon
+    /// and the latest dispatched event time. This becomes the horizon of
+    /// the final [`Execution`].
+    pub(crate) ran_to: f64,
+    probe_from: f64,
+    pub(crate) probe_every: Option<f64>,
+    /// Index of the next probe: probe `k` fires at `probe_from + k · every`.
+    pub(crate) next_probe: u64,
+}
+
+impl Frame {
+    pub(crate) fn new(
+        topology: Topology,
+        dynamic: Option<DynamicTopology>,
+        drop_on_link_down: bool,
+        event_cap: u64,
+        record_events: bool,
+        probe_every: Option<f64>,
+    ) -> Self {
+        Self {
+            trajectories: (0..topology.len())
+                .map(|_| PiecewiseLinear::new(0.0, 0.0, 1.0))
+                .collect(),
+            topology,
+            dynamic,
+            drop_on_link_down,
+            events: Vec::new(),
+            event_cap,
+            record_events,
+            started: false,
+            ran_to: 0.0,
+            probe_from: 0.0,
+            probe_every,
+            next_probe: 0,
+        }
+    }
+
+    /// The dispatch environment, beside the trajectories it lends out.
+    #[inline]
+    pub(crate) fn split(&mut self) -> (Env<'_>, &mut [PiecewiseLinear]) {
+        let env = Env {
+            topology: &self.topology,
+            outages: self.dynamic.as_ref().filter(|_| self.drop_on_link_down),
+            record_events: self.record_events,
+        };
+        (env, &mut self.trajectories)
+    }
+
+    /// `true` exactly once: on the first call, when the initial events
+    /// are due to be enqueued.
+    pub(crate) fn start(&mut self) -> bool {
+        !std::mem::replace(&mut self.started, true)
+    }
+
+    /// The events every run begins with, in enqueue order: a start per
+    /// node, then both endpoints of every scheduled link change. All
+    /// changes are enqueued up front (changes beyond wherever the run
+    /// stops simply never dispatch); their hardware reading is resolved
+    /// at dispatch, so enqueuing the whole churn timeline does not force a
+    /// lazy clock source to materialize its walk out to the last change.
+    pub(crate) fn initial_events(
+        &self,
+    ) -> impl Iterator<Item = (f64, NodeId, f64, QueuedKind)> + '_ {
+        let starts = (0..self.topology.len()).map(|node| (0.0, node, 0.0, QueuedKind::Start));
+        let changes = self.dynamic.iter().flat_map(|view| {
+            view.edge_changes().iter().flat_map(|c| {
+                [(c.a, c.b), (c.b, c.a)].map(|(node, peer)| {
+                    (
+                        c.time,
+                        node,
+                        f64::NAN,
+                        QueuedKind::TopoChange { peer, up: c.up },
+                    )
+                })
+            })
+        });
+        starts.chain(changes)
+    }
+
+    /// Configures the probe grid — see
+    /// [`crate::Simulation::set_probe_schedule`].
+    pub(crate) fn set_probe_schedule(&mut self, from: f64, every: f64) {
+        assert!(
+            every.is_finite() && every > 0.0,
+            "probe interval must be positive, got {every}"
+        );
+        assert!(
+            from.is_finite() && from >= 0.0,
+            "probe start must be finite and nonnegative, got {from}"
+        );
+        self.probe_from = from;
+        self.probe_every = Some(every);
+        self.next_probe = 0;
+    }
+
+    /// The next probe due at or before `limit` (strictly before unless
+    /// `inclusive`), advancing the grid past it.
+    #[inline]
+    pub(crate) fn next_probe_due(&mut self, limit: f64, inclusive: bool) -> Option<f64> {
+        let every = self.probe_every?;
+        let t = self.probe_from + (self.next_probe as f64) * every;
+        let due = if inclusive { t <= limit } else { t < limit };
+        due.then(|| {
+            self.next_probe += 1;
+            t
+        })
+    }
+
+    /// Hands the probe at `t` to `observers`. A streaming run first
+    /// compacts trajectories and the clock behind it: nothing can query
+    /// earlier state afterwards.
+    pub(crate) fn fire_probe(
+        &mut self,
+        t: f64,
+        clock: &dyn ClockSource,
+        observers: &mut [&mut dyn Observer],
+    ) {
+        if !self.record_events {
+            for (i, traj) in self.trajectories.iter_mut().enumerate() {
+                traj.compact_before(clock.value_at(i, t));
+            }
+            // A windowing clock source drops schedule segments behind the
+            // frontier too (no-op for eager sources).
+            clock.compact_before(t);
+        }
+        let view = Probe::new(t, &self.topology, clock, &self.trajectories);
+        for obs in observers.iter_mut() {
+            obs.on_probe(&view);
+        }
+    }
+
+    /// Hands a dispatched event to `observers`, then keeps its record when
+    /// recording.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        record: &EventRecord,
+        clock: &dyn ClockSource,
+        observers: &mut [&mut dyn Observer],
+    ) {
+        if !observers.is_empty() {
+            let view = Probe::new(record.time, &self.topology, clock, &self.trajectories);
+            for obs in observers.iter_mut() {
+                obs.on_event(&view, record);
+            }
+        }
+        if self.record_events {
+            self.events.push(record.clone());
+        }
+    }
+
+    /// Total logical-trajectory breakpoints currently held.
+    pub(crate) fn breakpoints(&self) -> usize {
+        self.trajectories
+            .iter()
+            .map(|t| t.breakpoints().len())
+            .sum()
+    }
+
+    /// Finalizes the run into its [`Execution`]. In dynamic mode a
+    /// message only crosses a *tracked* link that stays up from send to
+    /// arrival. Deliveries inside the horizon were resolved at dispatch;
+    /// for messages still in flight, only churn at or before the horizon
+    /// counts — a link failing beyond the simulated window must not leak
+    /// post-horizon information into the record.
+    pub(crate) fn finish<M>(
+        self,
+        mut messages: Vec<MessageRecord<M>>,
+        clock: &dyn ClockSource,
+    ) -> Execution<M> {
+        let horizon = self.ran_to;
+        if let Some(view) = self.dynamic.as_ref().filter(|_| self.drop_on_link_down) {
+            for m in &mut messages {
+                if m.status != MessageStatus::InFlight {
+                    continue;
+                }
+                if let Some(arrival) = m.arrival_time {
+                    if view.link_interrupted(m.from, m.to, m.send_time, arrival.min(horizon)) {
+                        settle(m, false);
+                    }
+                }
+            }
+        }
+        // Materialize the clock prefix the run touched: eager sources
+        // return their schedule vector unchanged; lazy sources regenerate
+        // `[0, horizon]` from the seed, bit-identical to the eager
+        // construction of the same walk.
+        let schedules = clock.materialize_prefix(horizon);
+        Execution::new(
+            self.topology,
+            schedules,
+            horizon,
+            self.events,
+            messages,
+            self.trajectories,
+            self.dynamic,
+        )
+        .with_drop_in_flight(self.drop_on_link_down)
+    }
+}
+
+/// One partition: a node range, its queue, its clock and delay handles,
+/// and everything a dispatch in it writes. See the module docs.
+pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
+    pub(crate) index: usize,
+    /// Owned node range `[lo, hi)`.
+    pub(crate) lo: NodeId,
+    pub(crate) hi: NodeId,
+    pub(crate) nodes: Vec<N>,
+    neighbors: Vec<Vec<NodeId>>,
+    next_timer: Vec<TimerId>,
+    pub(crate) queue: BinaryHeap<Queued>,
+    tie: u64,
+    pub(crate) clock: Box<C>,
+    delay: Box<D>,
+    send_seq: SendSeq,
+    pub(crate) messages: Vec<MessageRecord<M>>,
+    /// Recycled message slots (streaming mode): a delivered or dropped
+    /// message's slot is reused by a later send, bounding the log by the
+    /// peak in-flight count instead of the total sent.
+    pub(crate) free_slots: Vec<usize>,
+    /// Merge keys, parallel to `messages`: kept only when recording with
+    /// more than one partition.
+    pub(crate) msg_keys: Option<Vec<MsgKey>>,
+    /// Handoffs from other partitions awaiting delivery, and their free
+    /// slots.
+    parked: Vec<Handoff<M>>,
+    free_parked: Vec<usize>,
+    /// Long-lived send/timer buffers reused across dispatches.
+    actions: Actions<M>,
+    /// Cross-partition sends, drained at the window barrier.
+    pub(crate) outbox: Vec<Handoff<M>>,
+    /// Status write-backs for foreign-owned messages, drained at the
+    /// super-window barrier.
+    pub(crate) status_updates: Vec<StatusUpdate>,
+    /// Records of the events dispatched this super-window (sharded runs
+    /// only).
+    pub(crate) window_events: Vec<EventRecord>,
+    /// The event a window stopped at because the cap was reached.
+    pub(crate) overrun: Option<EventRecord>,
+    pub(crate) dispatched: u64,
+    pub(crate) dropped_loss: u64,
+    pub(crate) dropped_link_down: u64,
+    pub(crate) peak_queued_events: usize,
+    pub(crate) peak_message_slots: usize,
+    pub(crate) counters: ShardCounters,
+}
+
+impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
+    /// A partition over `range`, with `nodes` for exactly those nodes.
+    /// `keyed` keeps merge keys (recording with several partitions).
+    pub(crate) fn new(
+        index: usize,
+        range: Range<NodeId>,
+        nodes: Vec<N>,
+        frame: &Frame,
+        clock: Box<C>,
+        delay: Box<D>,
+        keyed: bool,
+    ) -> Self {
+        // The live neighbor sets start from the view's time-zero epoch and
+        // follow TopoChange events as they dispatch.
+        let neighbors = range
+            .clone()
+            .map(|i| match &frame.dynamic {
+                Some(view) => view.neighbors_at(i, 0.0).to_vec(),
+                None => frame.topology.neighbors(i),
+            })
+            .collect();
+        Self {
+            index,
+            lo: range.start,
+            hi: range.end,
+            nodes,
+            neighbors,
+            next_timer: vec![0; range.len()],
+            queue: BinaryHeap::new(),
+            tie: 0,
+            clock,
+            delay,
+            send_seq: SendSeq::new(range),
+            messages: Vec::new(),
+            free_slots: Vec::new(),
+            msg_keys: keyed.then(Vec::new),
+            parked: Vec::new(),
+            free_parked: Vec::new(),
+            actions: Actions::default(),
+            outbox: Vec::new(),
+            status_updates: Vec::new(),
+            window_events: Vec::new(),
+            overrun: None,
+            dispatched: 0,
+            dropped_loss: 0,
+            dropped_link_down: 0,
+            peak_queued_events: 0,
+            peak_message_slots: 0,
+            counters: ShardCounters::default(),
+        }
+    }
+
+    /// Time of the next pending event.
+    #[inline]
+    pub(crate) fn next_time(&self) -> Option<f64> {
+        self.queue.peek().map(|ev| ev.time)
+    }
+
+    /// Enqueues an event, maintaining the queue-depth high-water mark.
+    #[inline]
+    pub(crate) fn push(&mut self, time: f64, node: NodeId, hw: f64, kind: QueuedKind) {
+        let tie = self.tie;
+        self.tie += 1;
+        self.queue.push(Queued {
+            time,
+            tie,
+            node,
+            hw,
+            kind,
+        });
+        self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
+    }
+
+    /// Parks a message from another partition and queues its delivery.
+    pub(crate) fn accept(&mut self, h: Handoff<M>) {
+        let (time, node, hw, from, seq) = (h.arrival_time, h.to, h.arrival_hw, h.from, h.seq);
+        let parked = store(&mut self.parked, &mut self.free_parked, h);
+        self.push(
+            time,
+            node,
+            hw,
+            QueuedKind::DeliverRemote { from, seq, parked },
+        );
+    }
+
+    /// The send time of a delivery's message.
+    #[inline]
+    fn send_time(&self, kind: QueuedKind) -> f64 {
+        match kind {
+            QueuedKind::Deliver { msg_index, .. } => self.messages[msg_index].send_time,
+            QueuedKind::DeliverRemote { parked, .. } => self.parked[parked].send_time,
+            _ => f64::NAN,
+        }
+    }
+
+    /// Resolves a delivery's message: its record's status (here, or by a
+    /// write-back to the partition that logged it) and its slot.
+    #[inline]
+    fn settle_delivery(&mut self, kind: QueuedKind, delivered: bool, record_events: bool) {
+        match kind {
+            QueuedKind::Deliver { msg_index, .. } => {
+                settle(&mut self.messages[msg_index], delivered);
+                if !record_events {
+                    self.free_slots.push(msg_index);
+                }
+            }
+            QueuedKind::DeliverRemote { parked, .. } => {
+                let (owner, slot) = self.parked[parked].owner;
+                if slot != NO_SLOT {
+                    self.status_updates.push((owner, slot, delivered));
+                }
+                self.free_parked.push(parked);
+            }
+            _ => {}
+        }
+    }
+}
+
+impl<M, N, C, D> Partition<M, N, C, D>
+where
+    M: Clone,
+    N: Node<M>,
+    C: ClockSource + ?Sized,
+    D: DelayPolicy + ?Sized,
+{
+    /// Dispatches one popped event and returns its record, or `Ok(None)`
+    /// when it was a delivery whose tracked link went down while the
+    /// message was in flight (the message is dropped and no callback
+    /// runs). The partition may have dispatched at most `cap` events
+    /// afterwards; the event that would pass it comes back as
+    /// [`Halt::Cap`]. A non-finite delay or timer target produced by the
+    /// callback's actions is a typed error.
+    #[allow(clippy::too_many_lines)]
+    #[inline]
+    pub(crate) fn dispatch(
+        &mut self,
+        ev: Queued,
+        env: &Env<'_>,
+        trajectories: &mut [PiecewiseLinear],
+        cap: u64,
+        mut tracer: Option<&mut (dyn Tracer + 'static)>,
+    ) -> Result<Option<EventRecord>, Halt> {
+        let Queued {
+            time,
+            node,
+            hw,
+            kind,
+            ..
+        } = ev;
+        let local = node - self.lo;
+        // Topology changes enqueue with a placeholder reading; resolve it
+        // now, at dispatch.
+        let hw = if matches!(kind, QueuedKind::TopoChange { .. }) {
+            self.clock.value_at(node, time)
+        } else {
+            hw
+        };
+        // In dynamic mode a message only crosses a *tracked* link that
+        // stays up from send to arrival; the churn timeline is known in
+        // advance, so the drop resolves deterministically the instant the
+        // delivery comes due. Untracked pairs (direct sends outside the
+        // communication graph, e.g. tree-sync probes to a distant source)
+        // keep the static always-deliver semantics.
+        if let (
+            Some(view),
+            QueuedKind::Deliver { from, seq, .. } | QueuedKind::DeliverRemote { from, seq, .. },
+        ) = (env.outages, kind)
+        {
+            let sent = self.send_time(kind);
+            if view.link_interrupted(from, node, sent, time) {
+                self.settle_delivery(kind, false, env.record_events);
+                self.dropped_link_down += 1;
+                if let Some(tr) = tracer {
+                    tr.record(&TraceEvent::Drop {
+                        time,
+                        from,
+                        to: node,
+                        seq,
+                        send_time: sent,
+                        reason: DropReason::LinkDown,
+                    });
+                }
+                return Ok(None);
+            }
+        }
+
+        let record = EventRecord {
+            time,
+            node,
+            hw,
+            kind: kind.record_kind(),
+        };
+        if self.dispatched >= cap {
+            return Err(Halt::Cap(record));
+        }
+        self.dispatched += 1;
+
+        // Topology changes mutate the live neighbor set before the node's
+        // callback runs, so `Context::neighbors` reflects the new graph.
+        if let QueuedKind::TopoChange { peer, up } = kind {
+            let list = &mut self.neighbors[local];
+            match (list.binary_search(&peer), up) {
+                (Err(pos), true) => list.insert(pos, peer),
+                (Ok(pos), false) => {
+                    list.remove(pos);
+                }
+                _ => {}
+            }
+        }
+
+        // A slot freed here is reused only by the sends drained after the
+        // callback, so the payload and the record's send time stay intact
+        // until then.
+        self.settle_delivery(kind, true, env.record_events);
+
+        // The action buffers are moved out for the duration of the
+        // callback and moved back — drained, capacity intact — afterwards.
+        let mut actions = std::mem::take(&mut self.actions);
+        {
+            let mut ctx = Context::new(
+                node,
+                env.topology.len(),
+                hw,
+                &self.neighbors[local],
+                env.topology,
+                &mut trajectories[local],
+                &mut self.next_timer[local],
+                &mut actions,
+            );
+            let target = &mut self.nodes[local];
+            match kind {
+                QueuedKind::Start => target.on_start(&mut ctx),
+                QueuedKind::Deliver {
+                    from, msg_index, ..
+                } => target.on_message(&mut ctx, from, &self.messages[msg_index].payload),
+                QueuedKind::DeliverRemote { from, parked, .. } => {
+                    target.on_message(&mut ctx, from, &self.parked[parked].payload);
+                }
+                QueuedKind::Timer { id } => target.on_timer(&mut ctx, id),
+                QueuedKind::TopoChange { peer, up } => {
+                    target.on_topology_change(&mut ctx, peer, up);
+                }
+            }
+        }
+        // The dispatch trace event fires after the callback (so the
+        // logical reading reflects any adoption) but before the send
+        // drain, keeping every `Send` after its causing event.
+        if let Some(tr) = tracer.as_deref_mut() {
+            let logical = trajectories[local].value_at(hw);
+            tr.record(&match kind {
+                QueuedKind::Start => TraceEvent::NodeStarted {
+                    time,
+                    node,
+                    hw,
+                    logical,
+                },
+                QueuedKind::Deliver { from, seq, .. }
+                | QueuedKind::DeliverRemote { from, seq, .. } => TraceEvent::Deliver {
+                    time,
+                    from,
+                    to: node,
+                    seq,
+                    send_time: self.send_time(kind),
+                    hw,
+                    logical,
+                },
+                QueuedKind::Timer { id } => TraceEvent::TimerFired {
+                    time,
+                    node,
+                    id,
+                    hw,
+                    logical,
+                },
+                QueuedKind::TopoChange { peer, up } => TraceEvent::LinkChanged {
+                    time,
+                    node,
+                    peer,
+                    up,
+                    hw,
+                },
+            });
+        }
+
+        // Drain both buffers fully even if an action errors (the buffers
+        // are long-lived and must come back empty), reporting the first
+        // error once the buffers are restored.
+        let mut err = None;
+        for (action_index, (to, payload)) in actions.sends.drain(..).enumerate() {
+            if err.is_none() {
+                err = self
+                    .try_send_message(env, node, to, payload, time, hw, tracer.as_deref_mut())
+                    .err();
+                // Slots are never recycled when recording, so a send that
+                // logged a record grew the log by one.
+                if let Some(keys) = &mut self.msg_keys {
+                    let key = MsgKey {
+                        send_time: time,
+                        sender_key: record.kind.tie_key(node),
+                        action_index,
+                    };
+                    keys.resize(self.messages.len(), key);
+                }
+            }
+        }
+        for (id, target_hw) in actions.timers.drain(..) {
+            if err.is_some() {
+                continue;
+            }
+            let fire_time = if target_hw.is_finite() {
+                self.clock.time_at_value(node, target_hw)
+            } else {
+                f64::NAN
+            };
+            if !fire_time.is_finite() {
+                err = Some(SimError::NonFiniteTimer { node, target_hw });
+                continue;
+            }
+            self.push(fire_time, node, target_hw, QueuedKind::Timer { id });
+        }
+        self.actions = actions;
+        match err {
+            Some(e) => Err(e.into()),
+            None => Ok(Some(record)),
+        }
+    }
+
+    /// Sends one message: sequence number, delay draw, trace, message
+    /// record, then the delivery — queued here, or handed off when the
+    /// receiver belongs to another partition.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn try_send_message(
+        &mut self,
+        env: &Env<'_>,
+        from: NodeId,
+        to: NodeId,
+        payload: M,
+        time: f64,
+        hw: f64,
+        tracer: Option<&mut (dyn Tracer + 'static)>,
+    ) -> Result<(), SimError> {
+        let seq = self.send_seq.next(from, to);
+        let d = env.topology.distance(from, to);
+        let non_finite = || SimError::NonFiniteDelay {
+            from,
+            to,
+            send_time: time,
+        };
+        // Non-finite outcomes are typed errors (bad input, reportable);
+        // finite-but-out-of-range outcomes stay model-violation panics (a
+        // broken delay policy is a programming error, not a scenario).
+        let arrival = match self.delay.decide(from, to, seq, time) {
+            DelayOutcome::Delay(delay) => {
+                if !delay.is_finite() {
+                    return Err(non_finite());
+                }
+                assert!(
+                    (0.0..=d + 1e-9).contains(&delay),
+                    "delay policy violated the model: delay {delay} for \
+                     {from}->{to} with distance {d}"
+                );
+                let t = time + delay;
+                Some((t, self.clock.value_at(to, t)))
+            }
+            DelayOutcome::ArriveAt(t) => {
+                if !t.is_finite() {
+                    return Err(non_finite());
+                }
+                assert!(
+                    t >= time - 1e-9 && t <= time + d + 1e-9,
+                    "delay policy violated the model: arrival {t} for \
+                     {from}->{to} sent at {time} with distance {d}"
+                );
+                Some((t, self.clock.value_at(to, t)))
+            }
+            DelayOutcome::ArriveAtHw(h) => {
+                if !h.is_finite() {
+                    return Err(non_finite());
+                }
+                let t = self.clock.time_at_value(to, h);
+                if !t.is_finite() {
+                    return Err(non_finite());
+                }
+                assert!(
+                    t >= time - 1e-9 && t <= time + d + 1e-9,
+                    "delay policy violated the model: hw arrival {h} (real \
+                     {t}) for {from}->{to} sent at {time} with distance {d}"
+                );
+                Some((t, h))
+            }
+            DelayOutcome::Drop => None,
+        };
+
+        // Trace and count before any mode-specific bookkeeping, so the
+        // event stream is identical in recorded and streaming mode.
+        if let Some(tr) = tracer {
+            tr.record(&TraceEvent::Send {
+                time,
+                from,
+                to,
+                seq,
+                hw,
+                arrival: arrival.map(|(t, _)| t),
+            });
+            if arrival.is_none() {
+                tr.record(&TraceEvent::Drop {
+                    time,
+                    from,
+                    to,
+                    seq,
+                    send_time: time,
+                    reason: DropReason::Loss,
+                });
+            }
+        }
+        if arrival.is_none() {
+            self.dropped_loss += 1;
+            if !env.record_events {
+                // Streaming mode keeps no record and schedules no
+                // delivery: the message is gone.
+                return Ok(());
+            }
+        }
+
+        // Every message starts `InFlight`; delivery (or a link outage)
+        // resolves it at dispatch time, and finalization reconciles
+        // whatever is still in flight at the final horizon — which is what
+        // lets a run be extended past any horizon chosen up front.
+        let remote = arrival.is_some() && !(self.lo..self.hi).contains(&to);
+        let (msg_index, carried) = if remote && !env.record_events {
+            // Streaming: the handoff carries the message whole.
+            (NO_SLOT, Some(payload))
+        } else {
+            // Only a recorded cross-partition send needs two copies of the
+            // payload: one stays in this log, one crosses in the handoff.
+            let carried = remote.then(|| payload.clone());
+            let record = MessageRecord {
+                from,
+                to,
+                seq,
+                send_time: time,
+                send_hw: hw,
+                arrival_time: arrival.map(|(t, _)| t),
+                arrival_hw: arrival.map(|(_, h)| h),
+                status: if arrival.is_some() {
+                    MessageStatus::InFlight
+                } else {
+                    MessageStatus::Dropped
+                },
+                payload,
+            };
+            let slot = store(&mut self.messages, &mut self.free_slots, record);
+            self.peak_message_slots = self
+                .peak_message_slots
+                .max(self.messages.len() - self.free_slots.len());
+            (slot, carried)
+        };
+
+        match (arrival, carried) {
+            (Some((t, h)), None) => self.push(
+                t,
+                to,
+                h,
+                QueuedKind::Deliver {
+                    from,
+                    seq,
+                    msg_index,
+                },
+            ),
+            (Some((t, h)), Some(payload)) => self.outbox.push(Handoff {
+                from,
+                to,
+                seq,
+                send_time: time,
+                arrival_time: t,
+                arrival_hw: h,
+                owner: (self.index, msg_index),
+                payload,
+            }),
+            (None, _) => {}
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ev(time: f64, tie: u64) -> Queued {
+        Queued {
+            time,
+            tie,
+            node: 0,
+            hw: 0.0,
+            kind: QueuedKind::Start,
+        }
+    }
+
+    #[test]
+    fn queue_ordering_is_total_even_with_nan_times() {
+        // The heap comparator must never panic or violate totality, even
+        // if a NaN time were to slip past the typed-error gates.
+        let a = ev(f64::NAN, 0);
+        let b = ev(1.0, 1);
+        let c = ev(f64::NAN, 2);
+        // Antisymmetry and consistency, not any particular NaN placement.
+        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        assert_eq!(a.cmp(&c), c.cmp(&a).reverse());
+        assert_eq!(a.cmp(&a), Ordering::Equal);
+    }
+
+    #[test]
+    fn queued_event_and_record_sizes_are_unchanged() {
+        // A cross-partition delivery carries a slab index, not the
+        // payload, so the queued event is the same 64 bytes for every
+        // message type, and the recorded event stays 48.
+        assert_eq!(std::mem::size_of::<Queued>(), 64);
+        assert_eq!(std::mem::size_of::<EventRecord>(), 48);
+    }
+}

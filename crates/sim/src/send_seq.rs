@@ -1,4 +1,5 @@
-//! Per-`(from, to)` message sequence numbers, shared by both engines.
+//! Per-`(from, to)` message sequence numbers, one table per partition of
+//! the dispatch core.
 
 use std::ops::Range;
 
@@ -20,8 +21,7 @@ pub(crate) struct SendSeq {
 }
 
 impl SendSeq {
-    /// Counters for the senders in `senders` (an engine's whole node
-    /// range, or one shard's).
+    /// Counters for the senders in `senders` (a partition's node range).
     pub(crate) fn new(senders: Range<NodeId>) -> Self {
         Self {
             first: senders.start,

@@ -3,8 +3,8 @@
 //! comparator would — earliest time first, then the canonical tie key —
 //! no matter how adversarial the time axis is for the bucketing
 //! (dense tie batches, million-fold scale jumps, zero-span years,
-//! infinite axes). The sharded engine's determinism contract reduces to
-//! this equivalence.
+//! infinite axes). No engine uses the calendar queue; these tests keep
+//! the benchmark's hold-model comparison a comparison of equals.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -81,8 +81,6 @@ pub struct Scenario {
     seed: u64,
     horizon: f64,
     record: bool,
-    adaptive_window: bool,
-    steal: bool,
 }
 
 impl Scenario {
@@ -107,8 +105,6 @@ impl Scenario {
             seed: 1,
             horizon: 100.0,
             record: true,
-            adaptive_window: false,
-            steal: false,
         }
     }
 
@@ -284,24 +280,6 @@ impl Scenario {
         self
     }
 
-    /// Enables adaptive super-window batching on the sharded runs (see
-    /// [`gcs_sim::SimulationBuilder::adaptive_window`]); the single-heap
-    /// paths ignore it. Executions stay bit-identical either way.
-    #[must_use]
-    pub fn adaptive_window(mut self, enabled: bool) -> Self {
-        self.adaptive_window = enabled;
-        self
-    }
-
-    /// Enables work stealing across shards on the sharded runs (see
-    /// [`gcs_sim::SimulationBuilder::steal`]); the single-heap paths
-    /// ignore it. Executions stay bit-identical either way.
-    #[must_use]
-    pub fn steal(mut self, enabled: bool) -> Self {
-        self.steal = enabled;
-        self
-    }
-
     /// Drops each message independently with probability `loss`.
     ///
     /// `loss` must be in `[0, 1)` — the range `LossyDelay` accepts; a loss
@@ -452,22 +430,10 @@ impl Scenario {
         }
     }
 
-    /// Builds the simulation with custom nodes instead of
-    /// [`Scenario::algorithm`]; topology, schedules, and delays still come
-    /// from the scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology's neighbor relation is disconnected (a
-    /// disconnected communication graph can never synchronize, which
-    /// silently breaks skew oracles — `random_geometric` with a small
-    /// radius is the usual culprit) — unless this is a churn scenario,
-    /// where partitions are legitimate, deliberate states.
-    pub fn build_with<M, N>(&self, make: impl FnMut(NodeId, usize) -> N) -> Simulation<M>
-    where
-        M: Clone + std::fmt::Debug + 'static,
-        N: Node<M> + 'static,
-    {
+    /// The engine builder every run of this scenario starts from:
+    /// topology or churn view, clock source, delay policy and recording.
+    /// Panics as [`Scenario::build_with`] does.
+    fn builder(&self) -> SimulationBuilder {
         // Churn scenarios may partition deliberately (or *connect* a
         // disconnected base via EdgeUp events) — but an effectively
         // static view gets no exemption.
@@ -496,6 +462,25 @@ impl Scenario {
         builder
             .record_events(self.record)
             .delay_policy_boxed(self.delay_policy())
+    }
+
+    /// Builds the simulation with custom nodes instead of
+    /// [`Scenario::algorithm`]; topology, schedules, and delays still come
+    /// from the scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology's neighbor relation is disconnected (a
+    /// disconnected communication graph can never synchronize, which
+    /// silently breaks skew oracles — `random_geometric` with a small
+    /// radius is the usual culprit) — unless this is a churn scenario,
+    /// where partitions are legitimate, deliberate states.
+    pub fn build_with<M, N>(&self, make: impl FnMut(NodeId, usize) -> N) -> Simulation<M>
+    where
+        M: Clone + std::fmt::Debug + 'static,
+        N: Node<M> + 'static,
+    {
+        self.builder()
             .build_with(make)
             .unwrap_or_else(|e| panic!("scenario `{}` failed to build: {e}", self.name))
     }
@@ -534,30 +519,8 @@ impl Scenario {
         M: Clone + std::fmt::Debug + Send + 'static,
         N: Node<M> + Send + 'static,
     {
-        let genuinely_dynamic = self.dynamic.as_ref().is_some_and(|v| !v.is_static());
-        assert!(
-            genuinely_dynamic || self.topology.is_connected(),
-            "scenario `{}`: the topology's neighbor relation is disconnected, so \
-             synchronization (and every skew oracle) is vacuous; use a larger \
-             neighbor radius or another seed",
-            self.name
-        );
-        let mut builder = SimulationBuilder::new(self.topology.clone());
-        if let Some(view) = self.dynamic_topology() {
-            builder = builder
-                .dynamic_topology(view)
-                .drop_in_flight_on_link_down(self.drop_in_flight);
-        }
-        builder = match (self.record, self.lazy_walk_source()) {
-            (false, Some(source)) => builder.drift_source(source),
-            _ => builder.schedules(self.schedules()),
-        };
-        builder
-            .record_events(self.record)
-            .delay_policy_boxed(self.delay_policy())
+        self.builder()
             .shards(k)
-            .adaptive_window(self.adaptive_window)
-            .steal(self.steal)
             .build_sharded_with(make)
             .unwrap_or_else(|e| panic!("scenario `{}` failed to build sharded: {e}", self.name))
     }

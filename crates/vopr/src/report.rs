@@ -192,8 +192,6 @@ pub fn scenario_expr(sc: &VoprScenario) -> String {
          \x20       probe_every: {probe_every},\n\
          \x20       horizon: {horizon},\n\
          \x20       hostile: {hostile},\n\
-         \x20       sharded_adaptive: {adaptive},\n\
-         \x20       sharded_steal: {steal},\n\
          \x20   }}",
         seed = sc.seed,
         topology = topology_expr(&sc.topology),
@@ -211,8 +209,6 @@ pub fn scenario_expr(sc: &VoprScenario) -> String {
         probe_every = lit(sc.probe_every),
         horizon = lit(sc.horizon),
         hostile = hostile_expr(sc.hostile),
-        adaptive = sc.sharded_adaptive,
-        steal = sc.sharded_steal,
     )
 }
 

@@ -168,13 +168,6 @@ pub struct VoprScenario {
     /// If set, replace the delay model with a non-finite adversary and
     /// expect the typed error.
     pub hostile: Option<HostileDelay>,
-    /// Whether the sharded stage runs with adaptive super-windows.
-    ///
-    /// Output-neutral by the determinism contract — the swarm flips it so
-    /// the contract is fuzzed, not just unit-tested.
-    pub sharded_adaptive: bool,
-    /// Whether the sharded stage runs with work stealing.
-    pub sharded_steal: bool,
 }
 
 impl VoprScenario {
@@ -196,10 +189,6 @@ impl VoprScenario {
 
     /// A minimal, boring baseline every generator starts from.
     fn base(seed: u64) -> Self {
-        // The engine knobs are derived by bit-mixing the seed rather than
-        // drawing from the RNG: extra draws would shift every later draw
-        // and silently re-map the whole committed corpus.
-        let mix = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Self {
             seed,
             topology: TopologySpec::Line { n: 2 },
@@ -214,8 +203,6 @@ impl VoprScenario {
             probe_every: 1.0,
             horizon: 20.0,
             hostile: None,
-            sharded_adaptive: (mix >> 32) & 1 == 1,
-            sharded_steal: (mix >> 33) & 1 == 1,
         }
     }
 
@@ -458,8 +445,6 @@ impl VoprScenario {
             .algorithm(self.algorithm)
             .seed(self.seed)
             .horizon(self.horizon)
-            .adaptive_window(self.sharded_adaptive)
-            .steal(self.sharded_steal)
             .named(format!("vopr-{:#018x}", self.seed));
         s = match &self.drift {
             DriftSpec::Nominal => s.nominal_rates(),

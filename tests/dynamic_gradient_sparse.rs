@@ -2,8 +2,8 @@
 //! O(degree) sparse neighbor-state map must produce executions
 //! **bit-identical** to the retained dense O(n) reference
 //! (`DenseDynamicGradientNode`) across churned scenarios — flap,
-//! partition-heal, grow, shrink — on both engines, at every shard count
-//! and engine-knob setting. The sparse layout is what lets the 100k-node
+//! partition-heal, grow, shrink — on both engines, at every shard count.
+//! The sparse layout is what lets the 100k-node
 //! scale runs (E15) carry this algorithm at all; this file is what keeps
 //! it honest.
 
@@ -94,33 +94,27 @@ proptest! {
         assert_bit_identical(&dense, &sparse);
     }
 
-    // Sharded engine, across shard counts and both engine knobs: the
-    // sparse node on the tuned parallel engine still reproduces the
-    // dense reference on the single heap, bit for bit.
+    // Sharded engine, across shard counts: the sparse node on the
+    // parallel engine still reproduces the dense reference on the single
+    // heap, bit for bit.
     #[test]
     fn sparse_matches_dense_across_shards_and_knobs(
         family in family_strategy(),
         seed in 1u64..10_000,
         shards in (0usize..3).prop_map(|i| [2usize, 3, 8][i]),
-        adaptive in proptest::bool::ANY,
-        steal in proptest::bool::ANY,
     ) {
-        let scenario = churned_scenario(family, seed)
-            .adaptive_window(adaptive)
-            .steal(steal);
+        let scenario = churned_scenario(family, seed);
         let dense = dense_run(&scenario);
         let sparse =
             scenario.run_sharded_with(shards, |_, _| DynamicGradientNode::new(PARAMS));
         prop_assert_eq!(
             fingerprint(&dense),
             fingerprint(&sparse),
-            "family {:?} seed {} shards {} adaptive {} steal {}: sharded sparse \
-             diverged from the single-heap dense reference",
+            "family {:?} seed {} shards {}: sharded sparse diverged from the \
+             single-heap dense reference",
             family,
             seed,
-            shards,
-            adaptive,
-            steal
+            shards
         );
         assert_bit_identical(&dense, &sparse);
     }
@@ -136,9 +130,7 @@ fn every_family_matches_once() {
         ChurnFamily::Grow,
         ChurnFamily::Shrink,
     ] {
-        let scenario = churned_scenario(family, 7)
-            .adaptive_window(true)
-            .steal(true);
+        let scenario = churned_scenario(family, 7);
         let dense = dense_run(&scenario);
         assert_bit_identical(&dense, &sparse_run(&scenario));
         assert_bit_identical(

@@ -1,21 +1,17 @@
 //! The sharded engine's determinism contract: for every shard count
-//! `k ≥ 1` and every engine-knob setting — adaptive super-windows on or
-//! off × work stealing on or off — the conservative-window parallel
-//! engine produces executions **bit-identical** to the single-heap
-//! engine — same events, same messages, same trajectories, same
-//! schedules — on every committed golden scenario. This is the invariant
-//! the `shard-determinism` CI job pins: shard count and the throughput
-//! knobs trade wall-clock for thread count, never output.
+//! `k ≥ 1` the conservative-window parallel engine produces executions
+//! **bit-identical** to the single-heap engine — same events, same
+//! messages, same trajectories, same schedules — on every committed
+//! golden scenario. This is the invariant the `shard-determinism` CI job
+//! pins: the shard count trades wall-clock for thread count, never
+//! output.
 
 use gcs_testkit::prelude::*;
-use gradient_clock_sync::algorithms::AlgorithmKind;
+use gradient_clock_sync::algorithms::{AlgorithmKind, SyncMsg};
 use gradient_clock_sync::dynamic::ChurnSchedule;
+use gradient_clock_sync::sim::MessageRecord;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Every (adaptive super-windows, work stealing) combination; both off is
-/// the per-window PR 9 protocol the goldens were recorded under.
-const KNOBS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 /// The canonical stochastic line scenario of the determinism goldens.
 fn stochastic_line(kind: AlgorithmKind, seed: u64) -> Scenario {
@@ -64,23 +60,19 @@ fn churned_geometric() -> Scenario {
         .horizon(80.0)
 }
 
-/// Every shard count × knob setting must reproduce the single-heap
-/// execution of `scenario` bit-for-bit.
+/// Every shard count must reproduce the single-heap execution of
+/// `scenario` bit-for-bit.
 fn assert_shard_invariant(scenario: &Scenario) {
     let reference = scenario.run();
     for k in SHARD_COUNTS {
-        for (adaptive, steal) in KNOBS {
-            let tuned = scenario.clone().adaptive_window(adaptive).steal(steal);
-            let sharded = tuned.run_sharded(k);
-            assert_eq!(
-                fingerprint(&reference),
-                fingerprint(&sharded),
-                "scenario `{}`: shards={k} adaptive={adaptive} steal={steal} \
-                 diverged from the single-heap engine",
-                scenario.name()
-            );
-            assert_bit_identical(&reference, &sharded);
-        }
+        let sharded = scenario.run_sharded(k);
+        assert_eq!(
+            fingerprint(&reference),
+            fingerprint(&sharded),
+            "scenario `{}`: shards={k} diverged from the single-heap engine",
+            scenario.name()
+        );
+        assert_bit_identical(&reference, &sharded);
     }
 }
 
@@ -112,30 +104,27 @@ fn sharded_matches_committed_goldens() {
     // count must reproduce their bytes. Regenerate intentionally with:
     // GCS_BLESS=1 cargo test -q
     for k in SHARD_COUNTS {
-        for (adaptive, steal) in KNOBS {
-            let tune = |s: Scenario| s.adaptive_window(adaptive).steal(steal);
-            assert_matches_golden(
-                &tune(stochastic_line(AlgorithmKind::Max { period: 1.0 }, 99)).run_sharded(k),
-                concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/tests/golden/line6_max_seed99.snap"
-                ),
-            );
-            assert_matches_golden(
-                &tune(flapping_ring(7)).run_sharded(k),
-                concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/tests/golden/ring8_flap10_dyngradient_seed7.snap"
-                ),
-            );
-            assert_matches_golden(
-                &tune(churned_geometric()).run_sharded(k),
-                concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/tests/golden/rgg24_churn_seed21.snap"
-                ),
-            );
-        }
+        assert_matches_golden(
+            &stochastic_line(AlgorithmKind::Max { period: 1.0 }, 99).run_sharded(k),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/line6_max_seed99.snap"
+            ),
+        );
+        assert_matches_golden(
+            &flapping_ring(7).run_sharded(k),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/ring8_flap10_dyngradient_seed7.snap"
+            ),
+        );
+        assert_matches_golden(
+            &churned_geometric().run_sharded(k),
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/tests/golden/rgg24_churn_seed21.snap"
+            ),
+        );
     }
 }
 
@@ -160,27 +149,30 @@ fn sharded_streaming_observers_match_single_heap_observers() {
     sim.run_until_observed(160.0, &mut [&mut single]);
 
     for k in SHARD_COUNTS {
-        for (adaptive, steal) in KNOBS {
-            // Streaming + adaptive is the risky pairing (compaction and
-            // replay deferred across super-window boundaries), so the
-            // observer stream is checked under every knob setting.
-            let tuned = scenario.clone().adaptive_window(adaptive).steal(steal);
-            let mut sharded = GlobalSkewObserver::new();
-            let mut sim = tuned.build_sharded_with(k, |id, n| tuned.algorithm_kind().build(id, n));
-            sim.set_probe_schedule(0.0, 5.0);
-            sim.run_until_observed(160.0, &mut [&mut sharded]);
-            assert_eq!(
-                single.worst().to_bits(),
-                sharded.worst().to_bits(),
-                "shards={k} adaptive={adaptive} steal={steal}: observed worst \
-                 global skew diverged"
-            );
-            assert_eq!(
-                single.worst_at().to_bits(),
-                sharded.worst_at().to_bits(),
-                "shards={k} adaptive={adaptive} steal={steal}: observed \
-                 worst-skew instant diverged"
-            );
-        }
+        // Compaction and replay are deferred across super-window
+        // boundaries, so the observer stream is checked, not just the
+        // record.
+        let mut sharded = GlobalSkewObserver::new();
+        let mut sim =
+            scenario.build_sharded_with(k, |id, n| scenario.algorithm_kind().build(id, n));
+        sim.set_probe_schedule(0.0, 5.0);
+        sim.run_until_observed(160.0, &mut [&mut sharded]);
+        assert_eq!(
+            single.worst().to_bits(),
+            sharded.worst().to_bits(),
+            "shards={k}: observed worst global skew diverged"
+        );
+        assert_eq!(
+            single.worst_at().to_bits(),
+            sharded.worst_at().to_bits(),
+            "shards={k}: observed worst-skew instant diverged"
+        );
     }
+}
+
+#[test]
+fn recorded_message_layout_is_unchanged() {
+    // Cross-shard deliveries travel as handoffs parked beside the
+    // receiver's queue; the recorded message keeps its layout.
+    assert_eq!(std::mem::size_of::<MessageRecord<SyncMsg>>(), 104);
 }

@@ -67,8 +67,6 @@ fn plain(seed: u64, topology: TopologySpec, horizon: f64) -> VoprScenario {
         probe_every: 1.0,
         horizon,
         hostile: None,
-        sharded_adaptive: false,
-        sharded_steal: false,
     }
 }
 
@@ -215,8 +213,6 @@ fn vopr_regression_000000000000c8d4() {
         probe_every: f64::from_bits(0x402ae2946b5f01ec),
         horizon: 40.0,
         hostile: None,
-        sharded_adaptive: false,
-        sharded_steal: false,
     };
     let outcome = check(&scenario, &CheckOptions::default());
     assert!(outcome.is_pass(), "still failing: {outcome:?}");
