@@ -10,10 +10,9 @@
 //! Construction is topology-size-independent: [`DynamicGradientNode::new`]
 //! takes only the parameters. The old dense `Vec<Option<f64>>` layout
 //! (O(n) per node, O(n²) fleet-wide — what kept this algorithm out of
-//! the 100k-node scale runs) is retained as
-//! [`DenseDynamicGradientNode`], the reference implementation the
-//! sparse/dense equivalence proptest pins bit-identical executions
-//! against.
+//! the 100k-node scale runs) lives on as the reference node of
+//! `tests/dynamic_gradient_sparse.rs`, which pins bit-identical
+//! executions between the two.
 
 use gcs_sim::{Context, Node, NodeId, TimerId};
 
@@ -221,76 +220,6 @@ impl Node<SyncMsg> for DynamicGradientNode {
     }
 }
 
-/// The retained dense reference implementation of
-/// [`DynamicGradientNode`]: identical weak/strong discipline over a
-/// per-node `Vec<Option<f64>>` of length `n` — O(n) state per node,
-/// O(n²) fleet-wide.
-///
-/// It exists so the sparse layout stays honest: the equivalence proptest
-/// (`tests/dynamic_gradient_sparse.rs`) asserts the sparse node produces
-/// **bit-identical** execution fingerprints to this one across churned
-/// scenarios (flap, partition-heal, grow/shrink) and shard counts. Do
-/// not use it in scale runs — that is precisely what it cannot do.
-#[derive(Debug, Clone)]
-pub struct DenseDynamicGradientNode {
-    params: DynamicGradientParams,
-    kappa_slope: f64,
-    /// Per-peer hardware time the current link formed; `None` while the
-    /// link is down. `NEG_INFINITY` marks links live since startup.
-    formed_hw: Vec<Option<f64>>,
-}
-
-impl DenseDynamicGradientNode {
-    /// Creates a reference node for a network of `n` nodes.
-    ///
-    /// # Panics
-    ///
-    /// As [`DynamicGradientNode::new`].
-    #[must_use]
-    pub fn new(n: usize, params: DynamicGradientParams) -> Self {
-        validate(&params);
-        Self {
-            params,
-            kappa_slope: (params.kappa_weak - params.kappa_strong) / params.window,
-            formed_hw: vec![None; n],
-        }
-    }
-}
-
-impl Node<SyncMsg> for DenseDynamicGradientNode {
-    fn on_start(&mut self, ctx: &mut Context<'_, SyncMsg>) {
-        for &peer in ctx.neighbors() {
-            self.formed_hw[peer] = Some(f64::NEG_INFINITY);
-        }
-        ctx.set_timer(self.params.period);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, SyncMsg>, _timer: TimerId) {
-        let value = ctx.logical_now();
-        ctx.send_to_neighbors(&SyncMsg::Clock(value));
-        ctx.set_timer(self.params.period);
-    }
-
-    fn on_topology_change(&mut self, ctx: &mut Context<'_, SyncMsg>, peer: NodeId, up: bool) {
-        self.formed_hw[peer] = if up { Some(ctx.hw_now()) } else { None };
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, SyncMsg>, from: NodeId, msg: &SyncMsg) {
-        if let SyncMsg::Clock(value) = msg {
-            let age = match self.formed_hw[from] {
-                Some(formed) => ctx.hw_now() - formed,
-                None => 0.0,
-            };
-            let kappa = kappa(&self.params, self.kappa_slope, age);
-            let d = ctx.distance_to(from);
-            let target = value - kappa * d;
-            if target > ctx.logical_now() {
-                ctx.set_logical(target);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,7 +270,7 @@ mod tests {
             .schedules(drifting(n))
             .build_with(|_, _| DynamicGradientNode::new(DynamicGradientParams::default()))
             .unwrap();
-        let exec = sim.execute_until(200.0);
+        let exec = sim.try_execute_until(200.0).unwrap();
         for i in 0..n - 1 {
             let s = exec.skew(i, i + 1, 200.0).abs();
             assert!(s < 3.0, "neighbors ({i},{}) skew {s}", i + 1);
@@ -360,7 +289,7 @@ mod tests {
             .schedules(drifting(n))
             .build_with(|_, _| DynamicGradientNode::new(DynamicGradientParams::default()))
             .unwrap();
-        let exec = sim.execute_until(200.0);
+        let exec = sim.try_execute_until(200.0).unwrap();
         for node in 0..n {
             assert_eq!(exec.trajectory(node).max_backward_jump(0.0, f64::MAX), 0.0);
         }
@@ -391,7 +320,7 @@ mod tests {
             .schedules(rates)
             .build_with(|_, _| DynamicGradientNode::new(params))
             .unwrap();
-        let exec = sim.execute_until(250.0);
+        let exec = sim.try_execute_until(250.0).unwrap();
         // During the cut the halves drift ~0.06/t apart across the cut
         // edges; long after healing (t=250 > 120 + window) they are tight.
         for &(a, b) in &cut {
@@ -451,19 +380,5 @@ mod tests {
             kappa_weak: 0.5,
             window: 10.0,
         });
-    }
-
-    #[test]
-    #[should_panic(expected = "kappa_weak must be at least kappa_strong")]
-    fn dense_reference_validates_identically() {
-        let _ = DenseDynamicGradientNode::new(
-            2,
-            DynamicGradientParams {
-                period: 1.0,
-                kappa_strong: 1.0,
-                kappa_weak: 0.5,
-                window: 10.0,
-            },
-        );
     }
 }

@@ -25,7 +25,7 @@ use crate::SyncMsg;
 /// let sim = SimulationBuilder::new(Topology::line(2))
 ///     .build_with(|_, _| CrashingNode::new(MaxNode::new(MaxParams::default()), 5.0))
 ///     .unwrap();
-/// let exec = sim.execute_until(20.0);
+/// let exec = sim.try_execute_until(20.0).unwrap();
 /// // No messages are sent after both nodes crash (plus one in-flight round).
 /// assert!(exec.messages().iter().all(|m| m.send_time <= 6.0));
 /// ```
@@ -181,7 +181,7 @@ mod tests {
                 CrashingNode::new(MaxNode::new(MaxParams::default()), crash_at)
             })
             .unwrap();
-        let exec = sim.execute_until(40.0);
+        let exec = sim.try_execute_until(40.0).unwrap();
         // Node 1 sends nothing after hw 10 (rate 1 -> real 10).
         assert!(exec
             .messages()
@@ -200,7 +200,7 @@ mod tests {
         let sim = SimulationBuilder::new(Topology::line(2))
             .build_with(|_, _| CrashingNode::new(MaxNode::new(MaxParams::default()), 0.0))
             .unwrap();
-        let exec = sim.execute_until(10.0);
+        let exec = sim.try_execute_until(10.0).unwrap();
         assert!(exec.messages().is_empty());
     }
 
@@ -216,7 +216,7 @@ mod tests {
                 CrashingNode::new(GradientNode::new(GradientParams::default()), crash_at)
             })
             .unwrap();
-        let exec = sim.execute_until(200.0);
+        let exec = sim.try_execute_until(200.0).unwrap();
         // Left pair still tight (node 0 fast, node 1 follows).
         assert!(exec.skew(0, 1, 200.0).abs() < 3.0);
         // Across the dead node, skew grows freely (partition).
@@ -230,7 +230,7 @@ mod tests {
             .schedules(rates.iter().map(|&r| RateSchedule::constant(r)).collect())
             .build_with(|_, _| SilencedNode::new(MaxNode::new(MaxParams::default()), 20.0, 40.0))
             .unwrap();
-        let exec = sim.execute_until(120.0);
+        let exec = sim.try_execute_until(120.0).unwrap();
         // After resuming, node 1 tracks node 0 again.
         let final_skew = exec.skew(0, 1, 120.0).abs();
         assert!(final_skew < 2.0, "post-resume skew {final_skew}");

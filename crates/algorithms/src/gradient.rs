@@ -63,7 +63,7 @@ impl Default for GradientParams {
 ///     .schedules(rates.iter().map(|&r| RateSchedule::constant(r)).collect())
 ///     .build_with(|_, _| GradientNode::new(GradientParams::default()))
 ///     .unwrap();
-/// let exec = sim.execute_until(150.0);
+/// let exec = sim.try_execute_until(150.0).unwrap();
 /// // Neighbors stay within a few slack units of each other.
 /// assert!(exec.skew(1, 2, 150.0).abs() < 3.0);
 /// ```
@@ -255,7 +255,7 @@ mod tests {
             .schedules(drifting_line(n))
             .build_with(|_, _| GradientNode::new(GradientParams::default()))
             .unwrap();
-        let exec = sim.execute_until(200.0);
+        let exec = sim.try_execute_until(200.0).unwrap();
         for i in 0..n - 1 {
             let s = exec.skew(i, i + 1, 200.0).abs();
             assert!(s < 3.0, "neighbors ({i},{}) skew {s}", i + 1);
@@ -269,7 +269,7 @@ mod tests {
             .schedules(drifting_line(n))
             .build_with(|_, _| GradientNode::new(GradientParams::default()))
             .unwrap();
-        let exec = sim.execute_until(100.0);
+        let exec = sim.try_execute_until(100.0).unwrap();
         for node in 0..n {
             assert_eq!(exec.trajectory(node).max_backward_jump(0.0, f64::MAX), 0.0);
         }
@@ -293,7 +293,7 @@ mod tests {
                 })
             })
             .unwrap();
-        let exec = sim.execute_until(300.0);
+        let exec = sim.try_execute_until(300.0).unwrap();
         // Adjacent skews bounded by kappa + drift + period slack…
         for i in 0..n - 1 {
             let s = exec.skew(i, i + 1, 300.0).abs();
@@ -311,7 +311,7 @@ mod tests {
             .schedules(drifting_line(n))
             .build_with(|_, _| GradientRateNode::new(GradientRateParams::default()))
             .unwrap();
-        let exec = sim.execute_until(150.0);
+        let exec = sim.try_execute_until(150.0).unwrap();
         for node in 0..n {
             // No jumps at all: every trajectory breakpoint is continuous.
             let traj = exec.trajectory(node);
@@ -337,7 +337,7 @@ mod tests {
             ])
             .build_with(|_, _| GradientRateNode::new(GradientRateParams::default()))
             .unwrap();
-        let exec = sim.execute_until(200.0);
+        let exec = sim.try_execute_until(200.0).unwrap();
         let skew = exec.skew(0, 1, 200.0).abs();
         // Without catching up the skew would be 8; with the boost it stays
         // near the threshold.
@@ -350,7 +350,7 @@ mod tests {
             .schedules(drifting_line(3))
             .build_with(|_, _| GradientRateNode::new(GradientRateParams::default()))
             .unwrap();
-        let exec = sim.execute_until(100.0);
+        let exec = sim.try_execute_until(100.0).unwrap();
         for node in 0..3 {
             let traj = exec.trajectory(node);
             for bp in traj.breakpoints() {

@@ -30,7 +30,7 @@
 //! let sim = SimulationBuilder::new(topology)
 //!     .build_with(|_, _| GradientNode::new(GradientParams::default()))
 //!     .unwrap();
-//! let exec = sim.execute_until(200.0);
+//! let exec = sim.try_execute_until(200.0).unwrap();
 //! // With perfect clocks and symmetric delays, neighbors stay tight.
 //! assert!(exec.skew(0, 1, 200.0).abs() < 1.0);
 //! ```
@@ -46,7 +46,7 @@ mod no_sync;
 mod rbs;
 mod tree_sync;
 
-pub use dynamic_gradient::{DenseDynamicGradientNode, DynamicGradientNode, DynamicGradientParams};
+pub use dynamic_gradient::{DynamicGradientNode, DynamicGradientParams};
 pub use gradient::{GradientNode, GradientParams, GradientRateNode, GradientRateParams};
 pub use max_sync::{MaxNode, MaxParams, OffsetMaxNode, OffsetMaxParams};
 pub use no_sync::NoSyncNode;
@@ -273,7 +273,7 @@ mod tests {
             let sim = SimulationBuilder::new(Topology::line(4))
                 .build_with(|id, n| kind.build(id, n))
                 .unwrap();
-            let exec = sim.execute_until(20.0);
+            let exec = sim.try_execute_until(20.0).unwrap();
             assert!(
                 exec.events().len() >= 4,
                 "{} produced no events",

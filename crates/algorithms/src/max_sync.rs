@@ -48,7 +48,7 @@ impl Default for MaxParams {
 ///     ])
 ///     .build_with(|_, _| MaxNode::new(MaxParams::default()))
 ///     .unwrap();
-/// let exec = sim.execute_until(100.0);
+/// let exec = sim.try_execute_until(100.0).unwrap();
 /// // Everyone tracks the fastest clock to within a few message delays.
 /// assert!(exec.skew(0, 2, 100.0).abs() < 5.0);
 /// ```
@@ -183,7 +183,7 @@ mod tests {
             ])
             .build_with(|_, _| MaxNode::new(MaxParams::default()))
             .unwrap();
-        let exec = sim.execute_until(50.0);
+        let exec = sim.try_execute_until(50.0).unwrap();
         // Node 1 must track node 0's faster clock.
         assert!(exec.logical_at(1, 50.0) > 52.0);
     }
@@ -198,7 +198,7 @@ mod tests {
             ])
             .build_with(|_, _| MaxNode::new(MaxParams::default()))
             .unwrap();
-        let exec = sim.execute_until(30.0);
+        let exec = sim.try_execute_until(30.0).unwrap();
         for node in 0..3 {
             assert_eq!(exec.trajectory(node).max_backward_jump(0.0, f64::MAX), 0.0);
         }
@@ -247,7 +247,7 @@ mod tests {
             .delay_policy(policy)
             .build_with(|_, _| MaxNode::new(MaxParams::default()))
             .unwrap();
-        let exec = sim.execute_until(60.0);
+        let exec = sim.try_execute_until(60.0).unwrap();
         // Find the worst skew between y (1) and z (2), distance 1 apart.
         let (worst, _) = gcs_core_free_max_skew(&exec, 1, 2);
         assert!(
@@ -293,7 +293,7 @@ mod tests {
                     })
                 })
                 .unwrap();
-            let exec = sim.execute_until(80.0);
+            let exec = sim.try_execute_until(80.0).unwrap();
             exec.skew(0, 3, 80.0).abs()
         };
         // Midpoint compensation tracks the leader at least as tightly as
@@ -313,14 +313,16 @@ mod tests {
             }
             fn on_message(&mut self, _c: &mut Ctx<'_, SyncMsg>, _f: NodeId, _m: &SyncMsg) {}
         }
-        let nodes: Vec<Box<dyn NodeTrait<SyncMsg>>> = vec![
-            Box::new(OffsetMaxNode::new(OffsetMaxParams::default())),
-            Box::new(BeaconSender),
-        ];
         let sim = SimulationBuilder::new(Topology::line(2))
-            .build_boxed(nodes)
+            .build_with(|id, _| -> Box<dyn NodeTrait<SyncMsg>> {
+                if id == 0 {
+                    Box::new(OffsetMaxNode::new(OffsetMaxParams::default()))
+                } else {
+                    Box::new(BeaconSender)
+                }
+            })
             .unwrap();
-        let exec = sim.execute_until(10.0);
+        let exec = sim.try_execute_until(10.0).unwrap();
         // Logical clock unaffected by the beacon (stays = H at rate 1).
         assert!((exec.logical_at(0, 10.0) - 10.0).abs() < 1e-9);
     }

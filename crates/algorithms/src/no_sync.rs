@@ -23,7 +23,7 @@ use crate::SyncMsg;
 ///     .schedules(vec![RateSchedule::constant(1.01), RateSchedule::constant(0.99)])
 ///     .build_with(|_, _| NoSyncNode::new())
 ///     .unwrap();
-/// let exec = sim.execute_until(100.0);
+/// let exec = sim.try_execute_until(100.0).unwrap();
 /// assert!((exec.skew(0, 1, 100.0) - 2.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,7 +59,7 @@ mod tests {
             ])
             .build_with(|_, _| NoSyncNode::new())
             .unwrap();
-        let exec = sim.execute_until(40.0);
+        let exec = sim.try_execute_until(40.0).unwrap();
         assert!((exec.logical_at(0, 40.0) - 42.0).abs() < 1e-9);
         assert!((exec.logical_at(1, 40.0) - 40.0).abs() < 1e-9);
     }
@@ -69,7 +69,7 @@ mod tests {
         let sim = SimulationBuilder::new(Topology::line(3))
             .build_with(|_, _| NoSyncNode::new())
             .unwrap();
-        let exec = sim.execute_until(50.0);
+        let exec = sim.try_execute_until(50.0).unwrap();
         assert!(exec.messages().is_empty());
     }
 
@@ -83,7 +83,7 @@ mod tests {
                 ])
                 .build_with(|_, _| NoSyncNode::new())
                 .unwrap();
-            sim.execute_until(horizon).skew(0, 1, horizon)
+            sim.try_execute_until(horizon).unwrap().skew(0, 1, horizon)
         };
         assert!(run(100.0) > run(10.0));
     }

@@ -62,7 +62,7 @@ impl Default for RbsParams {
 ///     .delay_policy(BroadcastDelay::new(0.4, 0.01, 7))
 ///     .build_with(|id, _| RbsNode::new(id, RbsParams::default()))
 ///     .unwrap();
-/// let exec = sim.execute_until(60.0);
+/// let exec = sim.try_execute_until(60.0).unwrap();
 /// // Leaves agree to within a few jitters despite the shared hub path.
 /// assert!(exec.skew(1, 2, 60.0).abs() < 0.1);
 /// ```
@@ -183,7 +183,8 @@ mod tests {
             .delay_policy(BroadcastDelay::new(0.4, jitter, 11))
             .build_with(|id, _| RbsNode::new(id, RbsParams::default()))
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl Default for TreeSyncParams {
 ///     .schedules(rates.iter().map(|&r| RateSchedule::constant(r)).collect())
 ///     .build_with(|id, _| TreeSyncNode::new(id, TreeSyncParams::default()))
 ///     .unwrap();
-/// let exec = sim.execute_until(100.0);
+/// let exec = sim.try_execute_until(100.0).unwrap();
 /// // Clients track the source within the round-trip uncertainty.
 /// assert!(exec.skew(0, 1, 100.0).abs() < 2.0);
 /// ```
@@ -168,7 +168,8 @@ mod tests {
             .schedules(rates.iter().map(|&r| RateSchedule::constant(r)).collect())
             .build_with(|id, _| TreeSyncNode::new(id, TreeSyncParams::default()))
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]
@@ -212,7 +213,8 @@ mod tests {
             .delay_policy(gcs_net::UniformDelay::new(0.05, 0.95, 3))
             .build_with(|id, _| TreeSyncNode::new(id, TreeSyncParams::default()))
             .unwrap()
-            .execute_until(300.0);
+            .try_execute_until(300.0)
+            .unwrap();
         // Sanity: both clients roughly track the source...
         assert!(exec.skew(0, 1, 300.0).abs() < 3.0);
         assert!(exec.skew(0, 2, 300.0).abs() < 4.0);

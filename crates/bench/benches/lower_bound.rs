@@ -22,7 +22,8 @@ fn nominal(n: usize) -> Execution<SyncMsg> {
         .schedules(vec![RateSchedule::constant(1.0); n])
         .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
         .unwrap()
-        .execute_until(tau * (n as f64 - 1.0))
+        .try_execute_until(tau * (n as f64 - 1.0))
+        .expect("the nominal line run")
 }
 
 fn bench_add_skew(c: &mut Criterion) {

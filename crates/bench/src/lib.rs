@@ -71,7 +71,8 @@ pub mod workloads {
             .schedules(drift_model().generate_network(1, n, horizon))
             .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .expect("the benchmark run")
     }
 
     fn gradient_ring(n: usize, horizon: f64, record: bool) -> Simulation<gcs_algorithms::SyncMsg> {
@@ -97,7 +98,8 @@ pub mod workloads {
         let mut global = GlobalSkewObserver::new();
         let mut adjacent = AdjacentSkewObserver::new(1.0);
         let mut profile = GradientProfileObserver::new();
-        sim.run_until_observed(horizon, &mut [&mut global, &mut adjacent, &mut profile]);
+        sim.try_run_until_observed(horizon, &mut [&mut global, &mut adjacent, &mut profile])
+            .expect("the benchmark run");
         (global.worst(), adjacent.worst(), profile.rows().len())
     }
 
@@ -125,7 +127,8 @@ pub mod workloads {
             .unwrap();
         sim.set_probe_schedule(0.0, 1.0);
         let mut global = GlobalSkewObserver::new();
-        sim.run_until_observed(horizon, &mut [&mut global]);
+        sim.try_run_until_observed(horizon, &mut [&mut global])
+            .expect("the benchmark run");
         sim.profile_report().expect("profiling was armed")
     }
 
@@ -133,7 +136,9 @@ pub mod workloads {
     /// observers over the execution.
     #[must_use]
     pub fn recorded_ring_metrics(n: usize, horizon: f64) -> (f64, f64, usize) {
-        let exec = gradient_ring(n, horizon, true).execute_until(horizon);
+        let exec = gradient_ring(n, horizon, true)
+            .try_execute_until(horizon)
+            .expect("the benchmark run");
         let mut global = GlobalSkewObserver::new();
         let mut adjacent = AdjacentSkewObserver::new(1.0);
         let mut profile = GradientProfileObserver::new();
@@ -167,7 +172,8 @@ pub mod workloads {
         builder
             .build_with(|id, nn| kind.build(id, nn))
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .expect("the benchmark run")
             .events()
             .len()
     }
@@ -205,7 +211,8 @@ pub mod workloads {
         let mut sim = streaming_gradient_ring(n, horizon, true);
         sim.set_probe_schedule(0.0, 1.0);
         let mut global = GlobalSkewObserver::new();
-        sim.run_until_observed(horizon, &mut [&mut global]);
+        sim.try_run_until_observed(horizon, &mut [&mut global])
+            .expect("the benchmark run");
         sim.stats()
     }
 
@@ -217,7 +224,8 @@ pub mod workloads {
         let mut sim = streaming_gradient_ring(n, horizon, false);
         sim.set_probe_schedule(0.0, 1.0);
         let mut global = GlobalSkewObserver::new();
-        sim.run_until_observed(horizon, &mut [&mut global]);
+        sim.try_run_until_observed(horizon, &mut [&mut global])
+            .expect("the benchmark run");
         sim.stats()
     }
 
@@ -232,7 +240,8 @@ pub mod workloads {
             .record_events(false)
             .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap();
-        sim.run_until(horizon);
+        sim.try_run_until_observed(horizon, &mut [])
+            .expect("the benchmark run");
         sim.stats().dispatched
     }
 
@@ -249,7 +258,8 @@ pub mod workloads {
             .shards(shards)
             .build_sharded_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap();
-        sim.run_until(horizon);
+        sim.try_run_until_observed(horizon, &mut [])
+            .expect("the benchmark run");
         sim.dispatched()
     }
 
@@ -274,7 +284,8 @@ pub mod workloads {
             .record_events(false)
             .build_with(|id, nn| kind.build(id, nn))
             .unwrap();
-        sim.run_until(horizon);
+        sim.try_run_until_observed(horizon, &mut [])
+            .expect("the benchmark run");
         sim.stats().dispatched
     }
 
@@ -301,7 +312,8 @@ pub mod workloads {
             .shards(shards)
             .build_sharded_with(|id, nn| AlgorithmKind::Max { period }.build(id, nn))
             .unwrap();
-        sim.run_until(horizon);
+        sim.try_run_until_observed(horizon, &mut [])
+            .expect("the benchmark run");
         sim.dispatched()
     }
 
@@ -314,7 +326,8 @@ pub mod workloads {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .expect("the benchmark run")
     }
 
     /// A nominal-rate max-sync run on a churning ring (one edge flapping)
@@ -330,7 +343,8 @@ pub mod workloads {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .expect("the benchmark run")
     }
 
     /// Applies a mild late-run speed-up retiming to a static execution and

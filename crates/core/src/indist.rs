@@ -227,7 +227,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 3])
             .build_with(|_, _| Beacon { period })
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]

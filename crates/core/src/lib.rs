@@ -71,7 +71,8 @@
 //!     .schedules(vec![RateSchedule::constant(1.0); n])
 //!     .build_with(|_, _| Max)
 //!     .unwrap()
-//!     .execute_until(horizon);
+//!     .try_execute_until(horizon)
+//!     .unwrap();
 //!
 //! // Lemma 6.1: an indistinguishable execution where nodes 0 and 7 have
 //! // at least (7 - 0)/12 more skew.

@@ -453,7 +453,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]
@@ -542,7 +543,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(tau * d);
+            .try_execute_until(tau * d)
+            .unwrap();
         let outcome = AddSkew::new(rho())
             .apply(&alpha, AddSkewParams::suffix(0, 1))
             .unwrap();
@@ -560,7 +562,8 @@ mod tests {
             .schedules(schedules)
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(tau * (n as f64 - 1.0));
+            .try_execute_until(tau * (n as f64 - 1.0))
+            .unwrap();
         let err = AddSkew::new(rho())
             .apply(&alpha, AddSkewParams::suffix(0, 3))
             .unwrap_err();
@@ -579,7 +582,8 @@ mod tests {
             ))
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(tau * (n as f64 - 1.0));
+            .try_execute_until(tau * (n as f64 - 1.0))
+            .unwrap();
         let err = AddSkew::new(rho())
             .apply(&alpha, AddSkewParams::suffix(0, 3))
             .unwrap_err();
@@ -592,7 +596,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 4])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(1.0); // far less than tau * 3
+            .try_execute_until(1.0)
+            .unwrap(); // far less than tau * 3
         let err = AddSkew::new(rho())
             .apply(&alpha, AddSkewParams::suffix(0, 3))
             .unwrap_err();
@@ -612,7 +617,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 5])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(tau * 2.0);
+            .try_execute_until(tau * 2.0)
+            .unwrap();
         let err = AddSkew::new(rho())
             .apply(&ring, AddSkewParams::suffix(0, 2))
             .unwrap_err();

@@ -371,7 +371,8 @@ mod tests {
             .delay_policy(FixedFractionDelay::for_topology(&topo, 0.5))
             .build_with(make)
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]
@@ -433,7 +434,8 @@ mod tests {
             ])
             .build_with(|_, _| Calm)
             .unwrap()
-            .execute_until(5.0);
+            .try_execute_until(5.0)
+            .unwrap();
         assert!(!preconditions_hold(&exec, rho()));
     }
 
@@ -445,7 +447,8 @@ mod tests {
             .delay_policy(FixedFractionDelay::for_topology(&topo, 0.9))
             .build_with(|_, _| Eager)
             .unwrap()
-            .execute_until(5.0);
+            .try_execute_until(5.0)
+            .unwrap();
         assert!(!preconditions_hold(&exec, rho()));
     }
 

@@ -594,7 +594,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(formation + delta)
+            .try_execute_until(formation + delta)
+            .unwrap()
     }
 
     #[test]
@@ -722,7 +723,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 4])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(20.4);
+            .try_execute_until(20.4)
+            .unwrap();
         let outcome = FreshLinkSkew::new(rho())
             .apply(&alpha, FreshLinkParams::new(1, 2))
             .unwrap();
@@ -751,7 +753,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(10.0);
+            .try_execute_until(10.0)
+            .unwrap();
         assert_eq!(
             construction
                 .apply(&static_exec, FreshLinkParams::new(0, 1))
@@ -780,7 +783,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(10.0);
+            .try_execute_until(10.0)
+            .unwrap();
         assert_eq!(
             construction
                 .apply(&never_up, FreshLinkParams::new(0, 1))
@@ -809,7 +813,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 3])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(10.2);
+            .try_execute_until(10.2)
+            .unwrap();
         assert_eq!(
             construction
                 .apply(&alpha, FreshLinkParams::new(0, 1))
@@ -827,7 +832,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(20.3);
+            .try_execute_until(20.3)
+            .unwrap();
         assert!(matches!(
             construction
                 .apply(&alpha, FreshLinkParams::new(0, 1))
@@ -859,7 +865,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 3])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(10.2);
+            .try_execute_until(10.2)
+            .unwrap();
         assert_eq!(
             construction
                 .apply(&alpha, FreshLinkParams::new(1, 2))
@@ -885,7 +892,8 @@ mod tests {
             ])
             .build_with(|_, _| Max)
             .unwrap()
-            .execute_until(10.2);
+            .try_execute_until(10.2)
+            .unwrap();
         assert_eq!(
             construction
                 .apply(&alpha, FreshLinkParams::new(0, 1))

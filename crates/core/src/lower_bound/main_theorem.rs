@@ -162,7 +162,7 @@ impl fmt::Display for MainTheoremReport {
 pub enum MainTheoremError {
     /// The network must have at least 2 nodes and `shrink > 1`.
     BadConfig(String),
-    /// Simulation construction failed.
+    /// Building or running a simulation failed.
     Sim(SimError),
     /// A round's Add Skew application failed.
     AddSkew {
@@ -249,7 +249,7 @@ impl MainTheorem {
             .schedules(vec![RateSchedule::constant(1.0); d])
             .delay_policy(FixedFractionDelay::for_topology(&topology, 0.5))
             .build_with(&make)?
-            .execute_until(horizon0);
+            .try_execute_until(horizon0)?;
 
         // Initial pair: the endpoints, oriented so the directed skew is
         // nonnegative (the paper renumbers nodes WLOG).

@@ -53,7 +53,7 @@ impl fmt::Display for ShiftReport {
 /// Errors from the Ω(d) demonstration.
 #[derive(Debug)]
 pub enum ShiftError {
-    /// Simulation construction failed.
+    /// Building or running the simulation failed.
     Sim(SimError),
     /// The Add Skew construction was rejected.
     AddSkew(AddSkewError),
@@ -111,7 +111,7 @@ where
     let alpha = SimulationBuilder::new(topology)
         .schedules(vec![RateSchedule::constant(1.0); 2])
         .build_with(make)?
-        .execute_until(horizon);
+        .try_execute_until(horizon)?;
 
     let outcome = AddSkew::new(bound).apply(&alpha, AddSkewParams::suffix(0, 1))?;
     let r = &outcome.report;

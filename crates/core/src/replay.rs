@@ -118,7 +118,8 @@ impl DelayPolicy for HwReplayDelay {
 ///
 /// # Errors
 ///
-/// Propagates [`SimError`] from the simulation builder.
+/// Propagates [`SimError`] from building or running the replay, e.g.
+/// [`SimError::InvalidHorizon`] for a NaN `horizon`.
 pub fn replay_execution<M, N, F>(
     transformed: &Execution<M>,
     horizon: f64,
@@ -143,7 +144,7 @@ where
         .schedules(transformed.schedules().to_vec())
         .delay_policy(policy)
         .build_with(make)?;
-    Ok(sim.execute_until(horizon))
+    sim.try_execute_until(horizon)
 }
 
 /// Convenience: the nominal half-distance fallback used by the paper's
@@ -184,7 +185,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|_, _| Beacon)
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]
@@ -242,7 +244,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Beacon)
             .unwrap()
-            .execute_until(20.0);
+            .try_execute_until(20.0)
+            .unwrap();
         let transformed = Retiming::identity(&exec).apply(&exec);
         let replayed = replay_execution(
             &transformed,
@@ -258,6 +261,21 @@ mod tests {
             assert_eq!(a.kind, b.kind);
         }
         assert_eq!(exec.messages(), replayed.messages());
+    }
+
+    #[test]
+    fn a_nan_horizon_is_a_typed_error() {
+        let exec = base_run(2, 6.0);
+        let replayed = replay_execution(
+            &exec,
+            f64::NAN,
+            nominal_fallback(exec.topology()),
+            |_, _| Beacon,
+        );
+        assert!(matches!(
+            replayed,
+            Err(SimError::InvalidHorizon { horizon }) if horizon.is_nan()
+        ));
     }
 
     #[test]

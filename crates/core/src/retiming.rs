@@ -741,7 +741,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|_, _| Beacon)
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     fn flap_run(horizon: f64) -> Execution<f64> {
@@ -754,7 +755,8 @@ mod tests {
             .schedules(vec![RateSchedule::constant(1.0); 2])
             .build_with(|_, _| Beacon)
             .unwrap()
-            .execute_until(horizon)
+            .try_execute_until(horizon)
+            .unwrap()
     }
 
     #[test]

@@ -61,7 +61,8 @@ fn rho_ablation(scale: Scale) -> Table {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
             .unwrap()
-            .execute_until(horizon);
+            .try_execute_until(horizon)
+            .expect("the nominal ablation input run");
         let outcome = AddSkew::new(rho)
             .apply::<SyncMsg>(&alpha, AddSkewParams::suffix(0, n - 1))
             .expect("construction applies");

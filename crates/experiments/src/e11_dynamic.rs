@@ -48,7 +48,8 @@ fn churn_run(kind: AlgorithmKind, n: usize, rate: f64, horizon: f64, seed: u64) 
         .delay_policy(UniformDelay::new(0.1, 0.9, seed ^ 0xD1CE))
         .build_with(|id, nn| kind.build(id, nn))
         .unwrap()
-        .execute_until(horizon);
+        .try_execute_until(horizon)
+        .expect("the churned dynamic run");
     ChurnRun { exec, view }
 }
 

@@ -56,7 +56,8 @@ fn streaming_run(n: usize, horizon: f64, seed: u64) -> StreamedRun {
     let chunks = 20;
     for k in 1..=chunks {
         let to = horizon * f64::from(k) / f64::from(chunks);
-        sim.run_until_observed(to, &mut [&mut global, &mut validity]);
+        sim.try_run_until_observed(to, &mut [&mut global, &mut validity])
+            .expect("the streaming chunk");
         let stats = sim.stats();
         peak = SimStats {
             dispatched: stats.dispatched,

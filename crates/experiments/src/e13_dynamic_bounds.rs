@@ -63,7 +63,8 @@ fn two_sided_run(
         .schedules(vec![RateSchedule::constant(1.0); 2])
         .build_with(|id, nn| kind.build(id, nn))
         .unwrap()
-        .execute_until(formation + delta)
+        .try_execute_until(formation + delta)
+        .expect("the fresh-link run")
 }
 
 /// One construction cell: apply the fresh-link shift and replay-validate.

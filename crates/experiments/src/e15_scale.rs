@@ -140,7 +140,8 @@ fn run_sharded(scenario: &Scenario, shards: usize, horizon: f64) -> ScaleRun {
     let t0 = Instant::now();
     for slice in 1..=SLICES {
         let until = horizon * f64::from(slice) / f64::from(SLICES);
-        sim.run_until_observed(until, &mut [&mut global]);
+        sim.try_run_until_observed(until, &mut [&mut global])
+            .expect("the sharded 100k-node slice");
         let after = sim.counters();
         let spent: Vec<u64> = (after.shards.iter().zip(&before.shards))
             .map(|(a, b)| a.run_ns - b.run_ns)

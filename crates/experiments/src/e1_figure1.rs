@@ -36,7 +36,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         .schedules(vec![RateSchedule::constant(1.0); n])
         .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
         .unwrap()
-        .execute_until(horizon);
+        .try_execute_until(horizon)
+        .expect("the nominal Figure 1 run");
 
     let outcome = AddSkew::new(rho)
         .apply::<SyncMsg>(&alpha, AddSkewParams::suffix(fast, slow))

@@ -65,7 +65,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             .schedules(vec![RateSchedule::constant(1.0); n])
             .build_with(|id, nn| kind.build(id, nn))
             .unwrap()
-            .execute_until(horizon);
+            .try_execute_until(horizon)
+            .expect("the nominal Add Skew input run");
         let outcome = AddSkew::new(rho)
             .apply::<SyncMsg>(&alpha, AddSkewParams::suffix(0, n - 1))
             .expect("construction applies");

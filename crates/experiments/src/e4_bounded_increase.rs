@@ -93,7 +93,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             .schedules(schedules)
             .build_with(|id, nn| kind.build(id, nn))
             .unwrap()
-            .execute_until(horizon);
+            .try_execute_until(horizon)
+            .expect("the drifting Bounded Increase run");
 
         let ok = preconditions_hold(&exec, rho);
         let (inc, node, _) = max_increase_over_nodes(&exec, tau);

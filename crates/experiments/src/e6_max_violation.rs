@@ -74,7 +74,8 @@ fn scenario(kind: AlgorithmKind, big_d: f64, horizon: f64) -> f64 {
         .delay_policy(policy)
         .build_with(|id, n| kind.build(id, n))
         .unwrap()
-        .execute_until(horizon);
+        .try_execute_until(horizon)
+        .expect("the adversarial max-violation run");
     max_abs_skew(&exec, 1, 2, 0.0).0
 }
 

@@ -88,26 +88,20 @@ pub fn line_scenario(kind: AlgorithmKind, n: usize, horizon: f64) -> Execution<S
     });
     let mut rates = vec![1.0; n];
     rates[0] = 1.04;
-    let make_extra_link = kind;
-    let sim = SimulationBuilder::new(topology)
+    SimulationBuilder::new(topology)
         .schedules(rates.into_iter().map(RateSchedule::constant).collect())
         .delay_policy(policy)
-        .build_boxed(
-            (0..n)
-                .map(|id| {
-                    // Wrap: node 0 additionally gossips to the far end so the
-                    // diameter-scale jump can happen in one hop.
-                    Box::new(LongHaul {
-                        inner: make_extra_link.build(id, n),
-                        far: if id == 0 { Some(far) } else { None },
-                        period: 1.0,
-                        own_timer: None,
-                    }) as Box<dyn gcs_sim::Node<SyncMsg>>
-                })
-                .collect(),
-        )
-        .unwrap();
-    sim.execute_until(horizon)
+        // Wrap: node 0 additionally gossips to the far end so the
+        // diameter-scale jump can happen in one hop.
+        .build_with(|id, n| LongHaul {
+            inner: kind.build(id, n),
+            far: (id == 0).then_some(far),
+            period: 1.0,
+            own_timer: None,
+        })
+        .expect("the TDMA line builds")
+        .try_execute_until(horizon)
+        .expect("the TDMA run")
 }
 
 /// Wrapper node: behaves like `inner`, and (if `far` is set) also sends

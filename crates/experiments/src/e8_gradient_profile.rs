@@ -30,7 +30,8 @@ fn profile_run(kind: AlgorithmKind, n: usize, horizon: f64, seed: u64) -> Gradie
         .delay_policy(UniformDelay::new(0.1, 0.9, seed ^ 0xD1CE))
         .build_with(|id, nn| kind.build(id, nn))
         .unwrap()
-        .execute_until(horizon);
+        .try_execute_until(horizon)
+        .expect("the gradient-profile line run");
     // Skip the first quarter as warm-up.
     GradientProfile::measure_sampled(&exec, horizon * 0.25, 200)
 }

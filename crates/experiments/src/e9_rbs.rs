@@ -62,7 +62,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             .delay_policy(BroadcastDelay::new(0.2, eps, 23))
             .build_with(|id, _| RbsNode::new(id, RbsParams::default()))
             .unwrap()
-            .execute_until(horizon);
+            .try_execute_until(horizon)
+            .expect("the reference-broadcast star run");
 
         let mut worst = 0.0_f64;
         for i in 1..n {

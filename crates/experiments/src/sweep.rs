@@ -281,12 +281,14 @@ impl SweepRunner {
             let warmup = horizon * metrics.warmup_fraction;
             let mut sim = cell.scenario.clone().record_events(false).build();
             sim.set_probe_schedule(0.0, metrics.probe_every);
-            sim.run_until(warmup);
+            sim.try_run_until_observed(warmup, &mut [])
+                .expect("the streamed cell's warm-up");
             sim.set_probe_schedule(warmup, metrics.probe_every);
-            sim.run_until_observed(
+            sim.try_run_until_observed(
                 horizon,
                 &mut [&mut global, &mut adjacent, &mut profile, &mut validity],
-            );
+            )
+            .expect("the streamed cell");
             StreamedMetrics {
                 global_skew: global.worst(),
                 adjacent_skew: adjacent.worst(),
@@ -324,7 +326,8 @@ impl SweepRunner {
             sim.set_tracer(Box::new(collector.clone()));
             sim.set_probe_schedule(0.0, metrics.probe_every);
             let mut observer = collector.clone();
-            sim.run_until_observed(horizon, &mut [&mut observer]);
+            sim.try_run_until_observed(horizon, &mut [&mut observer])
+                .expect("the metrics cell");
             collector.stamp_stats(&sim.stats());
             collector.snapshot()
         });

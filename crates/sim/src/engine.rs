@@ -32,13 +32,6 @@ pub enum SimError {
         /// Number of schedules provided.
         got: usize,
     },
-    /// The number of nodes did not match the topology.
-    NodeCount {
-        /// Number of nodes in the topology.
-        expected: usize,
-        /// Number of node implementations provided.
-        got: usize,
-    },
     /// The clock source reported a non-finite rate or value for a node
     /// (detected at build time).
     NonFiniteRate {
@@ -51,8 +44,7 @@ pub enum SimError {
         horizon: f64,
     },
     /// The delay policy produced a NaN or infinite delay/arrival for a
-    /// message. Only the `try_*` run methods report this; the panicking
-    /// wrappers panic with this error's message.
+    /// message.
     NonFiniteDelay {
         /// Sending node.
         from: NodeId,
@@ -69,11 +61,11 @@ pub enum SimError {
         /// The requested hardware-clock target.
         target_hw: f64,
     },
-    /// The sharded engine cannot run this configuration: a tracer or
-    /// profiling is attached (both observe the global dispatch
-    /// interleaving, which sharded dispatch does not produce live), or
-    /// the clock source / delay policy does not support
-    /// [`ClockSource::fork`] / [`DelayPolicy::fork`].
+    /// The sharded engine cannot run this configuration: profiling is
+    /// armed (it times the global dispatch interleaving, which sharded
+    /// dispatch does not produce live), or the clock source / delay
+    /// policy does not support [`ClockSource::fork`] /
+    /// [`DelayPolicy::fork`].
     ShardUnsupported {
         /// What the sharded engine could not accommodate.
         reason: String,
@@ -85,9 +77,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::ScheduleCount { expected, got } => {
                 write!(f, "expected {expected} schedules, got {got}")
-            }
-            SimError::NodeCount { expected, got } => {
-                write!(f, "expected {expected} nodes, got {got}")
             }
             SimError::NonFiniteRate { node } => {
                 write!(f, "clock source yields a non-finite rate for node {node}")
@@ -125,7 +114,9 @@ impl std::error::Error for SimError {}
 /// A run's clock source and bound delay policy, taken out of the builder.
 type ClockAndDelay = (Box<dyn ClockSource>, Box<dyn DelayPolicy>);
 
-/// Builder for [`Simulation`]. See [`Simulation::builder`].
+/// Builder for [`Simulation`] and [`crate::ShardedSimulation`]: set the
+/// model, then build one engine with [`SimulationBuilder::build_with`] or
+/// [`SimulationBuilder::build_sharded_with`].
 pub struct SimulationBuilder {
     topology: Topology,
     dynamic: Option<DynamicTopology>,
@@ -134,8 +125,6 @@ pub struct SimulationBuilder {
     delay: Option<Box<dyn DelayPolicy>>,
     event_cap: u64,
     record_events: bool,
-    probe_every: Option<f64>,
-    pub(crate) tracer: Option<Box<dyn Tracer>>,
     pub(crate) profile: bool,
     pub(crate) shards: usize,
 }
@@ -150,8 +139,7 @@ impl fmt::Debug for SimulationBuilder {
 }
 
 impl SimulationBuilder {
-    /// Creates a builder over `topology`. Equivalent to
-    /// [`Simulation::builder`], without needing to name the message type.
+    /// Creates a builder over a static `topology`.
     #[must_use]
     pub fn new(topology: Topology) -> Self {
         Self {
@@ -162,8 +150,6 @@ impl SimulationBuilder {
             delay: None,
             event_cap: DEFAULT_EVENT_CAP,
             record_events: true,
-            probe_every: None,
-            tracer: None,
             profile: false,
             shards: 1,
         }
@@ -172,23 +158,15 @@ impl SimulationBuilder {
     /// Creates a builder over a dynamic (churning) topology: the view's
     /// base topology fixes the node universe, distances, and delay bounds;
     /// its churn schedule drives [`crate::EventKind::TopologyChange`]
-    /// events during the run. Equivalent to
-    /// `SimulationBuilder::new(view.base().clone()).dynamic_topology(view)`.
-    #[must_use]
-    pub fn new_dynamic(view: DynamicTopology) -> Self {
-        Self::new(view.base().clone()).dynamic_topology(view)
-    }
-
-    /// Attaches a dynamic-topology view, replacing the builder's topology
-    /// with the view's base. During the run the engine tracks the view's
-    /// live neighbor sets, notifies nodes of link changes via
+    /// events during the run. The engine tracks the view's live neighbor
+    /// sets, notifies nodes of link changes via
     /// [`crate::Node::on_topology_change`], and (by default) drops
     /// messages whose link goes down while they are in flight.
     #[must_use]
-    pub fn dynamic_topology(mut self, view: DynamicTopology) -> Self {
-        self.topology = view.base().clone();
-        self.dynamic = Some(view);
-        self
+    pub fn new_dynamic(view: DynamicTopology) -> Self {
+        let mut builder = Self::new(view.base().clone());
+        builder.dynamic = Some(view);
+        builder
     }
 
     /// Controls what happens to a message whose link goes down between
@@ -229,15 +207,8 @@ impl SimulationBuilder {
     /// [`ClockSource::node_count`] does not match the topology is
     /// rejected at build time with [`SimError::ScheduleCount`].
     #[must_use]
-    pub fn drift_source(self, source: impl ClockSource + 'static) -> Self {
-        self.drift_source_boxed(Box::new(source))
-    }
-
-    /// As [`SimulationBuilder::drift_source`], from an already-boxed
-    /// source (useful when the concrete type is chosen at runtime).
-    #[must_use]
-    pub fn drift_source_boxed(mut self, source: Box<dyn ClockSource>) -> Self {
-        self.clock = Some(source);
+    pub fn drift_source(mut self, source: impl ClockSource + 'static) -> Self {
+        self.clock = Some(Box::new(source));
         self
     }
 
@@ -278,7 +249,7 @@ impl SimulationBuilder {
     /// no event records, message slots are recycled as soon as a message
     /// is delivered or dropped, and logical trajectories are compacted
     /// behind the probe frontier (see
-    /// [`SimulationBuilder::probe_every`]). Metrics come from
+    /// [`Simulation::set_probe_schedule`]). Metrics come from
     /// [`crate::Observer`]s attached to the run; the [`Execution`]
     /// returned by [`Simulation::into_execution`] then carries topology,
     /// schedules, horizon, and (frontier-truncated) trajectories, but
@@ -289,45 +260,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Enables observer probes at the simulated-time cadence `every`
-    /// (probe `k` fires at `k · every`, after all events at that instant).
-    /// Equivalent to [`Simulation::set_probe_schedule`] with `from = 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `every` is finite and strictly positive.
-    #[must_use]
-    pub fn probe_every(mut self, every: f64) -> Self {
-        assert!(
-            every.is_finite() && every > 0.0,
-            "probe interval must be positive, got {every}"
-        );
-        self.probe_every = Some(every);
-        self
-    }
-
-    /// Attaches a [`Tracer`] that receives every structured sim-domain
-    /// [`TraceEvent`] the dispatch loop produces (see [`crate::trace`]).
-    /// Default: no tracer — the untraced path costs one branch per
-    /// event. Equivalent to [`Simulation::set_tracer`] after build.
-    #[must_use]
-    pub fn tracer(self, tracer: impl Tracer + 'static) -> Self {
-        self.tracer_boxed(Box::new(tracer))
-    }
-
-    /// As [`SimulationBuilder::tracer`], from an already-boxed tracer.
-    #[must_use]
-    pub fn tracer_boxed(mut self, tracer: Box<dyn Tracer>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Sets the number of shards the *sharded* build paths
-    /// ([`SimulationBuilder::build_sharded_with`] /
-    /// [`SimulationBuilder::build_sharded_boxed`]) partition the topology
-    /// into (default 1). The plain [`SimulationBuilder::build_with`] /
-    /// [`SimulationBuilder::build_boxed`] paths ignore it and stay on the
-    /// single-heap engine, so existing callers are untouched.
+    /// Sets the number of shards [`SimulationBuilder::build_sharded_with`]
+    /// partitions the topology into (default 1).
+    /// [`SimulationBuilder::build_with`] ignores it and stays on the
+    /// single-heap engine.
     ///
     /// Sharded runs produce bit-identical [`Execution`]s for every shard
     /// count — `shards` trades wall-clock for thread count, never output.
@@ -350,9 +286,8 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// As [`SimulationBuilder::build_with`], plus
-    /// [`SimError::ShardUnsupported`] when a tracer or profiling is
-    /// attached, or the clock source / delay policy cannot be forked
-    /// across threads.
+    /// [`SimError::ShardUnsupported`] when profiling is armed, or the
+    /// clock source / delay policy cannot be forked across threads.
     pub fn build_sharded_with<M, N, F>(
         self,
         mut make: F,
@@ -366,22 +301,6 @@ impl SimulationBuilder {
         let nodes = (0..n)
             .map(|i| Box::new(make(i, n)) as Box<dyn Node<M> + Send>)
             .collect();
-        self.build_sharded_boxed(nodes)
-    }
-
-    /// As [`SimulationBuilder::build_sharded_with`], from pre-boxed
-    /// `Send` nodes.
-    ///
-    /// # Errors
-    ///
-    /// As [`SimulationBuilder::build_sharded_with`].
-    pub fn build_sharded_boxed<M>(
-        self,
-        nodes: Vec<Box<dyn Node<M> + Send>>,
-    ) -> Result<crate::ShardedSimulation<M>, SimError>
-    where
-        M: Clone + fmt::Debug + Send + 'static,
-    {
         crate::ShardedSimulation::from_builder(self, nodes)
     }
 
@@ -400,31 +319,17 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::ScheduleCount`] if explicitly-set schedules don't
-    /// match the topology size.
-    pub fn build_with<M, N, F>(self, mut make: F) -> Result<Simulation<M>, SimError>
+    /// Returns [`SimError::ScheduleCount`] if the clock source does not
+    /// match the topology size, or [`SimError::NonFiniteRate`] if it
+    /// yields a non-finite rate.
+    pub fn build_with<M, N, F>(mut self, mut make: F) -> Result<Simulation<M>, SimError>
     where
         N: Node<M> + 'static,
         F: FnMut(NodeId, usize) -> N,
     {
         let n = self.topology.len();
-        let nodes = (0..n)
-            .map(|i| Box::new(make(i, n)) as Box<dyn Node<M>>)
-            .collect();
-        self.build_boxed(nodes)
-    }
-
-    /// Builds the simulation from pre-boxed nodes (one per topology entry).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NodeCount`] or [`SimError::ScheduleCount`] on
-    /// size mismatches.
-    pub fn build_boxed<M>(
-        mut self,
-        nodes: Vec<Box<dyn Node<M>>>,
-    ) -> Result<Simulation<M>, SimError> {
-        let (clock, delay) = self.take_parts(nodes.len())?;
+        let nodes: Vec<Box<dyn Node<M>>> = (0..n).map(|i| Box::new(make(i, n)) as _).collect();
+        let (clock, delay) = self.take_parts()?;
         // Profiling wraps the clock in a timing decorator; every query
         // still delegates unchanged, so profiled runs stay bit-identical.
         let (clock, profile) = if self.profile {
@@ -434,29 +339,22 @@ impl SimulationBuilder {
         } else {
             (clock, None)
         };
-        let tracer = self.tracer.take();
         let frame = self.into_frame();
-        let core = Partition::new(0, 0..nodes.len(), nodes, &frame, clock, delay, false);
+        let core = Partition::new(0, 0..n, nodes, &frame, clock, delay, false);
         Ok(Simulation {
             frame,
             core,
-            tracer,
+            tracer: None,
             profile,
             peak_trajectory_breakpoints: 0,
         })
     }
 
-    /// Checks `nodes` against the topology and takes the clock source
-    /// (perfect rate-1 clocks by default) and the delay policy, bound to
-    /// the topology, out of the builder.
-    pub(crate) fn take_parts(&mut self, nodes: usize) -> Result<ClockAndDelay, SimError> {
+    /// Takes the clock source (perfect rate-1 clocks by default), checked
+    /// against the topology, and the delay policy, bound to the topology,
+    /// out of the builder.
+    pub(crate) fn take_parts(&mut self) -> Result<ClockAndDelay, SimError> {
         let n = self.topology.len();
-        if nodes != n {
-            return Err(SimError::NodeCount {
-                expected: n,
-                got: nodes,
-            });
-        }
         let clock = self
             .clock
             .take()
@@ -490,7 +388,6 @@ impl SimulationBuilder {
             self.drop_on_link_down,
             self.event_cap,
             self.record_events,
-            self.probe_every,
         )
     }
 }
@@ -548,22 +445,17 @@ pub struct SimStats {
 /// A configured simulation that can be advanced, probed, paused, and
 /// extended past any fixed horizon.
 ///
-/// Create one with [`Simulation::builder`]. The run surface is a
-/// *stepping core*:
+/// Create one with [`SimulationBuilder::build_with`]. The run surface is
+/// a *stepping core*, one fallible method per operation:
 ///
-/// - [`Simulation::step`] dispatches the single next event;
-/// - [`Simulation::run_until`] advances through all events up to a
-///   horizon — callable repeatedly with growing horizons;
-/// - [`Simulation::run_while`] advances while a predicate on the live
-///   simulation holds;
-/// - the `_observed` variants stream every event and probe through
-///   [`Observer`]s;
+/// - [`Simulation::try_step_observed`] dispatches the single next event;
+/// - [`Simulation::try_run_until_observed`] advances through all events
+///   up to a horizon — callable repeatedly with growing horizons;
+/// - both stream every event and probe through [`Observer`]s (pass
+///   `&mut []` for none);
 /// - [`Simulation::into_execution`] finalizes the run into the recorded
-///   [`Execution`].
-///
-/// The one-shot convenience [`Simulation::execute_until`] (run to a
-/// horizon, return the execution) replaces the pre-0.2 consuming
-/// `run_until(self, horizon)` and produces a bit-identical record.
+///   [`Execution`], and [`Simulation::try_execute_until`] is the one-shot
+///   form: run to a horizon, return the execution.
 pub struct Simulation<M> {
     frame: Frame,
     /// The one partition, over every node.
@@ -587,88 +479,45 @@ impl<M> fmt::Debug for Simulation<M> {
 }
 
 impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
-    /// Starts building a simulation over `topology`.
-    #[must_use]
-    pub fn builder(topology: Topology) -> SimulationBuilder {
-        SimulationBuilder::new(topology)
-    }
-
     /// Runs the simulation from real time 0 through `horizon` (inclusive),
-    /// consumes it, and returns the recorded execution. Equivalent to
-    /// [`Simulation::run_until`] followed by
-    /// [`Simulation::into_execution`] — the one-shot form every post-hoc
-    /// analysis uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is not finite and nonnegative, if the delay
-    /// policy emits a delay outside `[0, d_ij]` (model violation), or if the
-    /// event cap is exceeded.
-    #[must_use]
-    pub fn execute_until(mut self, horizon: f64) -> Execution<M> {
-        self.run_until(horizon);
-        self.into_execution()
-    }
-
-    /// Non-panicking [`Simulation::execute_until`]: a NaN/∞ horizon,
-    /// delay, or timer target is reported as a typed [`SimError`] instead
-    /// of a panic. Finite-but-out-of-range delays remain model-violation
-    /// panics (they indicate a broken [`DelayPolicy`], not bad input).
+    /// consumes it, and returns the recorded execution — the one-shot form
+    /// every post-hoc analysis uses, bit-identical to
+    /// [`Simulation::try_run_until_observed`] followed by
+    /// [`Simulation::into_execution`].
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidHorizon`], [`SimError::NonFiniteDelay`], or
     /// [`SimError::NonFiniteTimer`]. On error the partially-advanced
     /// simulation is consumed; its state is not a coherent execution.
+    ///
+    /// # Panics
+    ///
+    /// If the delay policy emits a finite delay outside `[0, d_ij]` (a
+    /// broken [`DelayPolicy`], not bad input), or if the event cap is
+    /// exceeded.
     pub fn try_execute_until(mut self, horizon: f64) -> Result<Execution<M>, SimError> {
-        self.try_run_until(horizon)?;
+        self.try_run_until_observed(horizon, &mut [])?;
         Ok(self.into_execution())
     }
 
     /// Advances the simulation through every event at time ≤ `horizon`,
-    /// *without* consuming it: the run can be probed (via
-    /// [`Simulation::stats`], observers, or another `run_until` with a
-    /// larger horizon) and extended indefinitely. Running in several
-    /// chunks dispatches exactly the same events, in the same order, with
-    /// the same recorded data as one call with the final horizon.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::execute_until`].
-    pub fn run_until(&mut self, horizon: f64) {
-        self.run_until_observed(horizon, &mut []);
-    }
-
-    /// Non-panicking [`Simulation::run_until`] — see
-    /// [`Simulation::try_execute_until`] for the error contract.
+    /// *without* consuming it, streaming every dispatched event and every
+    /// due probe (see [`Simulation::set_probe_schedule`]) through
+    /// `observers`. The run can be probed (via [`Simulation::stats`],
+    /// observers, or another call with a larger horizon) and extended
+    /// indefinitely. Running in several chunks dispatches exactly the
+    /// same events, in the same order, with the same recorded data as one
+    /// call with the final horizon.
     ///
     /// # Errors
     ///
     /// As [`Simulation::try_execute_until`]. On error the simulation is
     /// poisoned (partially advanced) and should be discarded.
-    pub fn try_run_until(&mut self, horizon: f64) -> Result<(), SimError> {
-        self.try_run_until_observed(horizon, &mut [])
-    }
-
-    /// [`Simulation::run_until`], streaming every dispatched event and
-    /// every due probe (see [`Simulation::set_probe_schedule`]) through
-    /// `observers`.
     ///
     /// # Panics
     ///
-    /// As [`Simulation::execute_until`].
-    pub fn run_until_observed(&mut self, horizon: f64, observers: &mut [&mut dyn Observer]) {
-        self.try_run_until_observed(horizon, observers)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Non-panicking [`Simulation::run_until_observed`] — see
-    /// [`Simulation::try_execute_until`] for the error contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::try_execute_until`]. On error the simulation is
-    /// poisoned (partially advanced) and should be discarded.
+    /// As [`Simulation::try_execute_until`].
     pub fn try_run_until_observed(
         &mut self,
         horizon: f64,
@@ -705,46 +554,18 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         Ok(())
     }
 
-    /// Dispatches the single next event, returning its record (`None` once
-    /// the queue is drained). The first call activates the simulation
-    /// (start events and any scheduled topology changes are enqueued).
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::execute_until`].
-    pub fn step(&mut self) -> Option<EventRecord> {
-        self.step_observed(&mut [])
-    }
-
-    /// [`Simulation::step`], streaming the event and any due probes
-    /// through `observers`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::execute_until`].
-    pub fn step_observed(&mut self, observers: &mut [&mut dyn Observer]) -> Option<EventRecord> {
-        self.try_step_observed(observers)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`Simulation::step`] — see
-    /// [`Simulation::try_execute_until`] for the error contract.
+    /// Dispatches the single next event, streaming it and any due probes
+    /// through `observers`, and returns its record (`None` once the queue
+    /// is drained). The first call activates the simulation (start events
+    /// and any scheduled topology changes are enqueued).
     ///
     /// # Errors
     ///
-    /// As [`Simulation::try_execute_until`]. On error the simulation is
-    /// poisoned (partially advanced) and should be discarded.
-    pub fn try_step(&mut self) -> Result<Option<EventRecord>, SimError> {
-        self.try_step_observed(&mut [])
-    }
-
-    /// Non-panicking [`Simulation::step_observed`] — see
-    /// [`Simulation::try_execute_until`] for the error contract.
+    /// As [`Simulation::try_run_until_observed`].
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// As [`Simulation::try_execute_until`]. On error the simulation is
-    /// poisoned (partially advanced) and should be discarded.
+    /// As [`Simulation::try_execute_until`].
     pub fn try_step_observed(
         &mut self,
         observers: &mut [&mut dyn Observer],
@@ -762,28 +583,11 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         Ok(None)
     }
 
-    /// Steps the simulation while `keep_going(self)` holds (the predicate
-    /// is consulted before every step). Stops when the predicate declines
-    /// or the queue is drained.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::execute_until`].
-    pub fn run_while(&mut self, mut keep_going: impl FnMut(&Self) -> bool) {
-        self.ensure_started();
-        while keep_going(self) {
-            if self.step().is_none() {
-                break;
-            }
-        }
-    }
-
     /// Finalizes the run into the recorded [`Execution`], whose horizon is
     /// the furthest time the run was driven to ([`Simulation::now`]).
-    /// Messages still in flight are reconciled exactly as the pre-0.2
-    /// consuming `run_until` recorded them (in dynamic topologies, a
-    /// message whose tracked link went down within the horizon is recorded
-    /// dropped), so recorded-mode output is bit-identical to it.
+    /// Messages still in flight are reconciled against that horizon (in
+    /// dynamic topologies, a message whose tracked link went down within
+    /// the horizon is recorded dropped).
     #[must_use]
     pub fn into_execution(self) -> Execution<M> {
         // Streaming mode recycled slots, so the log is not a coherent
@@ -811,7 +615,7 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     }
 
     /// The time of the next queued event, if any. Activates the
-    /// simulation on first use (like [`Simulation::step`]).
+    /// simulation on first use (like [`Simulation::try_step_observed`]).
     #[must_use]
     pub fn next_event_time(&mut self) -> Option<f64> {
         self.ensure_started();
@@ -842,16 +646,13 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         }
     }
 
-    /// Attaches (or replaces) the structured trace sink — see
-    /// [`crate::trace`]. Mid-run attachment is allowed: the tracer sees
-    /// events from that point on.
+    /// Attaches (or replaces) the [`Tracer`] that receives every
+    /// structured sim-domain [`TraceEvent`] the dispatch loop produces —
+    /// see [`crate::trace`]. Default: no tracer — the untraced path costs
+    /// one branch per event. Mid-run attachment is allowed: the tracer
+    /// sees events from that point on.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.tracer = Some(tracer);
-    }
-
-    /// Detaches and returns the tracer, if one was attached.
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
-        self.tracer.take()
     }
 
     /// The wall-clock phase profile accumulated so far, or `None` when
@@ -996,7 +797,9 @@ mod tests {
 
     #[test]
     fn start_events_fire_for_all_nodes() {
-        let exec = line_sim(3, &[1.0, 1.0, 1.0]).execute_until(0.0);
+        let exec = line_sim(3, &[1.0, 1.0, 1.0])
+            .try_execute_until(0.0)
+            .unwrap();
         let starts = exec
             .events()
             .iter()
@@ -1009,7 +812,7 @@ mod tests {
     fn timers_fire_at_hardware_time() {
         // Node 0 runs at rate 2: its hardware timer for +1.0 fires at real
         // time 0.5.
-        let exec = line_sim(2, &[2.0, 1.0]).execute_until(0.6);
+        let exec = line_sim(2, &[2.0, 1.0]).try_execute_until(0.6).unwrap();
         let timer = exec
             .events()
             .iter()
@@ -1026,7 +829,7 @@ mod tests {
 
     #[test]
     fn messages_travel_at_half_distance_by_default() {
-        let exec = line_sim(2, &[1.0, 1.0]).execute_until(3.0);
+        let exec = line_sim(2, &[1.0, 1.0]).try_execute_until(3.0).unwrap();
         let m = &exec.messages()[0];
         assert_eq!(m.delay(), Some(0.5));
         assert_eq!(m.status, MessageStatus::Delivered);
@@ -1036,7 +839,7 @@ mod tests {
     fn max_algorithm_propagates_largest_clock() {
         // Node 0 is fast (rate 1.2); after a while node 1's logical clock
         // must exceed its own hardware clock (it adopted node 0's values).
-        let exec = line_sim(2, &[1.2, 1.0]).execute_until(20.0);
+        let exec = line_sim(2, &[1.2, 1.0]).try_execute_until(20.0).unwrap();
         let l1 = exec.logical_at(1, 20.0);
         assert!(
             l1 > 20.0 + 1.0,
@@ -1047,7 +850,7 @@ mod tests {
     #[test]
     fn in_flight_messages_are_marked() {
         // Horizon cuts off before the first delivery (sent at 1.0, delay 0.5).
-        let exec = line_sim(2, &[1.0, 1.0]).execute_until(1.2);
+        let exec = line_sim(2, &[1.0, 1.0]).try_execute_until(1.2).unwrap();
         assert!(exec
             .messages()
             .iter()
@@ -1061,7 +864,7 @@ mod tests {
             .delay_policy(AdversarialDelay::new(|_, _, _, _| DelayOutcome::Drop))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap();
-        let exec = sim.execute_until(5.0);
+        let exec = sim.try_execute_until(5.0).unwrap();
         assert!(!exec.messages().is_empty());
         assert!(exec
             .messages()
@@ -1077,7 +880,11 @@ mod tests {
 
     #[test]
     fn deterministic_reruns_are_identical() {
-        let run = || line_sim(4, &[1.05, 1.0, 0.95, 1.01]).execute_until(50.0);
+        let run = || {
+            line_sim(4, &[1.05, 1.0, 0.95, 1.01])
+                .try_execute_until(50.0)
+                .unwrap()
+        };
         let a = run();
         let b = run();
         assert_eq!(a.events().len(), b.events().len());
@@ -1106,22 +913,6 @@ mod tests {
     }
 
     #[test]
-    fn node_count_mismatch_is_an_error() {
-        let topology = Topology::line(3);
-        let nodes: Vec<Box<dyn Node<f64>>> = vec![Box::new(MaxTest { period: 1.0 })];
-        let err = SimulationBuilder::new(topology)
-            .build_boxed(nodes)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SimError::NodeCount {
-                expected: 3,
-                got: 1
-            }
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "event cap")]
     fn event_cap_guards_against_storms() {
         /// Pathological node: every message triggers two more.
@@ -1144,13 +935,17 @@ mod tests {
             .event_cap(10_000)
             .build_with(|_, _| Storm)
             .unwrap();
-        let _ = sim.execute_until(1e6);
+        let _ = sim.try_execute_until(1e6).unwrap();
     }
 
     #[test]
     fn empty_churn_matches_static_run_exactly() {
         use gcs_dynamic::{ChurnSchedule, DynamicTopology};
-        let run_static = || line_sim(4, &[1.05, 1.0, 0.95, 1.01]).execute_until(50.0);
+        let run_static = || {
+            line_sim(4, &[1.05, 1.0, 0.95, 1.01])
+                .try_execute_until(50.0)
+                .unwrap()
+        };
         let run_dynamic = || {
             let topology = Topology::line(4);
             let schedules = [1.05, 1.0, 0.95, 1.01]
@@ -1162,7 +957,8 @@ mod tests {
                 .schedules(schedules)
                 .build_with(|_, _| MaxTest { period: 1.0 })
                 .unwrap()
-                .execute_until(50.0)
+                .try_execute_until(50.0)
+                .unwrap()
         };
         let a = run_static();
         let b = run_dynamic();
@@ -1194,7 +990,8 @@ mod tests {
         let exec = SimulationBuilder::new_dynamic(view)
             .build_with(|_, _| DirectToLast)
             .unwrap()
-            .execute_until(10.0);
+            .try_execute_until(10.0)
+            .unwrap();
         assert_eq!(exec.messages().len(), 1);
         assert_eq!(exec.messages()[0].status, MessageStatus::Delivered);
     }
@@ -1224,7 +1021,8 @@ mod tests {
         let exec = SimulationBuilder::new_dynamic(view)
             .build_with(|_, _| Watch { seen: Vec::new() })
             .unwrap()
-            .execute_until(30.0);
+            .try_execute_until(30.0)
+            .unwrap();
         let changes: Vec<_> = exec
             .events()
             .iter()
@@ -1253,7 +1051,8 @@ mod tests {
             .delay_policy(AdversarialDelay::new(|_, _, _, _| DelayOutcome::Delay(1.0)))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap()
-            .execute_until(14.0);
+            .try_execute_until(14.0)
+            .unwrap();
         let dropped: Vec<_> = exec
             .messages()
             .iter()
@@ -1286,7 +1085,8 @@ mod tests {
             .delay_policy(AdversarialDelay::new(|_, _, _, _| DelayOutcome::Delay(1.5)))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap()
-            .execute_until(9.5);
+            .try_execute_until(9.5)
+            .unwrap();
         let last = exec
             .messages()
             .iter()
@@ -1309,7 +1109,8 @@ mod tests {
             .delay_policy(AdversarialDelay::new(|_, _, _, _| DelayOutcome::Delay(1.0)))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap()
-            .execute_until(14.0);
+            .try_execute_until(14.0)
+            .unwrap();
         assert!(exec
             .messages()
             .iter()
@@ -1324,7 +1125,7 @@ mod tests {
             .delay_policy(AdversarialDelay::new(|_, _, _, _| DelayOutcome::Delay(5.0)))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap();
-        let _ = sim.execute_until(5.0);
+        let _ = sim.try_execute_until(5.0).unwrap();
     }
 
     fn sim_with_delay(outcome: fn(NodeId, NodeId, u64, f64) -> DelayOutcome) -> Simulation<f64> {
@@ -1366,20 +1167,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-finite delay")]
-    fn nan_delay_panics_through_the_panicking_wrapper() {
-        let sim = sim_with_delay(|_, _, _, _| DelayOutcome::Delay(f64::NAN));
-        let _ = sim.execute_until(5.0);
-    }
-
-    #[test]
     fn non_finite_horizon_is_a_typed_error() {
         for horizon in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
             let mut sim = line_sim(2, &[1.0, 1.0]);
             // NaN defeats `==`, so match structurally on the variant.
             assert!(
                 matches!(
-                    sim.try_run_until(horizon),
+                    sim.try_run_until_observed(horizon, &mut []),
                     Err(SimError::InvalidHorizon { horizon: h }) if h.to_bits() == horizon.to_bits()
                 ),
                 "horizon {horizon}"
@@ -1428,19 +1222,21 @@ mod tests {
         // clobbering the action buffers; a second advance still works on
         // the (poisoned but non-corrupt) queue.
         let mut sim = sim_with_delay(|_, _, _, _| DelayOutcome::Delay(f64::NAN));
-        let err = sim.try_run_until(5.0).unwrap_err();
+        let err = sim.try_run_until_observed(5.0, &mut []).unwrap_err();
         assert!(matches!(err, SimError::NonFiniteDelay { .. }));
         // The engine must not have corrupted its heap: driving it again
         // either progresses or errors again, but never panics.
-        let _ = sim.try_run_until(5.0);
+        let _ = sim.try_run_until_observed(5.0, &mut []);
     }
 
     #[test]
     fn chunked_runs_match_one_shot_exactly() {
-        let one_shot = line_sim(4, &[1.05, 1.0, 0.95, 1.01]).execute_until(50.0);
+        let one_shot = line_sim(4, &[1.05, 1.0, 0.95, 1.01])
+            .try_execute_until(50.0)
+            .unwrap();
         let mut sim = line_sim(4, &[1.05, 1.0, 0.95, 1.01]);
         for h in [7.0, 7.0, 13.5, 31.0, 50.0] {
-            sim.run_until(h);
+            sim.try_run_until_observed(h, &mut []).unwrap();
         }
         let chunked = sim.into_execution();
         assert_eq!(one_shot.events(), chunked.events());
@@ -1462,13 +1258,13 @@ mod tests {
                 .build_with(|_, _| MaxTest { period: 1.0 })
                 .unwrap()
         };
-        let one_shot = build().execute_until(14.0);
+        let one_shot = build().try_execute_until(14.0).unwrap();
         let mut sim = build();
         // Pause inside the outage window, where in-flight drops straddle
         // the chunk boundary.
-        sim.run_until(9.5);
-        sim.run_until(10.5);
-        sim.run_until(14.0);
+        sim.try_run_until_observed(9.5, &mut []).unwrap();
+        sim.try_run_until_observed(10.5, &mut []).unwrap();
+        sim.try_run_until_observed(14.0, &mut []).unwrap();
         let chunked = sim.into_execution();
         assert_eq!(one_shot.events(), chunked.events());
         assert_eq!(one_shot.messages(), chunked.messages());
@@ -1476,32 +1272,24 @@ mod tests {
 
     #[test]
     fn step_walks_the_same_event_sequence() {
-        let exec = line_sim(3, &[1.1, 1.0, 0.9]).execute_until(12.0);
+        let exec = line_sim(3, &[1.1, 1.0, 0.9])
+            .try_execute_until(12.0)
+            .unwrap();
         let mut sim = line_sim(3, &[1.1, 1.0, 0.9]);
         let mut stepped = Vec::new();
         while sim.next_event_time().is_some_and(|t| t <= 12.0) {
-            stepped.push(sim.step().expect("event due"));
+            stepped.push(sim.try_step_observed(&mut []).unwrap().expect("event due"));
         }
         assert_eq!(exec.events(), stepped.as_slice());
-    }
-
-    #[test]
-    fn run_while_stops_when_the_predicate_declines() {
-        let mut sim = line_sim(2, &[1.0, 1.0]);
-        sim.run_while(|s| s.stats().dispatched < 5);
-        assert_eq!(sim.stats().dispatched, 5);
-        // The run can continue past the predicate stop.
-        sim.run_until(20.0);
-        assert!(sim.stats().dispatched > 5);
     }
 
     #[test]
     fn now_tracks_the_frontier_and_extension_works() {
         let mut sim = line_sim(2, &[1.0, 1.0]);
         assert_eq!(sim.now(), 0.0);
-        sim.run_until(5.0);
+        sim.try_run_until_observed(5.0, &mut []).unwrap();
         assert_eq!(sim.now(), 5.0);
-        sim.run_until(30.0);
+        sim.try_run_until_observed(30.0, &mut []).unwrap();
         let exec = sim.into_execution();
         assert_eq!(exec.horizon(), 30.0);
         // Extension really simulated the extra window.
@@ -1524,12 +1312,14 @@ mod tests {
         sim.set_probe_schedule(0.0, 2.5);
         let mut times = ProbeTimes::default();
         let mut skew = GlobalSkewObserver::new();
-        sim.run_until_observed(10.0, &mut [&mut times, &mut skew]);
+        sim.try_run_until_observed(10.0, &mut [&mut times, &mut skew])
+            .unwrap();
         assert_eq!(times.0, vec![0.0, 2.5, 5.0, 7.5, 10.0]);
         assert_eq!(skew.probes(), 5);
         assert!(skew.worst() > 0.0, "rate-1.2 node must lead");
         // Extending fires only the *new* probes.
-        sim.run_until_observed(15.0, &mut [&mut times, &mut skew]);
+        sim.try_run_until_observed(15.0, &mut [&mut times, &mut skew])
+            .unwrap();
         assert_eq!(times.0.len(), 7);
     }
 
@@ -1541,7 +1331,7 @@ mod tests {
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap();
         let mut sim = sim;
-        sim.run_until(500.0);
+        sim.try_run_until_observed(500.0, &mut []).unwrap();
         let stats = sim.stats();
         assert_eq!(stats.recorded_events, 0);
         // ~1000 messages were exchanged, but the log stays at the peak
@@ -1569,7 +1359,7 @@ mod tests {
                 .build_with(|_, _| MaxTest { period: 1.0 })
                 .unwrap();
             sim.set_probe_schedule(0.0, 1.0);
-            sim.run_until_observed(400.0, &mut []);
+            sim.try_run_until_observed(400.0, &mut []).unwrap();
             sim.stats().trajectory_breakpoints
         };
         let recorded = run(true);
@@ -1601,10 +1391,12 @@ mod tests {
         live_sim.set_probe_schedule(0.0, 0.5);
         let mut live_global = GlobalSkewObserver::new();
         let mut live_profile = GradientProfileObserver::new();
-        live_sim.run_until_observed(64.0, &mut [&mut live_global, &mut live_profile]);
+        live_sim
+            .try_run_until_observed(64.0, &mut [&mut live_global, &mut live_profile])
+            .unwrap();
 
         // Post-hoc path: record, then replay the observers.
-        let exec = make().execute_until(64.0);
+        let exec = make().try_execute_until(64.0).unwrap();
         let mut replay_global = GlobalSkewObserver::new();
         let mut replay_profile = GradientProfileObserver::new();
         observe_execution(
@@ -1647,12 +1439,14 @@ mod tests {
             .schedules(model.generate_network(17, n, horizon))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap()
-            .execute_until(horizon);
+            .try_execute_until(horizon)
+            .unwrap();
         let lazy = SimulationBuilder::new(Topology::line(n))
             .drift_source(LazyDriftSource::new(model, 17, n).with_walk_horizon(horizon))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap()
-            .execute_until(horizon);
+            .try_execute_until(horizon)
+            .unwrap();
         assert_eq!(eager.events(), lazy.events());
         assert_eq!(eager.messages(), lazy.messages());
         assert_eq!(eager.schedules(), lazy.schedules());
@@ -1673,7 +1467,8 @@ mod tests {
         sim.set_probe_schedule(0.0, 5.0);
         let mut peak = 0;
         for k in 1..=40 {
-            sim.run_until_observed(horizon * f64::from(k) / 40.0, &mut []);
+            sim.try_run_until_observed(horizon * f64::from(k) / 40.0, &mut [])
+                .unwrap();
             peak = peak.max(sim.stats().live_schedule_segments);
         }
         // Window 64 at step 2 = 128 time units/window; the live window
@@ -1717,7 +1512,7 @@ mod tests {
             stats.live_schedule_segments
         );
         // And the run still dispatches the changes with exact readings.
-        sim.run_until(600.0);
+        sim.try_run_until_observed(600.0, &mut []).unwrap();
         let exec = sim.into_execution();
         let change = exec
             .events()
@@ -1744,7 +1539,7 @@ mod tests {
             }))
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap();
-        let exec = sim.execute_until(1.5);
+        let exec = sim.try_execute_until(1.5).unwrap();
         let m = exec
             .messages()
             .iter()

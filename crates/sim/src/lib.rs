@@ -19,9 +19,8 @@
 //!
 //! # Dynamic topologies
 //!
-//! Attaching a [`gcs_dynamic::DynamicTopology`] (via
-//! [`SimulationBuilder::new_dynamic`] or
-//! [`SimulationBuilder::dynamic_topology`]) switches the engine to the
+//! Building over a [`gcs_dynamic::DynamicTopology`] (via
+//! [`SimulationBuilder::new_dynamic`]) switches the engine to the
 //! dynamic-network model of Kuhn–Lenzen–Locher–Oshman: the live neighbor
 //! set follows the churn schedule, each link change is delivered to both
 //! endpoints as an [`EventKind::TopologyChange`] event (nodes observe it
@@ -76,18 +75,20 @@
 //!     .delay_policy(delay)
 //!     .build_with(|_, _| Ping { got: 0 })
 //!     .unwrap();
-//! let exec = sim.execute_until(10.0);
+//! let exec = sim.try_execute_until(10.0).unwrap();
 //! assert_eq!(exec.messages().len(), 4); // 2 ends × 1 + middle × 2
 //! ```
 //!
 //! # Stepping, streaming, and observers
 //!
-//! [`Simulation`] is a stepping core: [`Simulation::run_until`] advances
-//! in place (call it again with a larger horizon to extend the run),
-//! [`Simulation::step`] dispatches one event, [`Simulation::run_while`]
-//! advances under a predicate, and [`Simulation::into_execution`]
-//! finalizes the record. [`Observer`]s ([`observer`] module) stream
-//! metrics — global skew, worst adjacent skew, gradient profiles,
+//! [`Simulation`] is a stepping core with one fallible method per
+//! operation: [`Simulation::try_run_until_observed`] advances in place
+//! (call it again with a larger horizon to extend the run),
+//! [`Simulation::try_step_observed`] dispatches one event, and
+//! [`Simulation::into_execution`] finalizes the record.
+//! [`Simulation::try_execute_until`] runs to a horizon and finalizes in
+//! one call. Every error is a [`SimError`]. [`Observer`]s ([`observer`]
+//! module) stream metrics — global skew, worst adjacent skew, gradient profiles,
 //! validity — during the run at a configurable probe cadence; with
 //! [`SimulationBuilder::record_events`]`(false)` such metric runs hold
 //! memory proportional to the network's in-flight state, not the
@@ -97,9 +98,8 @@
 //!
 //! # Tracing and profiling
 //!
-//! A [`Tracer`] ([`trace`] module) attached via
-//! [`SimulationBuilder::tracer`] or [`Simulation::set_tracer`] receives
-//! every structured sim-domain [`TraceEvent`] — message lifecycle,
+//! A [`Tracer`] ([`trace`] module) attached via [`Simulation::set_tracer`]
+//! receives every structured sim-domain [`TraceEvent`] — message lifecycle,
 //! timer fires, link changes, probes — in deterministic dispatch order;
 //! recorders, exporters, metrics, and skew forensics live in
 //! `gcs-telemetry`. [`SimulationBuilder::profile`]`(true)` additionally
@@ -118,6 +118,7 @@
 //! [`ShardedSimulation`] is one core per shard — each with its own
 //! `BinaryHeap` of pending events — plus the window protocol. Executions
 //! are bit-identical to the single-heap engine for every shard count.
+//! Tracing and profiling are single-heap only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

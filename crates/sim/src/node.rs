@@ -36,22 +36,7 @@ pub trait Node<M> {
     }
 }
 
-impl<M> Node<M> for Box<dyn Node<M>> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-        (**self).on_start(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: &M) {
-        (**self).on_message(ctx, from, msg);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: TimerId) {
-        (**self).on_timer(ctx, timer);
-    }
-    fn on_topology_change(&mut self, ctx: &mut Context<'_, M>, peer: NodeId, up: bool) {
-        (**self).on_topology_change(ctx, peer, up);
-    }
-}
-
-impl<M> Node<M> for Box<dyn Node<M> + Send> {
+impl<M, N: Node<M> + ?Sized> Node<M> for Box<N> {
     fn on_start(&mut self, ctx: &mut Context<'_, M>) {
         (**self).on_start(ctx);
     }

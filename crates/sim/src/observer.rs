@@ -1,8 +1,8 @@
 //! Streaming observers: O(1)-memory metrics computed *during* a run.
 //!
 //! An [`Observer`] is attached to a run through
-//! [`crate::Simulation::run_until_observed`] (or
-//! [`crate::Simulation::step_observed`]) and sees two kinds of callbacks:
+//! [`crate::Simulation::try_run_until_observed`] (or
+//! [`crate::Simulation::try_step_observed`]) and sees two kinds of callbacks:
 //!
 //! - [`Observer::on_event`] after every dispatched event, and
 //! - [`Observer::on_probe`] at a configurable simulated-time cadence

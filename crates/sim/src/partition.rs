@@ -254,7 +254,7 @@ pub(crate) struct Frame {
     pub(crate) event_cap: u64,
     pub(crate) record_events: bool,
     started: bool,
-    /// The time the run has been driven to: the max `run_until` horizon
+    /// The time the run has been driven to: the max run horizon
     /// and the latest dispatched event time. This becomes the horizon of
     /// the final [`Execution`].
     pub(crate) ran_to: f64,
@@ -271,7 +271,6 @@ impl Frame {
         drop_on_link_down: bool,
         event_cap: u64,
         record_events: bool,
-        probe_every: Option<f64>,
     ) -> Self {
         Self {
             trajectories: (0..topology.len())
@@ -286,7 +285,7 @@ impl Frame {
             started: false,
             ran_to: 0.0,
             probe_from: 0.0,
-            probe_every,
+            probe_every: None,
             next_probe: 0,
         }
     }

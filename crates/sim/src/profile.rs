@@ -30,8 +30,8 @@ use gcs_clocks::{ClockSource, RateSchedule};
 /// operations and loop overhead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimProfile {
-    /// Total time inside the advancing calls (`run_until*` /
-    /// `step*`), including everything below.
+    /// Total time inside [`crate::Simulation::try_run_until_observed`]
+    /// calls, including everything below.
     pub run_ns: u64,
     /// Time dispatching events: node callbacks plus send/timer action
     /// processing.

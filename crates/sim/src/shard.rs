@@ -60,9 +60,10 @@
 //! # What sharded runs do not support
 //!
 //! Tracers and profiling observe the live global interleaving, which
-//! sharded dispatch does not produce — attaching either is a
-//! [`SimError::ShardUnsupported`]. Clock sources and delay policies must
-//! support [`ClockSource::fork`] / [`DelayPolicy::fork`].
+//! sharded dispatch does not produce: a sharded run takes no tracer, and
+//! arming profiling is a [`SimError::ShardUnsupported`]. Clock sources
+//! and delay policies must support [`ClockSource::fork`] /
+//! [`DelayPolicy::fork`].
 //!
 //! A policy with zero lookahead cannot overlap shards; the build falls
 //! back to a single shard. One shard dispatches inline on the calling
@@ -230,8 +231,7 @@ impl<M: Clone> Shard<M> {
 
 /// A sharded simulation: the conservative-window parallel counterpart of
 /// [`crate::Simulation`], built by
-/// [`SimulationBuilder::build_sharded_with`] /
-/// [`SimulationBuilder::build_sharded_boxed`] with the shard count from
+/// [`SimulationBuilder::build_sharded_with`] with the shard count from
 /// [`SimulationBuilder::shards`].
 ///
 /// For every shard count `k ≥ 1` the produced [`Execution`] is
@@ -271,14 +271,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         mut builder: SimulationBuilder,
         nodes: Vec<Box<dyn Node<M> + Send>>,
     ) -> Result<Self, SimError> {
-        let (clock, delay) = builder.take_parts(nodes.len())?;
-        if builder.tracer.is_some() {
-            return Err(SimError::ShardUnsupported {
-                reason: "a tracer is attached (tracing observes the live global \
-                         interleaving; use the single-heap engine)"
-                    .into(),
-            });
-        }
+        let (clock, delay) = builder.take_parts()?;
         if builder.profile {
             return Err(SimError::ShardUnsupported {
                 reason: "profiling is armed (use the single-heap engine)".into(),
@@ -381,68 +374,25 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
 
     /// Runs through `horizon`, consumes the simulation, and returns the
     /// recorded execution — the sharded counterpart of
-    /// [`crate::Simulation::execute_until`].
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::Simulation::execute_until`].
-    #[must_use]
-    pub fn execute_until(mut self, horizon: f64) -> Execution<M> {
-        self.run_until(horizon);
-        self.into_execution()
-    }
-
-    /// Non-panicking [`ShardedSimulation::execute_until`].
+    /// [`crate::Simulation::try_execute_until`].
     ///
     /// # Errors
     ///
-    /// As [`crate::Simulation::try_execute_until`]. On error the
-    /// partially-advanced simulation is consumed; its state is not a
-    /// coherent execution.
+    /// As [`crate::Simulation::try_execute_until`].
     pub fn try_execute_until(mut self, horizon: f64) -> Result<Execution<M>, SimError> {
-        self.try_run_until(horizon)?;
+        self.try_run_until_observed(horizon, &mut [])?;
         Ok(self.into_execution())
     }
 
     /// Advances through every event at time ≤ `horizon` without
-    /// consuming the simulation; callable repeatedly with growing
-    /// horizons.
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::Simulation::execute_until`].
-    pub fn run_until(&mut self, horizon: f64) {
-        self.run_until_observed(horizon, &mut []);
-    }
-
-    /// Non-panicking [`ShardedSimulation::run_until`].
+    /// consuming the simulation, streaming every dispatched event (at
+    /// super-window barriers) and every due probe through `observers`;
+    /// callable repeatedly with growing horizons.
     ///
     /// # Errors
     ///
-    /// As [`crate::Simulation::try_run_until`]; the simulation is
-    /// poisoned on error.
-    pub fn try_run_until(&mut self, horizon: f64) -> Result<(), SimError> {
-        self.try_run_until_observed(horizon, &mut [])
-    }
-
-    /// [`ShardedSimulation::run_until`], streaming every dispatched
-    /// event (at super-window barriers) and every due probe through
-    /// `observers`.
-    ///
-    /// # Panics
-    ///
-    /// As [`crate::Simulation::execute_until`].
-    pub fn run_until_observed(&mut self, horizon: f64, observers: &mut [&mut dyn Observer]) {
-        self.try_run_until_observed(horizon, observers)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Non-panicking [`ShardedSimulation::run_until_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::Simulation::try_run_until`]; the simulation is
-    /// poisoned on error.
+    /// As [`crate::Simulation::try_run_until_observed`]; the simulation
+    /// is poisoned on error.
     pub fn try_run_until_observed(
         &mut self,
         horizon: f64,
@@ -789,16 +739,22 @@ mod tests {
         let mut live = Log::default();
         let mut sim = line3().build_with(adopt).unwrap();
         sim.set_probe_schedule(0.0, 0.5);
-        sim.run_until_observed(horizon, &mut [&mut live]);
+        sim.try_run_until_observed(horizon, &mut [&mut live])
+            .unwrap();
 
         let mut sharded = Log::default();
         let mut sim = line3().shards(2).build_sharded_with(adopt).unwrap();
         assert_eq!(sim.shard_count(), 2);
         sim.set_probe_schedule(0.0, 0.5);
-        sim.run_until_observed(horizon, &mut [&mut sharded]);
+        sim.try_run_until_observed(horizon, &mut [&mut sharded])
+            .unwrap();
 
         let mut replay = Log::default();
-        let exec = line3().build_with(adopt).unwrap().execute_until(horizon);
+        let exec = line3()
+            .build_with(adopt)
+            .unwrap()
+            .try_execute_until(horizon)
+            .unwrap();
         observe_execution(&exec, 0.0, 0.5, &mut [&mut replay]);
 
         // Two shards evaluate views at the barrier, the replay at the end

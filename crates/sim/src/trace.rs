@@ -1,7 +1,6 @@
 //! Deterministic sim-domain tracing: the engine-side hook.
 //!
 //! A [`Tracer`] attached to a [`crate::Simulation`] (via
-//! [`crate::SimulationBuilder::tracer`] or
 //! [`crate::Simulation::set_tracer`]) receives one structured
 //! [`TraceEvent`] for every observable step of the dispatch loop: node
 //! starts, message sends, deliveries, drops (with the reason), timer

@@ -65,7 +65,8 @@ fn check(topology: &Topology, horizon: f64, min_pairs: usize) {
     let single = builder(topology)
         .build_with(make)
         .unwrap()
-        .execute_until(horizon);
+        .try_execute_until(horizon)
+        .unwrap();
     let pairs = assert_contiguous(single.messages());
     assert!(pairs >= min_pairs, "only {pairs} directed pairs sent");
 
@@ -74,7 +75,7 @@ fn check(topology: &Topology, horizon: f64, min_pairs: usize) {
         .build_sharded_with(make)
         .unwrap();
     assert_eq!(sharded.shard_count(), 2);
-    let sharded = sharded.execute_until(horizon);
+    let sharded = sharded.try_execute_until(horizon).unwrap();
     assert_eq!(single.messages(), sharded.messages());
 }
 

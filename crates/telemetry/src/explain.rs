@@ -325,7 +325,7 @@ mod tests {
             .delay_policy(delay)
             .build_with(|_, _| Ticker)
             .unwrap();
-        sim.execute_until(10.0)
+        sim.try_execute_until(10.0).unwrap()
     }
 
     #[test]

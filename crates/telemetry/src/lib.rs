@@ -51,11 +51,11 @@
 //! }
 //!
 //! let recorder = TraceRecorder::recorded();
-//! let sim = SimulationBuilder::new(Topology::line(2))
-//!     .tracer(recorder.clone())
+//! let mut sim = SimulationBuilder::new(Topology::line(2))
 //!     .build_with(|_, _| Hello)
 //!     .unwrap();
-//! let _exec = sim.execute_until(5.0);
+//! sim.set_tracer(Box::new(recorder.clone()));
+//! let _exec = sim.try_execute_until(5.0).unwrap();
 //! let json = chrome_trace_json(&recorder.events(), 2);
 //! let stats = validate_chrome_trace(&json).unwrap();
 //! assert_eq!(stats.begins, 2); // one send each way

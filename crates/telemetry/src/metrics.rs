@@ -269,9 +269,9 @@ struct RunMetricsInner {
 }
 
 /// The standard per-run metrics collector: one object that is both a
-/// [`Tracer`] (attach with [`gcs_sim::SimulationBuilder::tracer`]) and
+/// [`Tracer`] (attach with [`gcs_sim::Simulation::set_tracer`]) and
 /// an [`Observer`] (pass to
-/// [`gcs_sim::Simulation::run_until_observed`]), sharing storage across
+/// [`gcs_sim::Simulation::try_run_until_observed`]), sharing storage across
 /// clones like [`crate::TraceRecorder`].
 ///
 /// Populates:

@@ -39,11 +39,11 @@ struct TraceBuf {
 /// }
 ///
 /// let recorder = TraceRecorder::recorded();
-/// let sim = SimulationBuilder::new(Topology::line(3))
-///     .tracer(recorder.clone())
+/// let mut sim = SimulationBuilder::new(Topology::line(3))
 ///     .build_with(|_, _| Quiet)
 ///     .unwrap();
-/// let _exec = sim.execute_until(1.0);
+/// sim.set_tracer(Box::new(recorder.clone()));
+/// let _exec = sim.try_execute_until(1.0).unwrap();
 /// assert_eq!(recorder.total_recorded(), 3); // three start events
 /// ```
 #[derive(Debug, Clone)]

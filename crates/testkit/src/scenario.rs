@@ -445,12 +445,11 @@ impl Scenario {
              neighbor radius or another seed",
             self.name
         );
-        let mut builder = SimulationBuilder::new(self.topology.clone());
-        if let Some(view) = self.dynamic_topology() {
-            builder = builder
-                .dynamic_topology(view)
-                .drop_in_flight_on_link_down(self.drop_in_flight);
-        }
+        let mut builder = match self.dynamic_topology() {
+            Some(view) => SimulationBuilder::new_dynamic(view)
+                .drop_in_flight_on_link_down(self.drop_in_flight),
+            None => SimulationBuilder::new(self.topology.clone()),
+        };
         // Streaming random-walk scenarios read their clocks through the
         // lazy source (bit-identical to the eager schedules, O(1) live
         // segments); everything else — and every recorded run, whose
@@ -498,13 +497,15 @@ impl Scenario {
         M: Clone + std::fmt::Debug + 'static,
         N: Node<M> + 'static,
     {
-        self.build_with(make).execute_until(self.horizon)
+        self.build_with(make)
+            .try_execute_until(self.horizon)
+            .unwrap_or_else(|e| panic!("scenario `{}` failed to run: {e}", self.name))
     }
 
     /// As [`Scenario::build_with`], on the sharded parallel engine with
     /// `k` shards (see [`gcs_sim::ShardedSimulation`]). The produced
     /// execution is bit-identical to [`Scenario::build_with`] +
-    /// `execute_until` for every `k ≥ 1`.
+    /// `try_execute_until` for every `k ≥ 1`.
     ///
     /// # Panics
     ///
@@ -537,7 +538,9 @@ impl Scenario {
         M: Clone + std::fmt::Debug + Send + 'static,
         N: Node<M> + Send + 'static,
     {
-        self.build_sharded_with(k, make).execute_until(self.horizon)
+        self.build_sharded_with(k, make)
+            .try_execute_until(self.horizon)
+            .unwrap_or_else(|e| panic!("scenario `{}` failed to run sharded: {e}", self.name))
     }
 
     /// Runs the configured algorithm to the horizon on the sharded engine
@@ -553,7 +556,8 @@ impl Scenario {
     /// recorded execution.
     #[must_use]
     pub fn run(&self) -> Execution<SyncMsg> {
-        self.build().execute_until(self.horizon)
+        let kind = self.algorithm;
+        self.run_with(|id, n| kind.build(id, n))
     }
 
     /// Runs the configured algorithm to the horizon, streaming every
@@ -568,7 +572,8 @@ impl Scenario {
     ) -> Execution<SyncMsg> {
         let mut sim = self.build();
         sim.set_probe_schedule(from, every);
-        sim.run_until_observed(self.horizon, observers);
+        sim.try_run_until_observed(self.horizon, observers)
+            .unwrap_or_else(|e| panic!("scenario `{}` failed to run: {e}", self.name));
         sim.into_execution()
     }
 }
@@ -741,7 +746,8 @@ mod tests {
         let mut global = GlobalSkewObserver::new();
         let mut peak = 0;
         for k in 1..=20 {
-            sim.run_until_observed(2000.0 * f64::from(k) / 20.0, &mut [&mut global]);
+            sim.try_run_until_observed(2000.0 * f64::from(k) / 20.0, &mut [&mut global])
+                .unwrap();
             peak = peak.max(sim.stats().live_schedule_segments);
         }
         // 1000 walk steps per node if held eagerly; the lazy window
@@ -766,7 +772,9 @@ mod tests {
             .unwrap();
         eager_sim.set_probe_schedule(0.0, 10.0);
         let mut eager_global = GlobalSkewObserver::new();
-        eager_sim.run_until_observed(2000.0, &mut [&mut eager_global]);
+        eager_sim
+            .try_run_until_observed(2000.0, &mut [&mut eager_global])
+            .unwrap();
         assert_eq!(global.worst().to_bits(), eager_global.worst().to_bits());
         assert_eq!(
             global.worst_at().to_bits(),

@@ -173,9 +173,16 @@ impl<M: Clone + std::fmt::Debug + 'static> TimeService<M> {
     /// Advances the simulation to time `t`, sealing one epoch per probe
     /// tick crossed. Returns the number of epochs sealed. Idempotent for
     /// a horizon already reached.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`gcs_sim::SimError`] if the simulation cannot
+    /// advance to `t` (e.g. `t` is not finite).
     pub fn advance_to(&mut self, t: f64) -> usize {
         let mut collector = SampleCollector::default();
-        self.sim.run_until_observed(t, &mut [&mut collector]);
+        self.sim
+            .try_run_until_observed(t, &mut [&mut collector])
+            .expect("the served simulation advances");
         let mut sealed = 0;
         for (at, readings) in collector.rows {
             if self.seal_row(at, &readings) {

@@ -272,10 +272,10 @@ fn check_mainstream(
     let run_result = guard(seed, "run", || {
         let mut sim = scenario.build_with(sc.make_nodes());
         sim.set_tracer(Box::new(recorder.clone()));
-        sim.execute_until(scenario.horizon_time())
+        sim.try_execute_until(scenario.horizon_time())
     });
     *trace_tail = recorder.events().iter().map(render_trace_event).collect();
-    let exec: Execution<SyncMsg> = run_result?;
+    let exec: Execution<SyncMsg> = run_result?.map_err(|e| fail(seed, "run", e.to_string()))?;
     ran.push("run");
 
     // 2. Determinism: the whole pipeline again, bit for bit.

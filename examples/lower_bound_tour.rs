@@ -43,7 +43,8 @@ fn main() {
         .schedules(vec![RateSchedule::constant(1.0); n])
         .build_with(|id, nn| kind.build(id, nn))
         .expect("simulation builds")
-        .execute_until(tau * (n as f64 - 1.0));
+        .try_execute_until(tau * (n as f64 - 1.0))
+        .expect("the nominal line run");
     let outcome = AddSkew::new(rho)
         .apply::<SyncMsg>(&alpha, AddSkewParams::suffix(0, n - 1))
         .expect("preconditions hold");

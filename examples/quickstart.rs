@@ -29,7 +29,7 @@ fn main() {
         .delay_policy(delays)
         .build_with(|_, _| GradientNode::new(GradientParams::default()))
         .expect("simulation builds");
-    let exec = sim.execute_until(horizon);
+    let exec = sim.try_execute_until(horizon).expect("the quickstart run");
 
     // 1. The algorithm satisfies the paper's validity condition.
     let violations = ValidityCondition::default().check(&exec);

@@ -66,29 +66,26 @@ fn run_network(kind: AlgorithmKind, n: usize) -> Execution<SyncMsg> {
     });
     let mut rates = vec![1.0; n];
     rates[far] = 1.05;
-    let sim = SimulationBuilder::new(topology)
+    SimulationBuilder::new(topology)
         .schedules(rates.into_iter().map(RateSchedule::constant).collect())
         .delay_policy(policy)
-        .build_boxed(
-            (0..n)
-                .map(|id| -> Box<dyn Node<SyncMsg>> {
-                    let node = kind.build(id, n);
-                    // The far node also reports long-haul to child 1 (data
-                    // mule / long link), carrying its clock with it.
-                    if id == far {
-                        Box::new(LongLink {
-                            inner: node,
-                            peer: 1,
-                            own_timer: None,
-                        })
-                    } else {
-                        node
-                    }
+        .build_with(|id, n| -> Box<dyn Node<SyncMsg>> {
+            let node = kind.build(id, n);
+            // The far node also reports long-haul to child 1 (data
+            // mule / long link), carrying its clock with it.
+            if id == far {
+                Box::new(LongLink {
+                    inner: node,
+                    peer: 1,
+                    own_timer: None,
                 })
-                .collect(),
-        )
-        .expect("simulation builds");
-    sim.execute_until(horizon)
+            } else {
+                node
+            }
+        })
+        .expect("simulation builds")
+        .try_execute_until(horizon)
+        .expect("the sensor-fusion run")
 }
 
 /// Wrapper adding a periodic long-haul clock report to one peer.

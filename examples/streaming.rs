@@ -61,10 +61,11 @@ fn main() {
     let mut peak_live_segments = 0;
     for k in 1..=chunks {
         let to = horizon * f64::from(k) / f64::from(chunks);
-        sim.run_until_observed(
+        sim.try_run_until_observed(
             to,
             &mut [&mut global, &mut adjacent, &mut profile, &mut validity],
-        );
+        )
+        .expect("the streaming run");
         let stats = sim.stats();
         peak_live_segments = peak_live_segments.max(stats.live_schedule_segments);
         println!(

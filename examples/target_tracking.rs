@@ -46,7 +46,7 @@ fn main() {
             .delay_policy(UniformDelay::new(0.2, 0.8, 3))
             .build_with(|id, nn| kind.build(id, nn))
             .expect("simulation builds");
-        let exec = sim.execute_until(horizon);
+        let exec = sim.try_execute_until(horizon).expect("the tracking run");
 
         for separation in [1usize, 4, 16] {
             let a = 2;

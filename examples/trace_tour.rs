@@ -52,14 +52,15 @@ fn main() {
     let mut sim = SimulationBuilder::new_dynamic(view)
         .schedules(drift.generate_network(7, n, horizon))
         .delay_policy(UniformDelay::new(0.25, 0.75, 99))
-        .tracer(Fanout(recorder.clone(), metrics.clone()))
         .build_with(|_, _| GradientNode::new(GradientParams::default()))
         .expect("ring simulation builds");
+    sim.set_tracer(Box::new(Fanout(recorder.clone(), metrics.clone())));
     sim.set_probe_schedule(0.0, probe_every);
 
     let mut global = GlobalSkewObserver::new();
     let mut metrics_observer = metrics.clone();
-    sim.run_until_observed(horizon, &mut [&mut global, &mut metrics_observer]);
+    sim.try_run_until_observed(horizon, &mut [&mut global, &mut metrics_observer])
+        .expect("the traced run");
     metrics.stamp_stats(&sim.stats());
     let exec = sim.into_execution();
 

@@ -44,7 +44,7 @@
 //!     .delay_policy(UniformDelay::new(0.25, 0.75, 99))
 //!     .build_with(|_, _| GradientNode::new(GradientParams::default()))
 //!     .unwrap();
-//! let exec = sim.execute_until(400.0);
+//! let exec = sim.try_execute_until(400.0).unwrap();
 //!
 //! // Nearby nodes end up more closely synchronized than faraway nodes.
 //! let profile = GradientProfile::measure(&exec, 100.0);
@@ -60,6 +60,12 @@ pub use gcs_net as net;
 pub use gcs_sim as sim;
 pub use gcs_telemetry as telemetry;
 pub use gcs_timed as timed;
+
+/// The README's Rust blocks, compiled (and, unless `no_run`, run) as
+/// doctests of this crate, so the README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {

@@ -1,6 +1,6 @@
 //! The sparse/dense equivalence contract for `DynamicGradientNode`: the
 //! O(degree) sparse neighbor-state map must produce executions
-//! **bit-identical** to the retained dense O(n) reference
+//! **bit-identical** to the dense O(n) reference defined here
 //! (`DenseDynamicGradientNode`) across churned scenarios — flap,
 //! partition-heal, grow, shrink — on both engines, at every shard count.
 //! The sparse layout is what lets the 100k-node
@@ -8,12 +8,64 @@
 //! it honest.
 
 use gcs_testkit::prelude::*;
-use gradient_clock_sync::algorithms::{
-    DenseDynamicGradientNode, DynamicGradientNode, DynamicGradientParams, SyncMsg,
-};
+use gradient_clock_sync::algorithms::{DynamicGradientNode, DynamicGradientParams, SyncMsg};
 use gradient_clock_sync::dynamic::ChurnSchedule;
-use gradient_clock_sync::sim::Execution;
+use gradient_clock_sync::sim::{Context, Execution, Node, NodeId, TimerId};
 use proptest::prelude::*;
+
+/// The dense reference implementation of [`DynamicGradientNode`]: the
+/// same weak/strong discipline over a per-node `Vec<Option<f64>>` of
+/// length `n` — O(n) state per node, O(n²) fleet-wide, so never a scale
+/// run. Parameter validation and the slack formula come from the node
+/// under test (`tiers`); only the per-peer layout differs.
+#[derive(Debug)]
+struct DenseDynamicGradientNode {
+    tiers: DynamicGradientNode,
+    /// Per-peer hardware time the current link formed; `None` while the
+    /// link is down. `NEG_INFINITY` marks links live since startup.
+    formed_hw: Vec<Option<f64>>,
+}
+
+impl DenseDynamicGradientNode {
+    fn new(n: usize, params: DynamicGradientParams) -> Self {
+        Self {
+            tiers: DynamicGradientNode::new(params),
+            formed_hw: vec![None; n],
+        }
+    }
+}
+
+impl Node<SyncMsg> for DenseDynamicGradientNode {
+    fn on_start(&mut self, ctx: &mut Context<'_, SyncMsg>) {
+        for &peer in ctx.neighbors() {
+            self.formed_hw[peer] = Some(f64::NEG_INFINITY);
+        }
+        ctx.set_timer(self.tiers.params().period);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, SyncMsg>, _timer: TimerId) {
+        let value = ctx.logical_now();
+        ctx.send_to_neighbors(&SyncMsg::Clock(value));
+        ctx.set_timer(self.tiers.params().period);
+    }
+
+    fn on_topology_change(&mut self, ctx: &mut Context<'_, SyncMsg>, peer: NodeId, up: bool) {
+        self.formed_hw[peer] = if up { Some(ctx.hw_now()) } else { None };
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, SyncMsg>, from: NodeId, msg: &SyncMsg) {
+        if let SyncMsg::Clock(value) = msg {
+            let age = match self.formed_hw[from] {
+                Some(formed) => ctx.hw_now() - formed,
+                None => 0.0,
+            };
+            let target = value - self.tiers.kappa_at_age(age) * ctx.distance_to(from);
+            if target > ctx.logical_now() {
+                ctx.set_logical(target);
+            }
+        }
+    }
+}
 
 const PARAMS: DynamicGradientParams = DynamicGradientParams {
     period: 1.0,
@@ -138,4 +190,18 @@ fn every_family_matches_once() {
             &scenario.run_sharded_with(4, |_, _| DynamicGradientNode::new(PARAMS)),
         );
     }
+}
+
+#[test]
+#[should_panic(expected = "kappa_weak must be at least kappa_strong")]
+fn dense_reference_validates_identically() {
+    let _ = DenseDynamicGradientNode::new(
+        2,
+        DynamicGradientParams {
+            period: 1.0,
+            kappa_strong: 1.0,
+            kappa_weak: 0.5,
+            window: 10.0,
+        },
+    );
 }

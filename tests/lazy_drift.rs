@@ -47,7 +47,8 @@ fn lazy_run_matches_the_committed_eager_golden() {
         .delay_policy_boxed(scenario.delay_policy())
         .build_with(|id, n| scenario.algorithm_kind().build(id, n))
         .expect("builds")
-        .execute_until(scenario.horizon_time());
+        .try_execute_until(scenario.horizon_time())
+        .unwrap();
     assert_matches_golden(
         &exec,
         concat!(
@@ -78,7 +79,8 @@ fn streaming_walk_run_holds_a_flat_schedule_window() {
         sim.set_probe_schedule(0.0, 5.0);
         let mut peak = 0;
         for k in 1..=25 {
-            sim.run_until_observed(horizon * f64::from(k) / 25.0, &mut []);
+            sim.try_run_until_observed(horizon * f64::from(k) / 25.0, &mut [])
+                .unwrap();
             peak = peak.max(sim.stats().live_schedule_segments);
         }
         peaks.push(peak);

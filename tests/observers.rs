@@ -6,8 +6,8 @@
 //!    identical scenario — across line/ring/grid/churn scenarios, both
 //!    example-based and property-based.
 //! 2. **Byte-stability.** The stepping redesign changes nothing about
-//!    recorded executions: chunked `run_until` calls, step-by-step
-//!    drives, and the one-shot `execute_until` all fingerprint
+//!    recorded executions: chunked `try_run_until_observed` calls,
+//!    step-by-step drives, and the one-shot `try_execute_until` all fingerprint
 //!    identically (the committed goldens in `tests/golden/` separately
 //!    pin today's bytes against history).
 //! 3. **Flat memory.** A `record_events(false)` run holds its message
@@ -132,7 +132,9 @@ fn chunked_and_stepped_runs_fingerprint_identically() {
 
         let mut chunked = scenario.build();
         for fraction in [0.25, 0.5, 0.75, 1.0] {
-            chunked.run_until(scenario.horizon_time() * fraction);
+            chunked
+                .try_run_until_observed(scenario.horizon_time() * fraction, &mut [])
+                .unwrap();
         }
         assert_bit_identical(&one_shot, &chunked.into_execution());
 
@@ -141,9 +143,11 @@ fn chunked_and_stepped_runs_fingerprint_identically() {
             .next_event_time()
             .is_some_and(|t| t <= scenario.horizon_time())
         {
-            let _ = stepped.step();
+            stepped.try_step_observed(&mut []).unwrap();
         }
-        stepped.run_until(scenario.horizon_time()); // settle ran_to on the horizon
+        stepped
+            .try_run_until_observed(scenario.horizon_time(), &mut [])
+            .unwrap(); // settle ran_to on the horizon
         assert_bit_identical(&one_shot, &stepped.into_execution());
     }
 }
@@ -176,7 +180,8 @@ fn streaming_run_is_flat_at_ten_times_the_default_horizon() {
     let mut sim = scenario.build();
     sim.set_probe_schedule(0.0, 10.0);
     let mut global = GlobalSkewObserver::new();
-    sim.run_until_observed(1000.0, &mut [&mut global]);
+    sim.try_run_until_observed(1000.0, &mut [&mut global])
+        .unwrap();
 
     let stats = sim.stats();
     assert_eq!(stats.recorded_events, 0);

@@ -177,7 +177,8 @@ fn freshlink_alpha() -> Execution<gradient_clock_sync::prelude::SyncMsg> {
         .schedules(vec![RateSchedule::constant(1.0); 2])
         .build_with(|id, nn| AlgorithmKind::Max { period: 1.0 }.build(id, nn))
         .unwrap()
-        .execute_until(formation + 2.0)
+        .try_execute_until(formation + 2.0)
+        .unwrap()
 }
 
 #[test]

@@ -9,7 +9,9 @@
 use gcs_testkit::prelude::*;
 use gradient_clock_sync::algorithms::{AlgorithmKind, SyncMsg};
 use gradient_clock_sync::dynamic::ChurnSchedule;
+use gradient_clock_sync::net::Topology;
 use gradient_clock_sync::sim::MessageRecord;
+use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -146,7 +148,8 @@ fn sharded_streaming_observers_match_single_heap_observers() {
     let mut single = GlobalSkewObserver::new();
     let mut sim = scenario.build();
     sim.set_probe_schedule(0.0, 5.0);
-    sim.run_until_observed(160.0, &mut [&mut single]);
+    sim.try_run_until_observed(160.0, &mut [&mut single])
+        .unwrap();
 
     for k in SHARD_COUNTS {
         // Compaction and replay are deferred across super-window
@@ -156,7 +159,8 @@ fn sharded_streaming_observers_match_single_heap_observers() {
         let mut sim =
             scenario.build_sharded_with(k, |id, n| scenario.algorithm_kind().build(id, n));
         sim.set_probe_schedule(0.0, 5.0);
-        sim.run_until_observed(160.0, &mut [&mut sharded]);
+        sim.try_run_until_observed(160.0, &mut [&mut sharded])
+            .unwrap();
         assert_eq!(
             single.worst().to_bits(),
             sharded.worst().to_bits(),
@@ -175,4 +179,58 @@ fn recorded_message_layout_is_unchanged() {
     // Cross-shard deliveries travel as handoffs parked beside the
     // receiver's queue; the recorded message keeps its layout.
     assert_eq!(std::mem::size_of::<MessageRecord<SyncMsg>>(), 104);
+}
+
+/// A 6-node line whose distances, delays, broadcast period and horizon
+/// are all `10^k` times the unit-scale scenario's. Distances cannot go
+/// below 1, so below unit scale the delay fractions shrink instead: the
+/// lookahead is `0.1 · 10^k` either way and every scale dispatches a
+/// comparable number of events.
+fn scaled_line(k: i32, seed: u64) -> Scenario {
+    let scale = 10f64.powi(k);
+    let (spacing, frac) = if k >= 0 { (scale, 1.0) } else { (1.0, scale) };
+    let n: usize = 6;
+    let dist = (0..n * n)
+        .map(|ij| (ij / n).abs_diff(ij % n) as f64 * spacing)
+        .collect();
+    let topology = Topology::from_matrix(dist, spacing).expect("a valid line");
+    Scenario::on(format!("line6_scale1e{k}_s{seed}"), topology)
+        .algorithm(AlgorithmKind::Gradient {
+            period: scale,
+            kappa: 0.5,
+        })
+        .spread_rates(0.02)
+        .uniform_delay(0.1 * frac, 0.9 * frac)
+        .seed(seed)
+        .horizon(30.0 * scale)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    // The conservative window leans on monotone rounding of `t + L`
+    // (see the shard module docs): at every scale from 10^-6 to 10^6 the
+    // handoff assertion `arrival >= window end` holds, or the sharded run
+    // panics, and the sharded record equals the single heap's.
+    #[test]
+    fn windows_stay_safe_across_twelve_orders_of_magnitude(seed in 1u64..10_000) {
+        for k in -6..=6 {
+            let scenario = scaled_line(k, seed);
+            let reference = scenario.run();
+            prop_assert!(reference.events().len() > 200, "scale 1e{}: too few events", k);
+            for shards in [2, 3] {
+                let kind = scenario.algorithm_kind();
+                let sim = scenario.build_sharded_with(shards, |id, n| kind.build(id, n));
+                prop_assert_eq!(sim.shard_count(), shards);
+                let sharded = sim.try_execute_until(scenario.horizon_time()).unwrap();
+                prop_assert_eq!(
+                    fingerprint(&reference),
+                    fingerprint(&sharded),
+                    "scale 1e{} shards {}: diverged from the single heap",
+                    k,
+                    shards
+                );
+            }
+        }
+    }
 }

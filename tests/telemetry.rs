@@ -39,7 +39,8 @@ fn traced_run(scenario: &Scenario) -> Vec<TraceEvent> {
     let recorder = TraceRecorder::recorded();
     let mut sim = scenario.build();
     sim.set_tracer(Box::new(recorder.clone()));
-    sim.run_until(scenario.horizon_time());
+    sim.try_run_until_observed(scenario.horizon_time(), &mut [])
+        .unwrap();
     recorder.events()
 }
 
@@ -107,7 +108,8 @@ fn replayed_execution_reconstructs_the_identical_trace() {
     let recorder = TraceRecorder::recorded();
     let mut sim = scenario.build();
     sim.set_tracer(Box::new(recorder.clone()));
-    sim.run_until(scenario.horizon_time());
+    sim.try_run_until_observed(scenario.horizon_time(), &mut [])
+        .unwrap();
     let exec = sim.into_execution();
     let live = recorder.events();
 
@@ -160,7 +162,7 @@ proptest! {
         let run = |recorder: &TraceRecorder| {
             let mut sim = scenario.build();
             sim.set_tracer(Box::new(recorder.clone()));
-            sim.run_until(scenario.horizon_time());
+            sim.try_run_until_observed(scenario.horizon_time(), &mut []).unwrap();
         };
         let full = TraceRecorder::recorded();
         run(&full);
