@@ -63,9 +63,10 @@ pub enum SimError {
     },
     /// The sharded engine cannot run this configuration: profiling is
     /// armed (it times the global dispatch interleaving, which sharded
-    /// dispatch does not produce live), or the clock source / delay
+    /// dispatch does not produce live), the clock source / delay
     /// policy does not support [`ClockSource::fork`] /
-    /// [`DelayPolicy::fork`].
+    /// [`DelayPolicy::fork`], or the lookahead is too small to advance a
+    /// window at the run horizon.
     ShardUnsupported {
         /// What the sharded engine could not accommodate.
         reason: String,
@@ -1321,6 +1322,43 @@ mod tests {
         sim.try_run_until_observed(15.0, &mut [&mut times, &mut skew])
             .unwrap();
         assert_eq!(times.0.len(), 7);
+    }
+
+    #[test]
+    fn profiling_times_the_phases_without_changing_the_run() {
+        use crate::observer::GlobalSkewObserver;
+        let run = |profile: bool| {
+            let rates = (0..8u8).map(|i| RateSchedule::constant(1.0 + 0.01 * f64::from(i)));
+            let mut sim = SimulationBuilder::new(Topology::ring(8))
+                .schedules(rates.collect())
+                .record_events(false)
+                .profile(profile)
+                .build_with(|_, _| MaxTest { period: 1.0 })
+                .unwrap();
+            sim.set_probe_schedule(0.0, 1.0);
+            let mut global = GlobalSkewObserver::new();
+            sim.try_run_until_observed(200.0, &mut [&mut global])
+                .unwrap();
+            let (report, stats) = (sim.profile_report(), sim.stats());
+            let exec = sim.into_execution();
+            let worst = (global.worst().to_bits(), global.worst_at(), global.probes());
+            (
+                format!("{worst:?} {:?}", exec.trajectories()),
+                stats,
+                report,
+            )
+        };
+        let (plain, plain_stats, none) = run(false);
+        let (profiled, stats, report) = run(true);
+        assert_eq!(none, None);
+        assert_eq!((profiled, stats), (plain, plain_stats));
+        let p = report.expect("profiling was armed");
+        assert!(p.run_ns > 0 && p.dispatch_ns > 0 && p.probe_ns > 0, "{p:?}");
+        assert_eq!(p.dispatched, stats.dispatched);
+        assert!(
+            p.dispatch_ns + p.observer_ns + p.probe_ns <= p.run_ns,
+            "{p:?}"
+        );
     }
 
     #[test]

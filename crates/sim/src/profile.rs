@@ -10,9 +10,7 @@
 //! Profiling measures *wall-clock* time and therefore lives strictly
 //! outside the deterministic surface: it never touches event order,
 //! recorded data, or traces, and the unprofiled path costs one
-//! `Option` branch per event. `bench_json` surfaces these numbers
-//! (informational, ungated) so optimization work starts from a
-//! measured profile.
+//! `Option` branch per event.
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -66,8 +66,10 @@
 //! [`DelayPolicy::fork`].
 //!
 //! A policy with zero lookahead cannot overlap shards; the build falls
-//! back to a single shard. One shard dispatches inline on the calling
-//! thread: its window is unbounded, so each run call is one round.
+//! back to a single shard. A lookahead at or below half an ulp of the
+//! horizon cannot advance a window either; that run call is a
+//! [`SimError::ShardUnsupported`]. One shard dispatches inline on the
+//! calling thread: its window is unbounded, so each run call is one round.
 //!
 //! # Where the wall time went
 //!
@@ -392,7 +394,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
     /// # Errors
     ///
     /// As [`crate::Simulation::try_run_until_observed`]; the simulation
-    /// is poisoned on error.
+    /// is poisoned on error. [`SimError::ShardUnsupported`] when the
+    /// horizon is so large that adding the lookahead no longer moves it.
     pub fn try_run_until_observed(
         &mut self,
         horizon: f64,
@@ -400,6 +403,18 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
     ) -> Result<(), SimError> {
         if !horizon.is_finite() || horizon < 0.0 {
             return Err(SimError::InvalidHorizon { horizon });
+        }
+        // A window from `t` ends at `t + L` rounded, and dispatches nothing
+        // unless that lies past `t`. It does for every `t <= horizon` iff
+        // `L` exceeds half an ulp of the horizon (exactly half rounds a tie
+        // to even, so down half the time). One shard has `L = ∞`.
+        if self.lookahead <= (horizon.next_up() - horizon) / 2.0 {
+            return Err(SimError::ShardUnsupported {
+                reason: format!(
+                    "the lookahead {} is at most half an ulp of the horizon {horizon}",
+                    self.lookahead
+                ),
+            });
         }
         if self.frame.start() {
             for (time, node, hw, kind) in self.frame.initial_events() {
@@ -660,7 +675,7 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    use gcs_net::{DelayOutcome, DelayPolicy, FixedFractionDelay, Topology};
+    use gcs_net::{DelayOutcome, DelayPolicy, FixedFractionDelay, Topology, UniformDelay};
 
     use crate::{
         observe_execution, Context, EventRecord, Node, NodeId, Observer, Probe, SimError,
@@ -928,5 +943,55 @@ mod tests {
             }))
         );
         assert_eq!(sharded, single);
+    }
+
+    #[test]
+    fn a_lookahead_lost_to_rounding_is_an_error_not_a_hang() {
+        /// Arms one timer at its reading and broadcasts once when it fires.
+        #[derive(Debug)]
+        struct Late(f64);
+        impl Node<f64> for Late {
+            fn on_start(&mut self, ctx: &mut Context<'_, f64>) {
+                ctx.set_timer(self.0);
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, f64>, _timer: TimerId) {
+                ctx.send_to_neighbors(&0.0);
+            }
+            fn on_message(&mut self, _ctx: &mut Context<'_, f64>, _from: NodeId, _msg: &f64) {}
+        }
+        /// Half-distance delays that claim a subnormal lookahead.
+        #[derive(Debug, Clone)]
+        struct Subnormal;
+        impl DelayPolicy for Subnormal {
+            fn decide(&mut self, _from: usize, _to: usize, _seq: u64, _t: f64) -> DelayOutcome {
+                DelayOutcome::Delay(0.5)
+            }
+            fn min_delay_bound(&self) -> f64 {
+                f64::from_bits(1)
+            }
+            fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
+                Some(Box::new(self.clone()))
+            }
+        }
+        let ring8 = || {
+            SimulationBuilder::new(Topology::ring(8)).delay_policy(UniformDelay::new(0.25, 0.75, 9))
+        };
+        // At 1e14 an ulp is 1/64 and a quarter still moves the window.
+        let [single, sharded] = single_and_sharded(ring8, |_, _| Late(1e14), 1e14 + 5.0);
+        assert_eq!(single, Ok(Ok(32)));
+        assert_eq!(sharded, single);
+        // At 1e16 an ulp is 2, so `t + 0.25 == t`; a subnormal lookahead
+        // is lost at every normal `t`.
+        let subnormal = || SimulationBuilder::new(Topology::line(4)).delay_policy(Subnormal);
+        for [single, sharded] in [
+            single_and_sharded(ring8, |_, _| Late(1e16), 1e16 + 5.0),
+            single_and_sharded(subnormal, adopt, 20.0),
+        ] {
+            assert!(matches!(single, Ok(Ok(_))), "{single:?}");
+            assert!(
+                matches!(sharded, Ok(Err(SimError::ShardUnsupported { .. }))),
+                "{sharded:?}"
+            );
+        }
     }
 }
