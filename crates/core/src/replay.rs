@@ -34,8 +34,7 @@ use gcs_sim::{Execution, MessageStatus, Node, NodeId, SimError, SimulationBuilde
 pub struct HwReplayDelay {
     arrivals: HashMap<(NodeId, NodeId, u64), f64>,
     schedules: Vec<RateSchedule>,
-    dist: Vec<f64>,
-    n: usize,
+    topology: Topology,
     fallback: Box<dyn DelayPolicy>,
 }
 
@@ -61,21 +60,10 @@ impl HwReplayDelay {
                 arrivals.insert((m.from, m.to, m.seq), h);
             }
         }
-        let topology = exec.topology();
-        let n = topology.len();
-        let mut dist = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    dist[i * n + j] = topology.distance(i, j);
-                }
-            }
-        }
         Self {
             arrivals,
             schedules: exec.schedules().to_vec(),
-            dist,
-            n,
+            topology: exec.topology().clone(),
             fallback,
         }
     }
@@ -97,7 +85,7 @@ impl DelayPolicy for HwReplayDelay {
     fn decide(&mut self, from: usize, to: usize, seq: u64, send_time: f64) -> DelayOutcome {
         if let Some(&h) = self.arrivals.get(&(from, to, seq)) {
             let t = self.schedules[to].time_at_value(h);
-            let d = self.dist[from * self.n + to];
+            let d = self.topology.distance(from, to);
             if t >= send_time - 1e-9 && t <= send_time + d + 1e-9 {
                 return DelayOutcome::ArriveAtHw(h);
             }

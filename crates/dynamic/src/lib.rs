@@ -15,9 +15,10 @@
 //!   builders for periodic flapping, Poisson random churn at a given rate,
 //!   partition-and-heal, and growing/shrinking networks.
 //! - [`DynamicTopology`]: a [`gcs_net::Topology`] plus a [`ChurnSchedule`],
-//!   compiled into constant-topology *epochs* so the simulation engine's
-//!   hot path (live neighbor sets, link-continuity checks for in-flight
-//!   messages, link formation times) is a binary search and an array read.
+//!   compiled into up-interval histories for just the pairs churn touches,
+//!   so compiling costs O(n + churn) and the simulation engine's hot path
+//!   (link-continuity checks for in-flight messages, link formation times)
+//!   is a flag read and at most a binary search.
 //!
 //! The simulation engine (`gcs-sim`) accepts a [`DynamicTopology`] and
 //! turns its edge changes into `TopologyChange` events delivered to the

@@ -4,14 +4,14 @@
 //! The engines ask one question of a view per delivery, "did churn lose
 //! this message", through [`DynamicTopology::link_interrupted`]. A
 //! per-node flag computed at compile time (does any link at this node
-//! ever change) settles it without touching the tracked-pair list for
+//! ever change) settles it without touching the touched-pair list for
 //! every delivery between nodes churn never reaches, which at 100k nodes
 //! and a few dozen toggles is nearly all of them; the rest pay one binary
 //! search where `link_tracked` followed by `link_uninterrupted` paid two.
 //!
-//! Compiling costs one copy of the adjacency lists per epoch: each epoch
-//! is the one before with that instant's flips applied, and the base
-//! topology's lists are borrowed throughout.
+//! Compiling keeps the base topology as it is and builds histories only
+//! for the pairs churn touches, so it costs O(n + churn) time and memory
+//! however many instants the schedule has.
 
 use std::fmt;
 
@@ -35,20 +35,21 @@ pub struct EdgeChange {
     pub up: bool,
 }
 
-/// One constant-topology interval of the dynamic network.
-///
-/// Epochs hold only the *sparse* live graph (adjacency lists and node
-/// activity); per-link history lives in the per-edge interval lists of
-/// [`DynamicTopology`], so total memory is `O(epochs · live_edges + churn)`
-/// instead of the dense `O(epochs · n²)` snapshots this replaced — the
-/// difference between topping out at dozens of nodes and handling
-/// thousands under the sweep runner.
-#[derive(Debug, Clone)]
-struct Epoch {
-    /// Sorted adjacency lists of the live graph during this epoch.
-    neighbors: Vec<Vec<usize>>,
-    /// Which nodes are active (joined) during this epoch.
-    active: Vec<bool>,
+/// The history of a base pair churn never touches: up throughout.
+const FOREVER: [(f64, f64); 1] = [(f64::NEG_INFINITY, f64::INFINITY)];
+
+/// The entries of `sorted` (ordered by `key` first) whose key is `node`.
+fn run_of<T>(sorted: &[T], node: usize, key: impl Fn(&T) -> usize) -> &[T] {
+    let start = sorted.partition_point(|x| key(x) < node);
+    let len = sorted[start..].partition_point(|x| key(x) == node);
+    &sorted[start..start + len]
+}
+
+/// The start of the up-interval in `history` covering `t`, if any.
+fn formed(history: &[(f64, f64)], t: f64) -> Option<f64> {
+    let pos = history.partition_point(|&(start, _)| start <= t);
+    let (start, end) = *history.get(pos.checked_sub(1)?)?;
+    (t < end).then_some(start)
 }
 
 /// Errors from building a [`DynamicTopology`].
@@ -90,18 +91,17 @@ impl std::error::Error for DynamicTopologyError {}
 /// This is the model of Kuhn, Lenzen, Locher & Oshman, *Optimal Gradient
 /// Clock Synchronization in Dynamic Networks*: distances (and hence delay
 /// bounds) are fixed per pair, but the communication graph changes. The
-/// schedule is compiled into *epochs* — constant-topology intervals
-/// holding the sparse live graph — plus a per-edge list of up-intervals
-/// over the tracked pairs, so neighbor queries are a binary search over
-/// epochs and link-liveness queries a binary search over that one edge's
-/// history. Memory is `O(epochs · live_edges + churn events)`, letting
-/// views scale to thousands of nodes. Compiling borrows the base
-/// topology's adjacency lists and allocates per tracked pair only for its
-/// interval history.
+/// view shares the base topology and records up-intervals only for the
+/// *touched* pairs — those an edge event names, plus the base pairs at a
+/// node that joins or leaves — in one flat array, with each node's
+/// activity flips beside them. Every other base pair is live throughout,
+/// so liveness and formation-time queries are a binary search over one
+/// pair's history, and memory is `O(n + churn events)` however many
+/// instants the schedule has.
 ///
 /// Initially every base-topology neighbor pair is live; an edge inserted
-/// by churn between non-adjacent base nodes uses the base distance matrix
-/// for its delay bound.
+/// by churn between non-adjacent base nodes uses the base distance for
+/// its delay bound.
 ///
 /// # Examples
 ///
@@ -119,26 +119,27 @@ impl std::error::Error for DynamicTopologyError {}
 pub struct DynamicTopology {
     base: Topology,
     schedule: ChurnSchedule,
-    /// `epoch_starts[k]` is when `epochs[k]` begins; `epoch_starts[0] == 0`.
-    epoch_starts: Vec<f64>,
-    epochs: Vec<Epoch>,
     changes: Vec<EdgeChange>,
-    /// The pairs `(a, b)`, `a < b`, sorted, that the view governs —
-    /// base-topology neighbor pairs plus every pair a churn event ever
-    /// references. Other pairs are outside the communication graph and
-    /// keep static-send semantics.
-    tracked: Vec<(usize, usize)>,
-    /// Per tracked pair (same order as `tracked`): the link's up-intervals
-    /// `[start, end)`, sorted by start. `NEG_INFINITY` marks a link live
-    /// since time 0, `INFINITY` one that never goes down again. Liveness
-    /// and formation-time queries are a binary search over the pair's own
-    /// history, independent of the node count.
-    intervals: Vec<Vec<(f64, f64)>>,
+    /// Instants (after time zero) at which the live graph or a node's
+    /// activity changed.
+    instants: usize,
+    /// The touched pairs `(a, b)`, `a < b`, sorted.
+    touched: Vec<(usize, usize)>,
+    /// `(node, partner, k)` for both ends of touched pair `k`, sorted.
+    incident: Vec<(usize, usize, usize)>,
+    /// Touched pair `k`'s up-intervals `[start, end)`, sorted, are
+    /// `spans[offsets[k]..offsets[k + 1]]`. `NEG_INFINITY` marks a link
+    /// live since time 0, `INFINITY` one that never goes down again.
+    offsets: Vec<usize>,
+    spans: Vec<(f64, f64)>,
+    /// `(node, time)` of every change of a node's activity, sorted; a
+    /// node absent from the start flips at `NEG_INFINITY`.
+    flips: Vec<(usize, f64)>,
     /// Per node: whether it is an endpoint of some tracked pair whose
     /// history is anything but the single interval `(-inf, +inf)`. A pair
     /// with an unflagged endpoint is either untracked or up forever, which
     /// is how [`DynamicTopology::link_interrupted`] answers most
-    /// deliveries without searching `tracked`.
+    /// deliveries without searching `touched`.
     churned: Vec<bool>,
 }
 
@@ -150,8 +151,8 @@ impl DynamicTopology {
     /// Returns [`DynamicTopologyError`] if any event references a node
     /// outside the base topology or a self-loop.
     pub fn new(base: Topology, schedule: ChurnSchedule) -> Result<Self, DynamicTopologyError> {
-        let n = base.len();
-        for event in schedule.events() {
+        let (n, events) = (base.len(), schedule.events());
+        for event in events {
             match event.kind {
                 ChurnKind::EdgeUp { a, b } | ChurnKind::EdgeDown { a, b } => {
                     if a == b {
@@ -171,169 +172,128 @@ impl DynamicTopology {
             }
         }
 
-        // The tracked pair universe: base-topology neighbor pairs plus
-        // every pair any churn event references, sorted. All per-link
-        // state below is indexed by position in this list.
-        let mut tracked_set: std::collections::BTreeSet<(usize, usize)> =
-            std::collections::BTreeSet::new();
-        for i in 0..n {
-            for &j in base.neighbors_of(i) {
-                if i < j {
-                    tracked_set.insert((i, j));
+        let mut touched = Vec::new();
+        for event in events {
+            match event.kind {
+                ChurnKind::EdgeUp { a, b } | ChurnKind::EdgeDown { a, b } => {
+                    touched.push((a.min(b), a.max(b)));
+                }
+                ChurnKind::NodeJoin { node } | ChurnKind::NodeLeave { node } => {
+                    let pairs = base.neighbors_of(node).iter();
+                    touched.extend(pairs.map(|&j| (node.min(j), node.max(j))));
                 }
             }
         }
-        for event in schedule.events() {
-            if let ChurnKind::EdgeUp { a, b } | ChurnKind::EdgeDown { a, b } = event.kind {
-                tracked_set.insert((a.min(b), a.max(b)));
-            }
-        }
-        let tracked: Vec<(usize, usize)> = tracked_set.into_iter().collect();
-        let m = tracked.len();
-        let pair_idx = |a: usize, b: usize| {
-            tracked
-                .binary_search(&(a.min(b), a.max(b)))
-                .expect("churn events reference tracked pairs")
-        };
-
-        // Desired up/down state per tracked pair, independent of node
-        // liveness (a leave preserves edge state so a rejoin restores it).
-        let mut edge_state: Vec<bool> = tracked
+        touched.sort_unstable();
+        touched.dedup();
+        let m = touched.len();
+        let mut incident: Vec<(usize, usize, usize)> = touched
             .iter()
-            .map(|&(a, b)| base.neighbors_of(a).contains(&b))
+            .enumerate()
+            .flat_map(|(k, &(a, b))| [(a, b, k), (b, a, k)])
             .collect();
+        incident.sort_unstable();
+
+        // Sweep the instants, re-evaluating only the pairs each instant's
+        // events reach. Edge state is independent of node liveness, so a
+        // rejoin restores what a leave took down.
+        let mut edge_state: Vec<bool> = touched
+            .iter()
+            .map(|&(a, b)| base.neighbors_of(a).binary_search(&b).is_ok())
+            .collect();
+        let mut live = edge_state.clone();
         let mut active = vec![true; n];
-
-        let live_of = |edge_state: &[bool], active: &[bool], k: usize| {
-            let (a, b) = tracked[k];
-            edge_state[k] && active[a] && active[b]
-        };
-        let compute_live = |edge_state: &[bool], active: &[bool]| -> Vec<bool> {
-            (0..m).map(|k| live_of(edge_state, active, k)).collect()
-        };
-        let make_epoch = |live: &[bool], active: &[bool]| -> Epoch {
-            let mut neighbors = vec![Vec::new(); n];
-            // `tracked` is sorted, so each adjacency list comes out sorted.
-            for (k, &(a, b)) in tracked.iter().enumerate() {
-                if live[k] {
-                    neighbors[a].push(b);
-                    neighbors[b].push(a);
-                }
-            }
-            Epoch {
-                neighbors,
-                active: active.to_vec(),
-            }
-        };
-        let initial_intervals = |live: &[bool]| -> Vec<Vec<(f64, f64)>> {
-            live.iter()
-                .map(|&up| {
-                    if up {
-                        vec![(f64::NEG_INFINITY, f64::INFINITY)]
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect()
-        };
-
-        let mut live = compute_live(&edge_state, &active);
-        let mut intervals = initial_intervals(&live);
-        let mut epoch_starts = vec![0.0];
-        let mut epochs = vec![make_epoch(&live, &active)];
-        let mut changes = Vec::new();
-
-        let events = schedule.events();
-        let mut k = 0;
-        while k < events.len() {
-            let t = events[k].time;
-            // Apply every event with this exact timestamp as one epoch.
-            while k < events.len() && events[k].time == t {
-                match events[k].kind {
-                    ChurnKind::EdgeUp { a, b } => edge_state[pair_idx(a, b)] = true,
-                    ChurnKind::EdgeDown { a, b } => edge_state[pair_idx(a, b)] = false,
-                    ChurnKind::NodeJoin { node } => active[node] = true,
-                    ChurnKind::NodeLeave { node } => active[node] = false,
-                }
-                k += 1;
-            }
-            let next_live = compute_live(&edge_state, &active);
-            if t == 0.0 {
-                // Time-zero events shape the *initial* graph: fold them
-                // into epoch 0 without emitting edge changes.
-                live = next_live;
-                intervals = initial_intervals(&live);
-                epochs[0] = make_epoch(&live, &active);
-                continue;
-            }
-            // Record the live-set delta (elides redundant schedule events)
-            // and extend each flipped pair's interval history.
-            let first_change = changes.len();
-            for (idx, (&was, &is)) in live.iter().zip(next_live.iter()).enumerate() {
-                if was != is {
-                    let (a, b) = tracked[idx];
-                    changes.push(EdgeChange {
-                        time: t,
-                        a,
-                        b,
-                        up: is,
-                    });
-                    if is {
-                        intervals[idx].push((t, f64::INFINITY));
-                    } else {
-                        intervals[idx]
-                            .last_mut()
-                            .expect("a live link has an open interval")
-                            .1 = t;
-                    }
-                }
-            }
-            // Node-activity flips matter even when no live edge moved
-            // (e.g. an already-isolated node leaving), so they also open
-            // a new epoch.
-            let last = epochs.last().expect("initial epoch");
-            live = next_live;
-            if changes.len() > first_change || last.active != active {
-                // The new epoch is the last one with this instant's flips
-                // applied in place, which keeps every list sorted; a
-                // rebuild from `live` would walk every tracked pair.
-                let mut neighbors = last.neighbors.clone();
-                for change in &changes[first_change..] {
-                    for (node, peer) in [(change.a, change.b), (change.b, change.a)] {
-                        let list = &mut neighbors[node];
-                        match list.binary_search(&peer) {
-                            Err(pos) if change.up => list.insert(pos, peer),
-                            Ok(pos) if !change.up => drop(list.remove(pos)),
-                            _ => unreachable!("a flip changes the last epoch's live set"),
-                        }
-                    }
-                }
-                epoch_starts.push(t);
-                epochs.push(Epoch {
-                    neighbors,
-                    active: active.clone(),
-                });
-            }
+        let mut open = vec![usize::MAX; m];
+        let mut spans = Vec::new();
+        for k in (0..m).filter(|&k| live[k]) {
+            open[k] = spans.len();
+            spans.push((k, f64::NEG_INFINITY, f64::INFINITY));
         }
-
-        let mut churned = vec![false; n];
-        for (&(a, b), history) in tracked.iter().zip(&intervals) {
-            if history.as_slice() != [(f64::NEG_INFINITY, f64::INFINITY)] {
-                churned[a] = true;
-                churned[b] = true;
+        let (mut changes, mut flips, mut instants) = (Vec::new(), Vec::new(), 0);
+        let (mut dirty, mut moved) = (Vec::new(), Vec::new());
+        for group in events.chunk_by(|x, y| x.time == y.time) {
+            for event in group {
+                match event.kind {
+                    ChurnKind::EdgeUp { a, b } | ChurnKind::EdgeDown { a, b } => {
+                        let pair = (a.min(b), a.max(b));
+                        let k = touched
+                            .binary_search(&pair)
+                            .expect("named pairs are touched");
+                        edge_state[k] = matches!(event.kind, ChurnKind::EdgeUp { .. });
+                        dirty.push(k);
+                    }
+                    ChurnKind::NodeJoin { node } | ChurnKind::NodeLeave { node } => {
+                        moved.push((node, active[node]));
+                        active[node] = matches!(event.kind, ChurnKind::NodeJoin { .. });
+                        dirty.extend(run_of(&incident, node, |e| e.0).iter().map(|e| e.2));
+                    }
+                }
             }
+            // Time-zero events shape the initial graph: they emit no
+            // changes, and what they flip is dated before every query
+            // (a span they close is empty and dropped below).
+            let t = group[0].time;
+            let at = if t == 0.0 { f64::NEG_INFINITY } else { t };
+            let before = (changes.len(), flips.len());
+            // Ascending pair order within an instant fixes the order the
+            // engine enqueues its changes in.
+            dirty.sort_unstable();
+            dirty.dedup();
+            for &k in &dirty {
+                let (a, b) = touched[k];
+                let up = edge_state[k] && active[a] && active[b];
+                if up == live[k] {
+                    continue;
+                }
+                live[k] = up;
+                if t != 0.0 {
+                    changes.push(EdgeChange { time: t, a, b, up });
+                }
+                if up {
+                    open[k] = spans.len();
+                    spans.push((k, at, f64::INFINITY));
+                } else {
+                    spans[open[k]].2 = at;
+                }
+            }
+            // A node's first entry holds its activity before the instant.
+            moved.sort_by_key(|&(node, _)| node);
+            moved.dedup_by_key(|&mut (node, _)| node);
+            let flipped = moved.iter().filter(|&&(node, was)| active[node] != was);
+            flips.extend(flipped.map(|&(node, _)| (node, at)));
+            instants += usize::from(t != 0.0 && before != (changes.len(), flips.len()));
+            dirty.clear();
+            moved.clear();
         }
+        flips.sort_by_key(|&(node, _)| node);
+        spans.retain(|&(_, start, end)| start < end);
+        spans.sort_by_key(|&(k, _, _)| k);
 
-        Ok(Self {
+        let mut view = Self {
             base,
             schedule,
-            epoch_starts,
-            epochs,
             changes,
-            tracked,
-            intervals,
-            churned,
-        })
+            instants,
+            offsets: (0..=m)
+                .map(|k| spans.partition_point(|s| s.0 < k))
+                .collect(),
+            spans: spans
+                .into_iter()
+                .map(|(_, start, end)| (start, end))
+                .collect(),
+            touched,
+            incident,
+            flips,
+            churned: vec![false; n],
+        };
+        for k in 0..m {
+            if view.spans_of(k) != FOREVER {
+                let (a, b) = view.touched[k];
+                view.churned[a] = true;
+                view.churned[b] = true;
+            }
+        }
+        Ok(view)
     }
 
     /// A static dynamic view (no churn) over `base`.
@@ -356,7 +316,7 @@ impl DynamicTopology {
             .expect("retimed schedule references the same nodes")
     }
 
-    /// The base topology (node universe and distance matrix).
+    /// The base topology (node universe and distances).
     #[must_use]
     pub fn base(&self) -> &Topology {
         &self.base
@@ -390,20 +350,27 @@ impl DynamicTopology {
         &self.changes
     }
 
-    fn epoch_at(&self, t: f64) -> &Epoch {
-        let idx = self.epoch_starts.partition_point(|&s| s <= t);
-        &self.epochs[idx.saturating_sub(1)]
-    }
-
     /// The live neighbors of node `i` at time `t` (ascending order).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn neighbors_at(&self, i: usize, t: f64) -> &[usize] {
+    pub fn neighbors_at(&self, i: usize, t: f64) -> Vec<usize> {
         assert!(i < self.len(), "node index out of range");
-        &self.epoch_at(t).neighbors[i]
+        let touched = run_of(&self.incident, i, |e| e.0);
+        let untouched = self
+            .base
+            .neighbors_of(i)
+            .iter()
+            .copied()
+            .filter(|&j| touched.binary_search_by_key(&j, |e| e.1).is_err());
+        let up = touched
+            .iter()
+            .filter(|e| formed(self.spans_of(e.2), t).is_some());
+        let mut neighbors: Vec<usize> = untouched.chain(up.map(|e| e.1)).collect();
+        neighbors.sort_unstable();
+        neighbors
     }
 
     /// Whether node `i` is active (joined) at time `t`.
@@ -414,24 +381,18 @@ impl DynamicTopology {
     #[must_use]
     pub fn active_at(&self, i: usize, t: f64) -> bool {
         assert!(i < self.len(), "node index out of range");
-        self.epoch_at(t).active[i]
+        let flips = run_of(&self.flips, i, |f| f.0);
+        flips.partition_point(|&(_, at)| at <= t) % 2 == 0
     }
 
-    /// The position of pair `{a, b}` in the sorted tracked-pair list.
-    fn pair_index(&self, a: usize, b: usize) -> Option<usize> {
-        self.tracked.binary_search(&(a.min(b), a.max(b))).ok()
+    /// The position of pair `{a, b}` in the sorted touched-pair list.
+    fn touched_index(&self, a: usize, b: usize) -> Option<usize> {
+        self.touched.binary_search(&(a.min(b), a.max(b))).ok()
     }
 
-    /// The start of the up-interval of tracked pair `idx` covering `t`,
-    /// if the link is up at `t`.
-    fn formed_at_index(&self, idx: usize, t: f64) -> Option<f64> {
-        let history = &self.intervals[idx];
-        let pos = history.partition_point(|&(start, _)| start <= t);
-        if pos == 0 {
-            return None;
-        }
-        let (start, end) = history[pos - 1];
-        (t < end).then_some(start)
+    /// Touched pair `k`'s up-intervals.
+    fn spans_of(&self, k: usize) -> &[(f64, f64)] {
+        &self.spans[self.offsets[k]..self.offsets[k + 1]]
     }
 
     /// Whether the pair `{a, b}` is a link this view governs: a
@@ -447,7 +408,7 @@ impl DynamicTopology {
     pub fn link_tracked(&self, a: usize, b: usize) -> bool {
         let n = self.len();
         assert!(a < n && b < n, "node index out of range");
-        self.pair_index(a, b).is_some()
+        self.touched_index(a, b).is_some() || self.base.neighbors_of(a).binary_search(&b).is_ok()
     }
 
     /// Whether the link `{a, b}` is live at time `t`.
@@ -471,8 +432,11 @@ impl DynamicTopology {
     pub fn link_formed_at(&self, a: usize, b: usize, t: f64) -> Option<f64> {
         let n = self.len();
         assert!(a < n && b < n, "node index out of range");
-        self.pair_index(a, b)
-            .and_then(|idx| self.formed_at_index(idx, t))
+        match self.touched_index(a, b) {
+            Some(k) => formed(self.spans_of(k), t),
+            None if self.base.neighbors_of(a).binary_search(&b).is_ok() => formed(&FOREVER, t),
+            None => None,
+        }
     }
 
     /// Whether the link `{a, b}` was up continuously over `(t0, t1]`: live
@@ -490,7 +454,7 @@ impl DynamicTopology {
     /// Whether churn loses a message on `{a, b}` sent at `t0` and due at
     /// `t1`: the pair is tracked and was *not* up continuously over
     /// `(t0, t1]`. Equal to `link_tracked(a, b) && !link_uninterrupted(a,
-    /// b, t0, t1)` for finite times, in at most one search of the tracked
+    /// b, t0, t1)` for finite times, in at most one search of the touched
     /// pairs, and in none unless both endpoints touch a link that ever
     /// changed. This is the question the engines ask once per delivery.
     ///
@@ -506,28 +470,25 @@ impl DynamicTopology {
         if !(self.churned[a] && self.churned[b]) {
             return false;
         }
-        self.pair_index(a, b).is_some_and(|idx| {
-            self.formed_at_index(idx, t1)
-                .is_none_or(|formed| formed > t0)
-        })
+        self.touched_index(a, b)
+            .is_some_and(|k| formed(self.spans_of(k), t1).is_none_or(|formed| formed > t0))
     }
 
     /// The live edges `(a, b)` with `a < b` at time `t`, ascending.
     #[must_use]
     pub fn live_edges_at(&self, t: f64) -> Vec<(usize, usize)> {
-        let epoch = self.epoch_at(t);
-        let mut edges = Vec::new();
-        for (a, neighbors) in epoch.neighbors.iter().enumerate() {
-            for &b in neighbors {
-                if a < b {
-                    edges.push((a, b));
-                }
-            }
-        }
+        let untouched = self
+            .base
+            .neighbor_edges()
+            .into_iter()
+            .filter(|&(a, b)| self.touched_index(a, b).is_none());
+        let up = (0..self.touched.len()).filter(|&k| formed(self.spans_of(k), t).is_some());
+        let mut edges: Vec<_> = untouched.chain(up.map(|k| self.touched[k])).collect();
+        edges.sort_unstable();
         edges
     }
 
-    /// Returns `true` if no epoch ever differs from the initial one (the
+    /// Returns `true` if the live graph never changes after time zero (the
     /// network is effectively static).
     #[must_use]
     pub fn is_static(&self) -> bool {
@@ -539,9 +500,9 @@ impl fmt::Display for DynamicTopology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "dynamic({} nodes, {} epochs, {} edge changes)",
+            "dynamic({} nodes, {} change instants, {} edge changes)",
             self.len(),
-            self.epochs.len(),
+            self.instants,
             self.changes.len()
         )
     }
@@ -553,6 +514,243 @@ mod tests {
     use crate::churn::ChurnEvent;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// One constant-topology interval of the reference model: the live
+    /// graph's adjacency lists and node activity.
+    #[derive(Debug, Clone)]
+    struct Epoch {
+        neighbors: Vec<Vec<usize>>,
+        active: Vec<bool>,
+    }
+
+    /// The compile the view replaced, kept as its reference model: one
+    /// copy of the adjacency lists per change instant (an epoch), and one
+    /// interval list per tracked pair, every base pair included.
+    struct Reference {
+        epoch_starts: Vec<f64>,
+        epochs: Vec<Epoch>,
+        changes: Vec<EdgeChange>,
+        tracked: Vec<(usize, usize)>,
+        intervals: Vec<Vec<(f64, f64)>>,
+        churned: Vec<bool>,
+    }
+
+    impl Reference {
+        #[allow(clippy::too_many_lines)]
+        fn new(base: &Topology, schedule: &ChurnSchedule) -> Self {
+            let n = base.len();
+            let mut tracked_set = std::collections::BTreeSet::new();
+            for i in 0..n {
+                for &j in base.neighbors_of(i) {
+                    if i < j {
+                        tracked_set.insert((i, j));
+                    }
+                }
+            }
+            for event in schedule.events() {
+                if let ChurnKind::EdgeUp { a, b } | ChurnKind::EdgeDown { a, b } = event.kind {
+                    tracked_set.insert((a.min(b), a.max(b)));
+                }
+            }
+            let tracked: Vec<(usize, usize)> = tracked_set.into_iter().collect();
+            let m = tracked.len();
+            let pair_idx =
+                |a: usize, b: usize| tracked.binary_search(&(a.min(b), a.max(b))).unwrap();
+            let mut edge_state: Vec<bool> = tracked
+                .iter()
+                .map(|&(a, b)| base.neighbors_of(a).contains(&b))
+                .collect();
+            let mut active = vec![true; n];
+            let compute_live = |edge_state: &[bool], active: &[bool]| -> Vec<bool> {
+                (0..m)
+                    .map(|k| edge_state[k] && active[tracked[k].0] && active[tracked[k].1])
+                    .collect()
+            };
+            let make_epoch = |live: &[bool], active: &[bool]| -> Epoch {
+                let mut neighbors = vec![Vec::new(); n];
+                for (k, &(a, b)) in tracked.iter().enumerate() {
+                    if live[k] {
+                        neighbors[a].push(b);
+                        neighbors[b].push(a);
+                    }
+                }
+                Epoch {
+                    neighbors,
+                    active: active.to_vec(),
+                }
+            };
+            let initial_intervals = |live: &[bool]| -> Vec<Vec<(f64, f64)>> {
+                live.iter()
+                    .map(|&up| if up { FOREVER.to_vec() } else { Vec::new() })
+                    .collect()
+            };
+            let mut live = compute_live(&edge_state, &active);
+            let mut intervals = initial_intervals(&live);
+            let mut epoch_starts = vec![0.0];
+            let mut epochs = vec![make_epoch(&live, &active)];
+            let mut changes = Vec::new();
+            let events = schedule.events();
+            let mut k = 0;
+            while k < events.len() {
+                let t = events[k].time;
+                while k < events.len() && events[k].time == t {
+                    match events[k].kind {
+                        ChurnKind::EdgeUp { a, b } => edge_state[pair_idx(a, b)] = true,
+                        ChurnKind::EdgeDown { a, b } => edge_state[pair_idx(a, b)] = false,
+                        ChurnKind::NodeJoin { node } => active[node] = true,
+                        ChurnKind::NodeLeave { node } => active[node] = false,
+                    }
+                    k += 1;
+                }
+                let next_live = compute_live(&edge_state, &active);
+                if t == 0.0 {
+                    live = next_live;
+                    intervals = initial_intervals(&live);
+                    epochs[0] = make_epoch(&live, &active);
+                    continue;
+                }
+                let first_change = changes.len();
+                for (idx, (&was, &is)) in live.iter().zip(next_live.iter()).enumerate() {
+                    if was != is {
+                        let (a, b) = tracked[idx];
+                        changes.push(EdgeChange {
+                            time: t,
+                            a,
+                            b,
+                            up: is,
+                        });
+                        if is {
+                            intervals[idx].push((t, f64::INFINITY));
+                        } else {
+                            intervals[idx].last_mut().unwrap().1 = t;
+                        }
+                    }
+                }
+                let last = epochs.last().unwrap();
+                live = next_live;
+                if changes.len() > first_change || last.active != active {
+                    // Each epoch is a full copy of the one before, with
+                    // this instant's flips applied in place.
+                    let mut neighbors = last.neighbors.clone();
+                    for change in &changes[first_change..] {
+                        for (node, peer) in [(change.a, change.b), (change.b, change.a)] {
+                            let list = &mut neighbors[node];
+                            match list.binary_search(&peer) {
+                                Err(pos) if change.up => list.insert(pos, peer),
+                                Ok(pos) if !change.up => drop(list.remove(pos)),
+                                _ => unreachable!("a flip changes the last epoch's live set"),
+                            }
+                        }
+                    }
+                    epoch_starts.push(t);
+                    epochs.push(Epoch {
+                        neighbors,
+                        active: active.clone(),
+                    });
+                }
+            }
+            let mut churned = vec![false; n];
+            for (&(a, b), history) in tracked.iter().zip(&intervals) {
+                if history.as_slice() != FOREVER {
+                    churned[a] = true;
+                    churned[b] = true;
+                }
+            }
+            Self {
+                epoch_starts,
+                epochs,
+                changes,
+                tracked,
+                intervals,
+                churned,
+            }
+        }
+
+        fn epoch_at(&self, t: f64) -> &Epoch {
+            let idx = self.epoch_starts.partition_point(|&s| s <= t);
+            &self.epochs[idx.saturating_sub(1)]
+        }
+
+        fn link_formed_at(&self, a: usize, b: usize, t: f64) -> Option<f64> {
+            let idx = self.tracked.binary_search(&(a.min(b), a.max(b))).ok()?;
+            let history = &self.intervals[idx];
+            let pos = history
+                .partition_point(|&(start, _)| start <= t)
+                .checked_sub(1)?;
+            let (start, end) = history[pos];
+            (t < end).then_some(start)
+        }
+
+        fn link_interrupted(&self, a: usize, b: usize, t0: f64, t1: f64) -> bool {
+            self.tracked.binary_search(&(a.min(b), a.max(b))).is_ok()
+                && self
+                    .link_formed_at(a, b, t1)
+                    .is_none_or(|formed| formed > t0)
+        }
+
+        fn live_edges_at(&self, t: f64) -> Vec<(usize, usize)> {
+            let epoch = self.epoch_at(t);
+            (0..epoch.neighbors.len())
+                .flat_map(|a| epoch.neighbors[a].iter().map(move |&b| (a, b)))
+                .filter(|&(a, b)| a < b)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn the_view_agrees_with_the_epoch_reference() {
+        let mut rng = StdRng::seed_from_u64(0x0C4A);
+        let (mut changes, mut instants, mut folded) = (0, 0, 0);
+        for case in 0..500u64 {
+            let n = rng.random_range(3..=9usize);
+            let base = match case % 5 {
+                0 => Topology::line(n),
+                1 => Topology::ring(n),
+                2 => Topology::star(n),
+                3 => Topology::grid(rng.random_range(1..=3), rng.random_range(2..=3)),
+                _ => Topology::random_geometric(n, 10.0, 2.5, case),
+            };
+            let n = base.len();
+            let schedule = random_schedule(&mut rng, n);
+            let reference = Reference::new(&base, &schedule);
+            let view = DynamicTopology::new(base, schedule).unwrap();
+            assert_eq!(view.edge_changes(), reference.changes, "case {case}");
+            assert_eq!(view.is_static(), reference.changes.is_empty());
+            assert_eq!(view.churned, reference.churned, "case {case}");
+            assert_eq!(view.instants + 1, reference.epochs.len(), "case {case}");
+            changes += reference.changes.len();
+            instants += view.instants;
+            folded += usize::from(view.schedule().events().iter().any(|e| e.time == 0.0));
+            // Half-grid instants land before, on, between and past the
+            // churn times.
+            for step in 0..=20u32 {
+                let t = f64::from(step) * 1.25 - 1.25;
+                let what = format!("case {case} at {t} in {view}");
+                assert_eq!(view.live_edges_at(t), reference.live_edges_at(t), "{what}");
+                for a in 0..n {
+                    let epoch = reference.epoch_at(t);
+                    assert_eq!(view.neighbors_at(a, t), epoch.neighbors[a], "{what}: {a}");
+                    assert_eq!(view.active_at(a, t), epoch.active[a], "{what}: {a}");
+                    for b in (0..n).filter(|&b| b != a) {
+                        let tracked = reference.tracked.contains(&(a.min(b), a.max(b)));
+                        assert_eq!(view.link_tracked(a, b), tracked, "{what}: ({a}, {b})");
+                        let formed = view.link_formed_at(a, b, t);
+                        assert_eq!(formed, reference.link_formed_at(a, b, t), "{what}");
+                        for t1 in [t, t + 1.25, t + 5.0] {
+                            let lost = view.link_interrupted(a, b, t, t1);
+                            assert_eq!(lost, reference.link_interrupted(a, b, t, t1), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        // The generator reaches changes, about two change instants per
+        // schedule and time-zero folds.
+        assert!(
+            changes > 1000 && instants > 800 && folded > 100,
+            "{changes} {instants} {folded}"
+        );
+    }
 
     #[test]
     fn static_view_matches_base_neighbors() {
@@ -669,9 +867,9 @@ mod tests {
 
     #[test]
     fn epoch_neighbor_lists_match_the_link_histories() {
-        // Epochs are built by applying each instant's flips to the epoch
-        // before; the per-pair interval lists are built independently, so
-        // the two must describe the same graph at every instant.
+        // Neighbor lists merge the base lists with the touched pairs'
+        // histories; link queries read one pair's history, so the two must
+        // describe the same graph at every instant.
         let mut rng = StdRng::seed_from_u64(0xE90C);
         for case in 0..200 {
             let n = rng.random_range(3..=9usize);

@@ -28,13 +28,22 @@
 //! [`gcs_sim::ShardedSimulation::counters`], the coordinator's serial
 //! phases, and how much of each shard's busy time fell in stretches of
 //! the run where the other shards had next to nothing to do.
+//!
+//! A fourth table is churn at scale: [`DynamicTopology::new`] on the same
+//! graph under more than 10,000 Poisson toggles of its neighbor edges,
+//! with the compile time, the edge changes and the resident-set growth
+//! (asserted under 64 MiB at full scale). At quick scale DynamicGradient
+//! also runs under that schedule, recorded, and must pass the weak
+//! gradient and stabilization oracles.
 
 use std::time::Instant;
 
 use gcs_algorithms::AlgorithmKind;
-use gcs_dynamic::ChurnSchedule;
+use gcs_core::problem::GradientFunction;
+use gcs_dynamic::{ChurnSchedule, DynamicTopology};
+use gcs_net::Topology;
 use gcs_sim::{GlobalSkewObserver, ShardedCounters};
-use gcs_testkit::Scenario;
+use gcs_testkit::{assert_stabilization, assert_weak_gradient_property, Scenario};
 
 use crate::table::fnum;
 use crate::{Scale, Table};
@@ -60,14 +69,19 @@ const SLICES: u32 = 20;
 /// slice's dispatch work.
 const ALONE_SHARE: f64 = 0.9;
 
-/// Process-lifetime peak resident set (`VmHWM`) in MiB, if the platform
-/// exposes it (Linux procfs; `None` elsewhere). Monotone over the
-/// process's life, so successive readings bound *cumulative* peak state.
-fn peak_rss_mib() -> Option<f64> {
+/// A `/proc/self/status` memory line (`VmHWM:`, `VmRSS:`) in MiB, if the
+/// platform exposes it (Linux procfs; `None` elsewhere).
+fn status_mib(key: &str) -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.starts_with(key))?;
     let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kib / 1024.0)
+}
+
+/// Process-lifetime peak resident set (`VmHWM`) in MiB. Monotone over the
+/// process's life, so successive readings bound *cumulative* peak state.
+fn peak_rss_mib() -> Option<f64> {
+    status_mib("VmHWM:")
 }
 
 /// The algorithm catalog at scale. Slack-per-distance parameters are
@@ -235,6 +249,97 @@ fn shard_table(n: usize, k: usize, run: &ScaleRun) -> Table {
     table
 }
 
+/// Expected Poisson toggles over the horizon in the churn-scale table.
+const CHURN_TOGGLES: f64 = 12_000.0;
+/// The churn-scale seed; it draws over 10,000 toggles at both scales.
+const CHURN_SEED: u64 = 0xC4A2_0015;
+
+/// Churn at scale: `DynamicTopology::new` on the E15 graph under Poisson
+/// toggles of its neighbor edges, and at quick scale DynamicGradient
+/// under the same schedule against the churn oracles, held to the
+/// bounds the testkit's own churn-oracle test holds it to.
+fn churn_table(
+    scale: Scale,
+    n: usize,
+    extent: f64,
+    radius: f64,
+    period: f64,
+    horizon: f64,
+) -> Table {
+    let topology = Topology::random_geometric(n, extent, radius, 42);
+    let rate = CHURN_TOGGLES / horizon;
+    let schedule =
+        ChurnSchedule::random_churn(&topology.neighbor_edges(), rate, horizon, CHURN_SEED);
+    assert!(schedule.len() >= 10_000, "{schedule} draws too few toggles");
+    let (rss, t0) = (status_mib("VmRSS:"), Instant::now());
+    let view = DynamicTopology::new(topology.clone(), schedule.clone()).expect("base-edge churn");
+    let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let growth = status_mib("VmRSS:")
+        .zip(rss)
+        .map(|(after, before)| after - before);
+    if let (Scale::Full, Some(growth)) = (scale, growth) {
+        assert!(
+            growth < 64.0,
+            "compiling {schedule} grew the resident set by {growth:.1} MiB"
+        );
+    }
+    let (live, stable) = if scale == Scale::Quick {
+        let window = horizon / 4.0;
+        let scenario = Scenario::on(format!("e15_rgg{n}_churn"), topology)
+            .algorithm(dynamic_gradient(period, window))
+            .churn(schedule.clone())
+            .spread_rates(0.01)
+            .uniform_delay(0.3, 0.9)
+            .seed(42)
+            .horizon(horizon);
+        let exec = scenario.run();
+        let strong = GradientFunction::Linear {
+            per_distance: 2.0,
+            constant: 3.0,
+        };
+        let weak = GradientFunction::Linear {
+            per_distance: 8.0,
+            constant: 6.0,
+        };
+        // The oracle window is real time: the algorithm's hardware-time
+        // window over 1 - rho, rounded up.
+        let (oracle_window, from) = (window * 1.05, horizon / 4.0);
+        let live =
+            assert_weak_gradient_property(&exec, &view, &strong, &weak, oracle_window, from, 60);
+        let stable = assert_stabilization(&exec, &view, &strong, oracle_window, from, 60);
+        (fnum(live), fnum(stable))
+    } else {
+        ("-".into(), "-".into())
+    };
+    let mut table = Table::new(
+        "e15",
+        &format!(
+            "Churn at O(change) cost (n = {n}, Poisson toggles of the neighbor edges at \
+             rate {rate} to horizon {horizon}, seed {CHURN_SEED:#x}): compile time and \
+             resident-set growth of DynamicTopology::new; at quick scale DynamicGradient \
+             under the same churn passes the weak-gradient (2d + 3 stable, 8d + 6 new) \
+             and stabilization oracles"
+        ),
+        &[
+            "toggles",
+            "edge_changes",
+            "compile_ms",
+            "rss_growth_mib",
+            "worst_live_skew",
+            "worst_stable_skew",
+        ],
+    );
+    table.row_owned(vec![
+        schedule.len().to_string(),
+        view.edge_changes().len().to_string(),
+        fnum(compile_ms),
+        growth.map_or_else(|| "n/a".into(), fnum),
+        live,
+        stable,
+    ]);
+    table
+}
+
 fn rss_cell(r: &ScaleRun) -> String {
     r.peak_rss_mib.map_or_else(|| "n/a".into(), fnum)
 }
@@ -258,6 +363,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         Scale::Quick => 4,
         Scale::Full => threads.clamp(2, 16),
     };
+    // First, on a heap no simulation has grown yet, so the resident-set
+    // growth is the compiled view's.
+    let churn = churn_table(scale, n, extent, radius, period, horizon);
 
     // ── Determinism matrix: DynamicGradient on one shard and on kmax.
     //
@@ -389,7 +497,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }
     }
 
-    vec![shard_matrix, coverage, shards]
+    vec![shard_matrix, coverage, shards, churn]
 }
 
 #[cfg(test)]
@@ -401,12 +509,13 @@ mod tests {
         // The in-experiment assertions do the heavy lifting; this pins
         // the quick configuration's shape: one shard-matrix table (1 and
         // 4 shards), one coverage table (8 algorithms) and the wall-time
-        // table (4 shards, 3 sums, wall).
+        // table (4 shards, 3 sums, wall), then the one churn-scale row.
         let tables = run(Scale::Quick);
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 4);
         assert_eq!(tables[0].rows().len(), 2);
         assert_eq!(tables[1].rows().len(), 8);
         assert_eq!(tables[2].rows().len(), 4 + 3 + 1);
+        assert_eq!(tables[3].rows().len(), 1);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //!
 //! This crate provides:
 //!
-//! - [`Topology`]: a node set with a symmetric distance matrix, plus
-//!   constructors for the standard shapes (line, ring, grid, complete, star,
-//!   random geometric graphs) and a neighbor relation used by algorithms
-//!   that only talk to nearby nodes.
+//! - [`Topology`]: a node set with symmetric distances, plus constructors
+//!   for the standard shapes (line, ring, grid, complete, star: distances
+//!   by formula, no matrix; random geometric graphs: from their points) and
+//!   a neighbor relation used by algorithms that only talk to nearby nodes.
 //! - [`DelayPolicy`]: the adversary's (or environment's) choice of message
 //!   delays, always bounded by `[0, d_ij]`. Implementations include the
 //!   nominal half-distance policy, seeded uniform-random delays, recorded

@@ -1,6 +1,8 @@
-//! Node sets with distance (delay-uncertainty) matrices.
+//! Node sets with pairwise distances (delay uncertainties).
 //!
-//! A [`Topology`] is immutable shared data: cloning one costs two
+//! Named shapes compute each distance by formula and geometric topologies
+//! from their points; only explicit matrices and edge lists store `n²`
+//! entries. A [`Topology`] is immutable shared data: cloning one costs two
 //! reference counts, not a copy of its distances and adjacency lists, so
 //! a run that hands the topology to its engine, its delay policy and its
 //! dynamic view holds it once.
@@ -11,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A network of `n` nodes with a symmetric distance matrix `d_ij`.
+/// A network of `n` nodes with symmetric distances `d_ij`.
 ///
 /// Distances model message-delay *uncertainty* (Section 3 of the paper): a
 /// message between `i` and `j` may take any time in `[0, d_ij]`. The paper
@@ -47,22 +49,35 @@ pub struct Topology {
     neighbors: Arc<Vec<Vec<usize>>>,
 }
 
-/// Distance storage. Small and irregular topologies keep the full matrix;
-/// geometric topologies store the generating points and evaluate distances
-/// on demand, which is what makes 100k-node networks affordable (a dense
-/// matrix at that size would be 80 GB).
+/// Distance storage. Named shapes evaluate the expression their
+/// constructor documents, geometric topologies store the generating
+/// points, and only [`Topology::from_matrix`] and [`Topology::from_edges`]
+/// keep the full matrix, which is what makes 100k-node networks affordable
+/// (a matrix at that size would be 80 GB). Stored representations cache
+/// `min_{i≠j} d_ij` and `max_ij d_ij` (O(n²) scans otherwise).
 #[derive(Debug, Clone, PartialEq)]
 enum Repr {
     /// Row-major `n × n` distance matrix; diagonal is 0.
-    Dense(Vec<f64>),
+    Dense {
+        dist: Vec<f64>,
+        min_dist: f64,
+        diameter: f64,
+    },
     /// Points in the plane; `d_ij = max(1, scale × |p_i - p_j|)`.
     Geometric {
         points: Vec<(f64, f64)>,
         scale: f64,
-        /// Cached `min_{i≠j} d_ij` (an O(n²) scan otherwise).
         min_dist: f64,
-        /// Cached `max_ij d_ij` (an O(n²) scan otherwise).
         diameter: f64,
+    },
+    Line,
+    Ring,
+    Grid {
+        w: usize,
+    },
+    Star,
+    Complete {
+        d: f64,
     },
 }
 
@@ -252,8 +267,12 @@ impl Topology {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn line(n: usize) -> Self {
-        Self::from_distance_fn(n, |i, j| (i as f64 - j as f64).abs(), 1.0)
-            .expect("line distances are valid")
+        assert!(n > 0, "topology must have at least one node");
+        Self::shape(n, Repr::Line, |i| {
+            (i.saturating_sub(1)..(i + 2).min(n))
+                .filter(|&j| j != i)
+                .collect()
+        })
     }
 
     /// A ring of `n` nodes with `d_ij = min(|i-j|, n - |i-j|)`.
@@ -264,15 +283,11 @@ impl Topology {
     #[must_use]
     pub fn ring(n: usize) -> Self {
         assert!(n >= 3, "a ring needs at least 3 nodes");
-        Self::from_distance_fn(
-            n,
-            |i, j| {
-                let d = (i as f64 - j as f64).abs();
-                d.min(n as f64 - d)
-            },
-            1.0,
-        )
-        .expect("ring distances are valid")
+        Self::shape(n, Repr::Ring, |i| {
+            let mut pair = vec![(i + n - 1) % n, (i + 1) % n];
+            pair.sort_unstable();
+            pair
+        })
     }
 
     /// A `w × h` grid with L1 (Manhattan) distances. Nodes are numbered
@@ -284,17 +299,18 @@ impl Topology {
     #[must_use]
     pub fn grid(w: usize, h: usize) -> Self {
         assert!(w > 0 && h > 0, "grid dimensions must be positive");
-        let n = w * h;
-        Self::from_distance_fn(
-            n,
-            |i, j| {
-                let (xi, yi) = ((i % w) as f64, (i / w) as f64);
-                let (xj, yj) = ((j % w) as f64, (j / w) as f64);
-                (xi - xj).abs() + (yi - yj).abs()
-            },
-            1.0,
-        )
-        .expect("grid distances are valid")
+        Self::shape(w * h, Repr::Grid { w }, |i| {
+            let (x, y) = (i % w, i / w);
+            [
+                (y > 0).then(|| i - w),
+                (x > 0).then(|| i - 1),
+                (x + 1 < w).then_some(i + 1),
+                (y + 1 < h).then_some(i + w),
+            ]
+            .into_iter()
+            .flatten()
+            .collect()
+        })
     }
 
     /// A complete network of `n` nodes where every pair is at distance `d`
@@ -302,11 +318,15 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `d < 1`.
+    /// Panics if `n == 0`, `d < 1` or `d` is not finite.
     #[must_use]
     pub fn complete(n: usize, d: f64) -> Self {
+        assert!(n > 0, "topology must have at least one node");
         assert!(d >= 1.0, "distances are normalized to be at least 1");
-        Self::from_distance_fn(n, |_, _| d, d).expect("complete distances are valid")
+        assert!(d.is_finite(), "complete distances must be finite");
+        Self::shape(n, Repr::Complete { d }, |i| {
+            (0..n).filter(|&j| j != i).collect()
+        })
     }
 
     /// A star: node 0 is the hub at distance `1` from every leaf; leaves are
@@ -318,18 +338,24 @@ impl Topology {
     #[must_use]
     pub fn star(n: usize) -> Self {
         assert!(n >= 2, "a star needs at least 2 nodes");
-        Self::from_distance_fn(
+        Self::shape(n, Repr::Star, |i| {
+            if i == 0 {
+                (1..n).collect()
+            } else {
+                vec![0]
+            }
+        })
+    }
+
+    /// A named shape: distances by `repr`'s formula, and `adjacent(i)`
+    /// node `i`'s ascending neighbor list — by rule, exactly the pairs a
+    /// scan of the formula at the shape's radius admits.
+    fn shape(n: usize, repr: Repr, adjacent: impl Fn(usize) -> Vec<usize>) -> Self {
+        Self {
             n,
-            |i, j| {
-                if i == 0 || j == 0 {
-                    1.0
-                } else {
-                    2.0
-                }
-            },
-            1.0,
-        )
-        .expect("star distances are valid")
+            repr: Arc::new(repr),
+            neighbors: Arc::new((0..n).map(adjacent).collect()),
+        }
     }
 
     /// Random geometric topology: `n` points uniform in a square of side
@@ -487,6 +513,7 @@ impl Topology {
         if n * n != n2 || n == 0 {
             return Err(TopologyError::NotSquare(n2));
         }
+        let (mut min_dist, mut diameter) = (f64::INFINITY, 0.0f64);
         for i in 0..n {
             if dist[i * n + i] != 0.0 {
                 return Err(TopologyError::NonzeroDiagonal(i));
@@ -499,6 +526,10 @@ impl Topology {
                 if (d - dist[j * n + i]).abs() > 1e-12 {
                     return Err(TopologyError::Asymmetric { i, j });
                 }
+                if i != j {
+                    min_dist = min_dist.min(d);
+                }
+                diameter = diameter.max(d);
             }
         }
         let mut neighbors = vec![Vec::new(); n];
@@ -511,33 +542,13 @@ impl Topology {
         }
         Ok(Self {
             n,
-            repr: Arc::new(Repr::Dense(dist)),
+            repr: Arc::new(Repr::Dense {
+                dist,
+                min_dist,
+                diameter,
+            }),
             neighbors: Arc::new(neighbors),
         })
-    }
-
-    fn from_distance_fn(
-        n: usize,
-        f: impl Fn(usize, usize) -> f64,
-        neighbor_radius: f64,
-    ) -> Result<Self, TopologyError> {
-        assert!(n > 0, "topology must have at least one node");
-        let mut dist = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    dist[i * n + j] = f(i, j);
-                }
-            }
-        }
-        if n == 1 {
-            return Ok(Self {
-                n,
-                repr: Arc::new(Repr::Dense(dist)),
-                neighbors: Arc::new(vec![Vec::new()]),
-            });
-        }
-        Self::from_matrix(dist, neighbor_radius)
     }
 
     /// The number of nodes.
@@ -563,52 +574,55 @@ impl Topology {
     pub fn distance(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "node index out of range");
         match &*self.repr {
-            Repr::Dense(dist) => dist[i * self.n + j],
-            Repr::Geometric { points, scale, .. } => {
-                if i == j {
-                    0.0
-                } else {
-                    geo_dist(points[i], points[j], *scale)
-                }
+            Repr::Dense { dist, .. } => dist[i * self.n + j],
+            _ if i == j => 0.0,
+            Repr::Geometric { points, scale, .. } => geo_dist(points[i], points[j], *scale),
+            Repr::Line => (i as f64 - j as f64).abs(),
+            Repr::Ring => {
+                let d = (i as f64 - j as f64).abs();
+                d.min(self.n as f64 - d)
             }
+            Repr::Grid { w } => {
+                ((i % w) as f64 - (j % w) as f64).abs() + ((i / w) as f64 - (j / w) as f64).abs()
+            }
+            Repr::Star if i == 0 || j == 0 => 1.0,
+            Repr::Star => 2.0,
+            Repr::Complete { d } => *d,
         }
     }
 
-    /// The diameter `D = max_ij d_ij`. O(1) for geometric topologies
-    /// (cached at construction), an O(n²) scan for dense ones.
+    /// The diameter `D = max_ij d_ij`, in O(1): by formula for named
+    /// shapes, cached at construction otherwise.
     #[must_use]
     pub fn diameter(&self) -> f64 {
-        match &*self.repr {
-            Repr::Dense(dist) => dist.iter().copied().fold(0.0, f64::max),
-            Repr::Geometric { diameter, .. } => *diameter,
+        match *self.repr {
+            Repr::Dense { diameter, .. } | Repr::Geometric { diameter, .. } => diameter,
+            Repr::Line => self.n as f64 - 1.0,
+            Repr::Ring => (self.n / 2) as f64,
+            Repr::Grid { w } => (w - 1 + self.n / w - 1) as f64,
+            Repr::Star => (self.n.min(3) - 1) as f64,
+            Repr::Complete { d } if self.n > 1 => d,
+            Repr::Complete { .. } => 0.0,
         }
     }
 
-    /// The minimum off-diagonal distance (1 for normalized topologies).
-    /// O(1) for geometric topologies (cached at construction).
+    /// The minimum off-diagonal distance (1 for normalized topologies,
+    /// infinite for a single node), in O(1) like [`Topology::diameter`].
     #[must_use]
     pub fn min_distance(&self) -> f64 {
-        match &*self.repr {
-            Repr::Dense(dist) => {
-                let mut min = f64::INFINITY;
-                for i in 0..self.n {
-                    for j in 0..self.n {
-                        if i != j {
-                            min = min.min(dist[i * self.n + j]);
-                        }
-                    }
-                }
-                min
-            }
-            Repr::Geometric { min_dist, .. } => *min_dist,
+        match *self.repr {
+            Repr::Dense { min_dist, .. } | Repr::Geometric { min_dist, .. } => min_dist,
+            _ if self.n == 1 => f64::INFINITY,
+            Repr::Complete { d } => d,
+            _ => 1.0,
         }
     }
 
     /// Rescales all distances so the minimum off-diagonal distance is exactly
     /// 1, as the paper's model requires. No-op for single-node topologies
-    /// (and for geometric topologies, which are normalized by construction:
-    /// their minimum distance is within one ulp of 1). Rescaling copies the
-    /// matrix first if another clone shares it.
+    /// (and for the shapes whose minimum is 1 by construction; geometric
+    /// minima are within one ulp of 1). Rescaling copies the matrix first if
+    /// another clone shares it.
     #[must_use]
     pub fn normalized(mut self) -> Self {
         if self.n < 2 {
@@ -616,15 +630,20 @@ impl Topology {
         }
         let min = self.min_distance();
         if (min - 1.0).abs() > 1e-12 && min.is_finite() && min > 0.0 {
+            // Division by a positive constant is monotone, so the rescaled
+            // caches equal a rescan of the rescaled entries bit for bit.
             match Arc::make_mut(&mut self.repr) {
-                Repr::Dense(dist) => {
-                    for d in dist.iter_mut() {
+                Repr::Dense {
+                    dist,
+                    min_dist,
+                    diameter,
+                } => {
+                    for d in dist.iter_mut().chain([min_dist, diameter]) {
                         *d /= min;
                     }
                 }
-                Repr::Geometric { .. } => {
-                    unreachable!("geometric topologies are normalized at construction")
-                }
+                Repr::Complete { d } => *d /= min,
+                _ => unreachable!("this shape is normalized at construction"),
             }
         }
         self
@@ -1014,6 +1033,105 @@ mod tests {
         assert!(t.min_distance() >= 1.0);
         assert!(t.diameter() > t.min_distance());
         assert!(t.distance(0, 1) >= 1.0);
+    }
+
+    /// `(min_{i≠j} d_ij, max_ij d_ij)` by the full scans dense topologies
+    /// once ran on every call.
+    fn scan(t: &Topology) -> (f64, f64) {
+        let n = t.len();
+        let all = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+        let min = all
+            .clone()
+            .filter(|&(i, j)| i != j)
+            .fold(f64::INFINITY, |m, (i, j)| m.min(t.distance(i, j)));
+        let max = all.fold(0.0, |m: f64, (i, j)| m.max(t.distance(i, j)));
+        (min, max)
+    }
+
+    fn assert_same(shape: &Topology, dense: &Topology) {
+        let n = shape.len();
+        let what = format!("{:?} at n = {n}", shape.repr);
+        for i in 0..n {
+            for j in 0..n {
+                let (a, b) = (shape.distance(i, j), dense.distance(i, j));
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}: d({i}, {j})");
+            }
+            assert_eq!(shape.neighbors_of(i), dense.neighbors_of(i), "{what}: {i}");
+        }
+        assert_eq!(shape.neighbor_edges(), dense.neighbor_edges(), "{what}");
+        let (min, max) = scan(dense);
+        for t in [shape, dense] {
+            assert_eq!(t.diameter().to_bits(), max.to_bits(), "{what}");
+            assert_eq!(t.min_distance().to_bits(), min.to_bits(), "{what}");
+        }
+        let bits = |t: &Topology| -> Vec<u64> {
+            t.distance_classes().iter().map(|d| d.to_bits()).collect()
+        };
+        assert_eq!(bits(shape), bits(dense), "{what}");
+        assert_eq!(shape.is_connected(), dense.is_connected(), "{what}");
+    }
+
+    #[test]
+    fn every_shape_equals_its_matrix() {
+        // Each shape beside the closure its constructor filled an n × n
+        // matrix with before it had a formula, and that matrix's radius.
+        type Formula = Box<dyn Fn(usize, usize) -> f64>;
+        let mut shapes: Vec<(Topology, Formula, f64)> = Vec::new();
+        for n in 1..=40 {
+            let line = |i: usize, j: usize| (i as f64 - j as f64).abs();
+            shapes.push((Topology::line(n), Box::new(line), 1.0));
+            for d in [1.0, 2.5] {
+                shapes.push((Topology::complete(n, d), Box::new(move |_, _| d), d));
+            }
+            if n >= 2 {
+                let star = |i, j| if i == 0 || j == 0 { 1.0 } else { 2.0 };
+                shapes.push((Topology::star(n), Box::new(star), 1.0));
+            }
+            if n >= 3 {
+                let ring = move |i: usize, j: usize| {
+                    let d = (i as f64 - j as f64).abs();
+                    d.min(n as f64 - d)
+                };
+                shapes.push((Topology::ring(n), Box::new(ring), 1.0));
+            }
+        }
+        for (w, h) in (1..=7).flat_map(|w| (1..=7).map(move |h| (w, h))) {
+            let grid = move |i: usize, j: usize| {
+                let (xi, yi) = ((i % w) as f64, (i / w) as f64);
+                let (xj, yj) = ((j % w) as f64, (j / w) as f64);
+                (xi - xj).abs() + (yi - yj).abs()
+            };
+            shapes.push((Topology::grid(w, h), Box::new(grid), 1.0));
+        }
+        for (shape, formula, radius) in shapes {
+            assert!(!matches!(*shape.repr, Repr::Dense { .. }));
+            let n = shape.len();
+            let entry = |k: usize| {
+                if k / n == k % n {
+                    0.0
+                } else {
+                    formula(k / n, k % n)
+                }
+            };
+            let dense = Topology::from_matrix((0..n * n).map(entry).collect(), radius).unwrap();
+            assert_same(&shape, &dense);
+            assert_same(&shape.normalized(), &dense.normalized());
+        }
+    }
+
+    #[test]
+    fn shapes_scale_to_a_million_nodes() {
+        // As matrices these would be 8 TB each.
+        let check = |t: Topology, diameter: f64, far: f64| {
+            assert_eq!(t.len(), 1_000_000);
+            assert_eq!(t.diameter(), diameter);
+            assert_eq!(t.min_distance(), 1.0);
+            assert_eq!(t.distance(0, 999_999), far);
+            assert_eq!(t.distance(500_000, 500_001), 1.0);
+        };
+        check(Topology::line(1_000_000), 999_999.0, 999_999.0);
+        check(Topology::ring(1_000_000), 500_000.0, 1.0);
+        check(Topology::grid(1000, 1000), 1998.0, 1998.0);
     }
 
     #[test]

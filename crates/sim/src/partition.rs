@@ -513,12 +513,12 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
         delay: Box<D>,
         keyed: bool,
     ) -> Self {
-        // The live neighbor sets start from the view's time-zero epoch and
-        // follow TopoChange events as they dispatch.
+        // The live neighbor sets start from the view's graph at time zero
+        // and follow TopoChange events as they dispatch.
         let neighbors = range
             .clone()
             .map(|i| match &frame.dynamic {
-                Some(view) => view.neighbors_at(i, 0.0).to_vec(),
+                Some(view) => view.neighbors_at(i, 0.0),
                 None => frame.topology.neighbors(i),
             })
             .collect();
