@@ -92,7 +92,7 @@ impl fmt::Display for SkewMatrix {
 /// Candidate times at which a node's logical clock (as a function of real
 /// time) changes slope or jumps: schedule breakpoints plus trajectory
 /// breakpoints mapped to real time. Clipped to `[0, horizon]`.
-fn node_breakpoint_times<M>(exec: &Execution<M>, i: usize) -> Vec<f64> {
+pub(crate) fn node_breakpoint_times<M>(exec: &Execution<M>, i: usize) -> Vec<f64> {
     let sched = exec.schedule(i);
     let horizon = exec.horizon();
     let mut times: Vec<f64> = sched.segments().iter().map(|&(t, _)| t).collect();
@@ -153,20 +153,6 @@ pub fn max_abs_skew<M>(exec: &Execution<M>, i: usize, j: usize, from: f64) -> (f
 pub fn logical_before<M>(exec: &Execution<M>, i: usize, t: f64) -> f64 {
     let hw = exec.hw_at(i, t);
     exec.trajectory(i).value_before(hw)
-}
-
-/// A time series of the skew between one pair of nodes, for plotting.
-#[must_use]
-pub fn skew_series<M>(exec: &Execution<M>, i: usize, j: usize, step: f64) -> Vec<(f64, f64)> {
-    assert!(step > 0.0, "step must be positive");
-    let mut out = Vec::new();
-    let mut t = 0.0;
-    let horizon = exec.horizon();
-    while t <= horizon {
-        out.push((t, exec.skew(i, j, t)));
-        t += step;
-    }
-    out
 }
 
 /// The empirical gradient of an execution: for every pairwise distance
@@ -333,14 +319,6 @@ mod tests {
         let e = fixture();
         assert!((logical_before(&e, 2, 5.0) - 5.0).abs() < 1e-12);
         assert!((e.logical_at(2, 5.0) - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skew_series_has_expected_length() {
-        let e = fixture();
-        let s = skew_series(&e, 0, 1, 1.0);
-        assert_eq!(s.len(), 11);
-        assert!((s[10].1 - 1.0).abs() < 1e-9);
     }
 
     #[test]

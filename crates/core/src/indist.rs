@@ -15,6 +15,14 @@
 //! order instead.) The checkers therefore canonicalize each maximal run
 //! of equal-reading events before comparing, making same-reading
 //! permutations indistinguishable by construction.
+//!
+//! Every check is one comparison loop over a per-node *window* of the
+//! canonicalized sequences: either all of a node's observations, or only
+//! those before a per-node real-time cutoff (how the fresh-link
+//! construction certifies each side up to the formation it sees on its
+//! own clock). [`distinctions`] and [`prefix_distinctions`] both compare
+//! whole sequences and differ only in the length rule: equal lengths, or
+//! the second sequence may run on past the first.
 
 use std::fmt;
 
@@ -83,6 +91,78 @@ fn canonicalize(obs: &mut [(f64, EventKind)], node: NodeId) {
     }
 }
 
+/// Which observations of each node a comparison covers, and how the two
+/// sequences' lengths must relate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Window<'a> {
+    /// Every observation; both sequences must have the same length.
+    Whole,
+    /// Every observation of the left execution; the right may run on.
+    Prefix,
+    /// The left execution's observations strictly before real time
+    /// `cutoffs[node]`; the right may run on.
+    Before(&'a [f64]),
+}
+
+/// The one comparison loop behind every check: each node's canonicalized
+/// observations of `left`, restricted to `window`, against the same
+/// positions of `right`. A right sequence too short for the rule is one
+/// [`DistinctionDetail::LengthMismatch`]; a differing kind, or a reading
+/// off by more than `tolerance`, is one distinction per position.
+pub(crate) fn window_distinctions<M1, M2>(
+    left: &Execution<M1>,
+    right: &Execution<M2>,
+    tolerance: f64,
+    window: Window<'_>,
+) -> Vec<Distinction> {
+    let mut out = Vec::new();
+    for node in 0..left.node_count().min(right.node_count()) {
+        let mut ol = left.observations(node);
+        let mut or = right.observations(node);
+        canonicalize(&mut ol, node);
+        canonicalize(&mut or, node);
+        let (len, length_ok) = match window {
+            Window::Whole => (ol.len(), ol.len() == or.len()),
+            Window::Prefix => (ol.len(), or.len() >= ol.len()),
+            Window::Before(cutoffs) => {
+                let len = left.observation_count_before(node, cutoffs[node]);
+                (len, or.len() >= len)
+            }
+        };
+        if !length_ok {
+            out.push(Distinction {
+                node,
+                index: len.min(or.len()),
+                detail: DistinctionDetail::LengthMismatch {
+                    left: len,
+                    right: or.len(),
+                },
+            });
+        }
+        for (index, ((hw_l, kind_l), (hw_r, kind_r))) in ol[..len].iter().zip(&or).enumerate() {
+            let detail = if kind_l != kind_r {
+                DistinctionDetail::KindMismatch {
+                    left: kind_l.clone(),
+                    right: kind_r.clone(),
+                }
+            } else if (hw_l - hw_r).abs() > tolerance {
+                DistinctionDetail::HwMismatch {
+                    left: *hw_l,
+                    right: *hw_r,
+                }
+            } else {
+                continue;
+            };
+            out.push(Distinction {
+                node,
+                index,
+                detail,
+            });
+        }
+    }
+    out
+}
+
 /// Compares observation sequences of every node. Returns all distinctions
 /// (empty means the executions are indistinguishable to every node).
 ///
@@ -94,46 +174,7 @@ pub fn distinctions<M1, M2>(
     b: &Execution<M2>,
     tolerance: f64,
 ) -> Vec<Distinction> {
-    let mut out = Vec::new();
-    let n = a.node_count().min(b.node_count());
-    for node in 0..n {
-        let mut oa = a.observations(node);
-        let mut ob = b.observations(node);
-        canonicalize(&mut oa, node);
-        canonicalize(&mut ob, node);
-        if oa.len() != ob.len() {
-            out.push(Distinction {
-                node,
-                index: oa.len().min(ob.len()),
-                detail: DistinctionDetail::LengthMismatch {
-                    left: oa.len(),
-                    right: ob.len(),
-                },
-            });
-        }
-        for (index, ((hw_a, kind_a), (hw_b, kind_b))) in oa.iter().zip(ob.iter()).enumerate() {
-            if kind_a != kind_b {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::KindMismatch {
-                        left: kind_a.clone(),
-                        right: kind_b.clone(),
-                    },
-                });
-            } else if (hw_a - hw_b).abs() > tolerance {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::HwMismatch {
-                        left: *hw_a,
-                        right: *hw_b,
-                    },
-                });
-            }
-        }
-    }
-    out
+    window_distinctions(a, b, tolerance, Window::Whole)
 }
 
 /// True if `a` and `b` are indistinguishable to every node (hardware
@@ -153,46 +194,7 @@ pub fn prefix_distinctions<M1, M2>(
     full: &Execution<M2>,
     tolerance: f64,
 ) -> Vec<Distinction> {
-    let mut out = Vec::new();
-    let n = prefix.node_count().min(full.node_count());
-    for node in 0..n {
-        let mut op = prefix.observations(node);
-        let mut of = full.observations(node);
-        canonicalize(&mut op, node);
-        canonicalize(&mut of, node);
-        if op.len() > of.len() {
-            out.push(Distinction {
-                node,
-                index: of.len(),
-                detail: DistinctionDetail::LengthMismatch {
-                    left: op.len(),
-                    right: of.len(),
-                },
-            });
-        }
-        for (index, ((hw_p, kind_p), (hw_f, kind_f))) in op.iter().zip(of.iter()).enumerate() {
-            if kind_p != kind_f {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::KindMismatch {
-                        left: kind_p.clone(),
-                        right: kind_f.clone(),
-                    },
-                });
-            } else if (hw_p - hw_f).abs() > tolerance {
-                out.push(Distinction {
-                    node,
-                    index,
-                    detail: DistinctionDetail::HwMismatch {
-                        left: *hw_p,
-                        right: *hw_f,
-                    },
-                });
-            }
-        }
-    }
-    out
+    window_distinctions(prefix, full, tolerance, Window::Prefix)
 }
 
 #[cfg(test)]
@@ -264,37 +266,117 @@ mod tests {
         assert!(indistinguishable(&a, &retimed, 0.0));
     }
 
+    /// A delivery at `node` whose hardware reading equals its real time.
+    fn deliver(node: NodeId, hw: f64, from: NodeId, seq: u64) -> gcs_sim::EventRecord {
+        gcs_sim::EventRecord {
+            time: hw,
+            node,
+            hw,
+            kind: EventKind::Deliver { from, seq },
+        }
+    }
+
+    fn two_nodes(events: Vec<gcs_sim::EventRecord>) -> Execution<f64> {
+        Execution::from_parts(
+            Topology::line(2),
+            vec![RateSchedule::constant(1.0); 2],
+            10.0,
+            events,
+            Vec::new(),
+            vec![gcs_clocks::PiecewiseLinear::new(0.0, 0.0, 1.0); 2],
+        )
+    }
+
     #[test]
     fn same_reading_permutations_are_indistinguishable() {
-        use gcs_sim::EventRecord;
         // Two deliveries at the bitwise-identical hardware reading, in
         // opposite orders: the node sees one simultaneous batch, so the
         // executions must compare as indistinguishable. A third event at
         // a later reading pins that cross-reading order still matters.
-        let ev = |hw: f64, from: NodeId, seq: u64| EventRecord {
-            time: hw,
-            node: 0,
-            hw,
-            kind: EventKind::Deliver { from, seq },
-        };
-        let build = |events: Vec<EventRecord>| {
-            Execution::<f64>::from_parts(
-                Topology::line(2),
-                vec![RateSchedule::constant(1.0); 2],
-                10.0,
-                events,
-                Vec::new(),
-                vec![gcs_clocks::PiecewiseLinear::new(0.0, 0.0, 1.0); 2],
-            )
-        };
-        let a = build(vec![ev(1.0, 4, 31), ev(1.0, 1, 43), ev(2.0, 1, 44)]);
-        let b = build(vec![ev(1.0, 1, 43), ev(1.0, 4, 31), ev(2.0, 1, 44)]);
+        let ev = |hw, from, seq| deliver(0, hw, from, seq);
+        let a = two_nodes(vec![ev(1.0, 4, 31), ev(1.0, 1, 43), ev(2.0, 1, 44)]);
+        let b = two_nodes(vec![ev(1.0, 1, 43), ev(1.0, 4, 31), ev(2.0, 1, 44)]);
         assert!(indistinguishable(&a, &b, 0.0));
         assert!(prefix_distinctions(&a, &b, 0.0).is_empty());
 
         // Swapping events at *different* readings stays distinguishable.
-        let c = build(vec![ev(1.0, 4, 31), ev(2.0, 1, 44), ev(1.0, 1, 43)]);
+        let c = two_nodes(vec![ev(1.0, 4, 31), ev(2.0, 1, 44), ev(1.0, 1, 43)]);
         assert!(!indistinguishable(&a, &c, 0.0));
+    }
+
+    #[test]
+    fn windowed_comparison_honours_per_node_cutoffs() {
+        // Node 0 is certified before real time 2, node 1 before 0.5.
+        let cutoffs = [2.0, 0.5];
+        let before = |a: &Execution<f64>, b: &Execution<f64>, tol: f64| {
+            window_distinctions(a, b, tol, Window::Before(&cutoffs))
+        };
+        let head = || vec![deliver(0, 1.0, 4, 31), deliver(0, 1.0, 1, 43)];
+        let with = |tail: Vec<gcs_sim::EventRecord>| {
+            let mut events = head();
+            events.extend(tail);
+            two_nodes(events)
+        };
+        let a = with(vec![
+            deliver(1, 1.0, 0, 1),
+            deliver(0, 1.5, 1, 44),
+            deliver(0, 2.0, 1, 45),
+        ]);
+
+        // A same-reading permutation before the cutoff is no distinction.
+        let mut permuted = head();
+        permuted.reverse();
+        permuted.extend([
+            deliver(1, 1.0, 0, 1),
+            deliver(0, 1.5, 1, 44),
+            deliver(0, 2.0, 1, 45),
+        ]);
+        assert!(before(&a, &two_nodes(permuted), 0.0).is_empty());
+
+        // Anything at or after a node's own cutoff is ignored: node 0's
+        // event at 2.0 and node 1's at 1.0 differ, and the right runs on.
+        let late = with(vec![
+            deliver(1, 1.0, 0, 2),
+            deliver(0, 1.5, 1, 44),
+            deliver(0, 2.0, 3, 7),
+            deliver(0, 7.0, 2, 9),
+        ]);
+        assert!(before(&a, &late, 0.0).is_empty());
+        // The same difference at node 1 is seen under a later cutoff.
+        let seen = window_distinctions(&a, &late, 0.0, Window::Before(&[2.0, 2.0]));
+        assert_eq!(seen.len(), 1);
+        assert_eq!(seen[0].node, 1);
+
+        // A reading off by more than the tolerance before the cutoff is
+        // one distinction; within the tolerance it is none.
+        let off = with(vec![
+            deliver(1, 1.0, 0, 1),
+            deliver(0, 1.5 + 1e-6, 1, 44),
+            deliver(0, 2.0, 1, 45),
+        ]);
+        assert_eq!(
+            before(&a, &off, 1e-9),
+            vec![Distinction {
+                node: 0,
+                index: 2,
+                detail: DistinctionDetail::HwMismatch {
+                    left: 1.5,
+                    right: 1.5 + 1e-6,
+                },
+            }]
+        );
+        assert!(before(&a, &off, 1e-3).is_empty());
+
+        // A missing tail is one length mismatch, not one per lost event.
+        let short = with(vec![deliver(1, 1.0, 0, 1)]);
+        assert_eq!(
+            before(&a, &short, 0.0),
+            vec![Distinction {
+                node: 0,
+                index: 2,
+                detail: DistinctionDetail::LengthMismatch { left: 3, right: 2 },
+            }]
+        );
     }
 
     #[test]

@@ -21,9 +21,10 @@ use std::fmt;
 use gcs_clocks::{DriftBound, RateSchedule};
 use gcs_sim::{Execution, MessageStatus};
 
-use crate::retiming::{Retiming, RetimingReport};
+use crate::retiming::{Retiming, RetimingReport, TOL};
 
 use super::embedding::line_positions;
+use super::first_non_nominal_rate;
 
 /// Which pair to add skew between, and where the nominal suffix starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,24 +210,13 @@ impl std::error::Error for AddSkewError {}
 #[derive(Debug, Clone, Copy)]
 pub struct AddSkew {
     bound: DriftBound,
-    tolerance: f64,
 }
 
 impl AddSkew {
     /// Creates the construction for drift bound `ρ`.
     #[must_use]
     pub fn new(bound: DriftBound) -> Self {
-        Self {
-            bound,
-            tolerance: 1e-9,
-        }
-    }
-
-    /// Overrides the numeric tolerance used by precondition checks.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
+        Self { bound }
     }
 
     /// The drift bound.
@@ -262,7 +252,7 @@ impl AddSkew {
         let horizon = alpha.horizon();
         let s = start.unwrap_or(horizon - window);
         let t_end = s + window;
-        if s < -self.tolerance || t_end > horizon + self.tolerance {
+        if s < -TOL || t_end > horizon + TOL {
             return Err(AddSkewError::WindowOutOfRange {
                 start: s,
                 end: t_end,
@@ -270,7 +260,7 @@ impl AddSkew {
             });
         }
 
-        self.check_preconditions(alpha, s, t_end)?;
+        Self::check_preconditions(alpha, s, t_end)?;
 
         // Offsets along the line, measured from the fast node toward the
         // slow node: u_k = clamp(signed offset, 0, distance).
@@ -293,42 +283,21 @@ impl AddSkew {
         // Validation with the lemma's claimed bounds: messages received in
         // (S, T'] must have delay within [d/4, 3d/4]; earlier messages are
         // untouched and must satisfy the plain model bounds [0, d].
-        let topo = alpha.topology().clone();
-        let tol = self.tolerance;
-        let mut delay_violations = Vec::new();
-        let mut messages_checked = 0;
-        for m in transformed.messages() {
-            if m.status != MessageStatus::Delivered {
-                continue;
-            }
-            let arrival = m.arrival_time.expect("delivered");
-            let delay = m.delay().expect("delivered");
-            let d = topo.distance(m.from, m.to);
-            let (lo, hi) = if arrival > s + tol {
-                (d / 4.0, 3.0 * d / 4.0)
-            } else {
-                (0.0, d)
-            };
-            messages_checked += 1;
-            if delay < lo - tol || delay > hi + tol {
-                delay_violations.push(crate::retiming::DelayViolation {
-                    from: m.from,
-                    to: m.to,
-                    seq: m.seq,
-                    delay,
-                    allowed: (lo, hi),
-                });
-            }
-        }
-        let rates_ok = retiming
-            .schedules()
-            .iter()
-            .all(|sch| self.bound.admits(sch));
+        let topo = alpha.topology();
+        let validation = retiming
+            .validate_per_message(&transformed, self.bound, |m| {
+                let d = topo.distance(m.from, m.to);
+                if m.arrival_time.expect("delivered") > s + TOL {
+                    (d / 4.0, 3.0 * d / 4.0)
+                } else {
+                    (0.0, d)
+                }
+            })
+            .expect("one schedule per node");
         let rates_upper_half = retiming
             .schedules()
             .iter()
             .all(|sch| self.bound.admits_upper_half(sch));
-        let validation = RetimingReport::from_delays(rates_ok, delay_violations, messages_checked);
 
         let skew_before = alpha.logical_at(fast, t_end) - alpha.logical_at(slow, t_end);
         let skew_after =
@@ -357,30 +326,24 @@ impl AddSkew {
     }
 
     fn check_preconditions<M>(
-        &self,
         alpha: &Execution<M>,
         s: f64,
         t_end: f64,
     ) -> Result<(), AddSkewError> {
-        let tol = self.tolerance;
-        for node in 0..alpha.node_count() {
-            if let Some((lo, hi)) = alpha.schedule(node).rate_range_in(s.max(0.0), t_end) {
-                if (lo - 1.0).abs() > tol || (hi - 1.0).abs() > tol {
-                    return Err(AddSkewError::RateNotNominal { node });
-                }
-            }
+        if let Some(node) = first_non_nominal_rate(alpha, s.max(0.0), t_end) {
+            return Err(AddSkewError::RateNotNominal { node });
         }
         for m in alpha.messages() {
             if m.status != MessageStatus::Delivered {
                 continue;
             }
             let arrival = m.arrival_time.expect("delivered");
-            if arrival < s - tol || arrival > t_end + tol {
+            if arrival < s - TOL || arrival > t_end + TOL {
                 continue;
             }
             let d = alpha.topology().distance(m.from, m.to);
             let delay = m.delay().expect("delivered");
-            if (delay - d / 2.0).abs() > tol {
+            if (delay - d / 2.0).abs() > TOL {
                 return Err(AddSkewError::DelayNotNominal {
                     from: m.from,
                     to: m.to,

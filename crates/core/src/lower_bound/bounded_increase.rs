@@ -20,23 +20,8 @@ use std::fmt;
 use gcs_clocks::{DriftBound, RateSchedule};
 use gcs_sim::{Execution, MessageStatus};
 
+use crate::analysis::node_breakpoint_times;
 use crate::retiming::{Retiming, RetimingReport};
-
-/// Candidate real times at which node `i`'s logical clock (as a function of
-/// real time) changes slope or jumps.
-fn knot_times<M>(exec: &Execution<M>, i: usize) -> Vec<f64> {
-    let sched = exec.schedule(i);
-    let horizon = exec.horizon();
-    let mut times: Vec<f64> = sched.segments().iter().map(|&(t, _)| t).collect();
-    for bp in exec.trajectory(i).breakpoints() {
-        let t = sched.time_at_value(bp.x);
-        if t <= horizon {
-            times.push(t);
-        }
-    }
-    times.retain(|t| (0.0..=horizon).contains(t));
-    times
-}
 
 /// The largest increase of node `i`'s logical clock over any window of
 /// length `window` starting in `[from, horizon - window]`, with the
@@ -65,7 +50,7 @@ pub fn max_window_increase<M>(
     );
     let hi = horizon - window;
     let mut candidates: Vec<f64> = Vec::new();
-    for k in knot_times(exec, node) {
+    for k in node_breakpoint_times(exec, node) {
         candidates.push(k);
         candidates.push(k - window);
     }

@@ -43,7 +43,10 @@ use gcs_clocks::{DriftBound, RateSchedule, TimeWarp};
 use gcs_net::Topology;
 use gcs_sim::{Execution, MessageStatus};
 
-use crate::retiming::{Retiming, RetimingError, RetimingReport};
+use crate::indist::{window_distinctions, Window};
+use crate::retiming::{Retiming, RetimingError, RetimingReport, TOL};
+
+use super::first_non_nominal_rate;
 
 /// Which fresh link to force skew onto, and an optional cap on the shift.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,22 +174,8 @@ impl<M> FreshLinkOutcome<M> {
     /// replays bit-identically end to end.
     #[must_use]
     pub fn replay_prefix_distinctions<M2>(&self, replayed: &Execution<M2>) -> usize {
-        let cutoff = self.report.formation_beta - 1e-9;
-        let mut distinctions = 0;
-        for node in 0..self.transformed.node_count() {
-            let prefix = self.transformed.observation_count_before(node, cutoff);
-            let op = self.transformed.observations(node);
-            let or = replayed.observations(node);
-            if or.len() < prefix {
-                distinctions += prefix - or.len();
-            }
-            for ((hw_p, kind_p), (hw_r, kind_r)) in op.iter().zip(or.iter()).take(prefix) {
-                if kind_p != kind_r || hw_p.to_bits() != hw_r.to_bits() {
-                    distinctions += 1;
-                }
-            }
-        }
-        distinctions
+        let cutoffs = vec![self.report.formation_beta - TOL; self.transformed.node_count()];
+        window_distinctions(&self.transformed, replayed, 0.0, Window::Before(&cutoffs)).len()
     }
 }
 
@@ -298,24 +287,13 @@ impl From<RetimingError> for FreshLinkError {
 #[derive(Debug, Clone, Copy)]
 pub struct FreshLinkSkew {
     bound: DriftBound,
-    tolerance: f64,
 }
 
 impl FreshLinkSkew {
     /// Creates the construction for drift bound `ρ`.
     #[must_use]
     pub fn new(bound: DriftBound) -> Self {
-        Self {
-            bound,
-            tolerance: 1e-9,
-        }
-    }
-
-    /// Overrides the numeric tolerance used by precondition checks.
-    #[must_use]
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
+        Self { bound }
     }
 
     /// The drift bound.
@@ -368,7 +346,7 @@ impl FreshLinkSkew {
 
         let horizon = alpha.horizon();
         let formation = match view.link_formed_at(fast, slow, horizon) {
-            Some(t) if t.is_finite() && t > self.tolerance => t,
+            Some(t) if t.is_finite() && t > TOL => t,
             _ => return Err(FreshLinkError::NoFreshLink { fast, slow }),
         };
 
@@ -377,19 +355,15 @@ impl FreshLinkSkew {
             return Err(FreshLinkError::SidesNotSeparated { fast, slow });
         }
         for m in alpha.messages() {
-            if side_fast[m.from] != side_fast[m.to] && m.send_time < formation - self.tolerance {
+            if side_fast[m.from] != side_fast[m.to] && m.send_time < formation - TOL {
                 return Err(FreshLinkError::CrossTrafficBeforeFormation {
                     from: m.from,
                     to: m.to,
                 });
             }
         }
-        for node in 0..n {
-            if let Some((lo, hi)) = alpha.schedule(node).rate_range_in(0.0, horizon) {
-                if (lo - 1.0).abs() > self.tolerance || (hi - 1.0).abs() > self.tolerance {
-                    return Err(FreshLinkError::RateNotNominal { node });
-                }
-            }
+        if let Some(node) = first_non_nominal_rate(alpha, 0.0, horizon) {
+            return Err(FreshLinkError::RateNotNominal { node });
         }
 
         // The admissible shift: capped by drift (γ = T_f/(T_f−Δ) ≤ 1+ρ)
@@ -411,7 +385,7 @@ impl FreshLinkSkew {
         if let Some(cap) = max_shift {
             shift = shift.min(cap);
         }
-        if shift <= self.tolerance {
+        if shift <= TOL {
             return Err(FreshLinkError::ShiftTooSmall { shift });
         }
 
@@ -442,13 +416,26 @@ impl FreshLinkSkew {
         let validation =
             retiming.try_validate(&transformed, self.bound, |i, j| (0.0, topo.distance(i, j)))?;
 
-        let pre_formation_distinctions = self.pre_formation_distinctions(
-            alpha,
-            &transformed,
-            &side_fast,
-            formation,
-            warped_formation,
-        );
+        // Each node's certified prefix ends at the formation as its own
+        // clock experiences it: `T_f` on the fast side, which observes the
+        // formation at that reading in both executions, but only `T_f − Δ`
+        // on the slow side, which in β sees the link appear in what used
+        // to be its quiet window. That lost `Δ` of certainty is the content
+        // of the bound: until its clock reads `T_f − Δ`, the slow side
+        // cannot know whether the link is about to appear.
+        let cutoffs: Vec<f64> = side_fast
+            .iter()
+            .map(|&on_fast_side| {
+                let cutoff = if on_fast_side {
+                    formation
+                } else {
+                    warped_formation
+                };
+                cutoff - TOL
+            })
+            .collect();
+        let pre_formation_distinctions =
+            window_distinctions(alpha, &transformed, TOL, Window::Before(&cutoffs)).len();
 
         let skew_before = alpha.logical_at(fast, formation) - alpha.logical_at(slow, formation);
         let skew_after = transformed.logical_at(fast, formation_beta)
@@ -477,50 +464,6 @@ impl FreshLinkSkew {
             retiming,
             report,
         })
-    }
-
-    /// Compares each node's observation prefix up to the formation *as
-    /// experienced on its own clock* (with the construction's tolerance as
-    /// a margin): per-node order and hardware readings must coincide, else
-    /// the node could have told the executions apart while the sides were
-    /// still separated.
-    ///
-    /// The fast side observes the formation at reading `T_f` in both
-    /// executions, so its certified prefix runs to `T_f`. The slow side
-    /// sees the link appear at reading `T_f − Δ` in `β` — the formation
-    /// moved into what used to be its quiet window — so its certified
-    /// prefix runs only to `T_f − Δ`. That lost `Δ` of certainty is
-    /// precisely the information-theoretic content of the bound: until its
-    /// own clock reads `T_f − Δ`, the slow side cannot know whether the
-    /// link (and the skew it carries) is about to appear.
-    fn pre_formation_distinctions<M>(
-        &self,
-        alpha: &Execution<M>,
-        beta: &Execution<M>,
-        side_fast: &[bool],
-        formation: f64,
-        warped_formation: f64,
-    ) -> usize {
-        let mut distinctions = 0;
-        for (node, &on_fast_side) in side_fast.iter().enumerate() {
-            let cutoff = if on_fast_side {
-                formation
-            } else {
-                warped_formation
-            };
-            let prefix = alpha.observation_count_before(node, cutoff - self.tolerance);
-            let oa = alpha.observations(node);
-            let ob = beta.observations(node);
-            if ob.len() < prefix {
-                distinctions += prefix - ob.len();
-            }
-            for ((hw_a, kind_a), (hw_b, kind_b)) in oa.iter().zip(ob.iter()).take(prefix) {
-                if kind_a != kind_b || (hw_a - hw_b).abs() > self.tolerance {
-                    distinctions += 1;
-                }
-            }
-        }
-        distinctions
     }
 }
 

@@ -14,6 +14,10 @@
 //!   formed link together with the warped churn timeline, forcing `Ω(Δ)`
 //!   skew on the link the instant it appears.
 
+use gcs_sim::Execution;
+
+use crate::retiming::TOL;
+
 mod add_skew;
 pub mod bounded_increase;
 mod dynamic_shift;
@@ -29,3 +33,14 @@ pub use embedding::line_positions;
 pub use main_theorem::{
     MainTheorem, MainTheoremConfig, MainTheoremError, MainTheoremReport, RoundReport,
 };
+
+/// The first node whose hardware rate leaves 1 (beyond [`TOL`]) somewhere
+/// in `[from, to]`: the nominal-rate precondition of Add Skew (over its
+/// window) and of the fresh-link construction (over the whole run).
+fn first_non_nominal_rate<M>(exec: &Execution<M>, from: f64, to: f64) -> Option<usize> {
+    (0..exec.node_count()).find(|&node| {
+        exec.schedule(node)
+            .rate_range_in(from, to)
+            .is_some_and(|(lo, hi)| (lo - 1.0).abs() > TOL || (hi - 1.0).abs() > TOL)
+    })
+}

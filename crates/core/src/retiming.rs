@@ -42,8 +42,9 @@ use gcs_clocks::{DriftBound, RateSchedule, TimeWarp};
 use gcs_dynamic::DynamicTopology;
 use gcs_sim::{EventKind, EventRecord, Execution, MessageRecord, MessageStatus, NodeId};
 
-/// Numeric tolerance shared by the validation checks.
-const TOL: f64 = 1e-9;
+/// Numeric tolerance shared by the validation checks and the lower-bound
+/// constructions built on them.
+pub(crate) const TOL: f64 = 1e-9;
 
 /// A re-timing of an execution: one replacement hardware schedule per node,
 /// a new horizon, and — for dynamic executions — a shared [`TimeWarp`] for
@@ -194,25 +195,6 @@ impl RetimingReport {
             && self.delay_violations.is_empty()
             && self.link_violations.is_empty()
             && self.change_violations.is_empty()
-    }
-
-    /// A report with the given delay findings and no dynamic findings —
-    /// the shape lemma-specific validators (which re-check delays with
-    /// their own windows) build on.
-    #[must_use]
-    pub fn from_delays(
-        rates_ok: bool,
-        delay_violations: Vec<DelayViolation>,
-        messages_checked: usize,
-    ) -> Self {
-        Self {
-            rates_ok,
-            delay_violations,
-            messages_checked,
-            link_violations: Vec::new(),
-            links_checked: 0,
-            change_violations: Vec::new(),
-        }
     }
 }
 
@@ -494,6 +476,19 @@ impl Retiming {
         bound: DriftBound,
         mut delay_bounds: impl FnMut(usize, usize) -> (f64, f64),
     ) -> Result<RetimingReport, RetimingError> {
+        self.validate_per_message(transformed, bound, |m| delay_bounds(m.from, m.to))
+    }
+
+    /// [`Retiming::try_validate`] with the allowed delay interval chosen
+    /// per delivered message record, for constructions whose window
+    /// depends on more than the endpoints (Add Skew's depends on the
+    /// arrival time).
+    pub(crate) fn validate_per_message<M>(
+        &self,
+        transformed: &Execution<M>,
+        bound: DriftBound,
+        mut delay_bounds: impl FnMut(&MessageRecord<M>) -> (f64, f64),
+    ) -> Result<RetimingReport, RetimingError> {
         if self.schedules.len() != transformed.node_count() {
             return Err(RetimingError::ScheduleCount {
                 expected: transformed.node_count(),
@@ -509,7 +504,7 @@ impl Retiming {
             }
             messages_checked += 1;
             let delay = m.delay().expect("delivered message has arrival");
-            let (lo, hi) = delay_bounds(m.from, m.to);
+            let (lo, hi) = delay_bounds(m);
             if delay < lo - TOL || delay > hi + TOL {
                 delay_violations.push(DelayViolation {
                     from: m.from,

@@ -2,7 +2,6 @@
 //! per-message delays, bounded by the pairwise distance `d_ij`.
 
 use crate::Topology;
-use std::collections::HashMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -13,51 +12,20 @@ use rand::{Rng, SeedableRng};
 pub enum DelayOutcome {
     /// Deliver the message `delay` time units after it was sent.
     Delay(f64),
-    /// Deliver the message at an absolute real time.
-    ///
-    /// The lower-bound constructions record *absolute* arrival times so that
-    /// replayed executions are bit-identical to the transformed traces
-    /// (adding a floating-point delay to a send time can perturb the result
-    /// in the last bit).
-    ArriveAt(f64),
     /// Deliver the message when the *receiver's hardware clock* reads the
     /// given value.
     ///
-    /// This is the strongest replay primitive: the indistinguishability
-    /// principle (Section 3 of the paper) is phrased in terms of hardware
-    /// clock readings at events, so a transformed execution is replayed
-    /// exactly by pinning each delivery to its recorded hardware reading.
-    /// The simulator converts the reading to a real time for scheduling but
-    /// dispatches the event with this exact hardware value.
+    /// This is the replay primitive: the indistinguishability principle
+    /// (Section 3 of the paper) is phrased in terms of hardware clock
+    /// readings at events, so a transformed execution is replayed exactly
+    /// by pinning each delivery to its recorded hardware reading (adding a
+    /// floating-point delay to a send time could perturb the arrival in the
+    /// last bit). The simulator converts the reading to a real time for
+    /// scheduling but dispatches the event with this exact hardware value.
     ArriveAtHw(f64),
     /// Drop the message (used only by failure-injection experiments; the
     /// paper's model assumes reliable delivery).
     Drop,
-}
-
-/// Bounds on admissible delays, derived from a topology.
-///
-/// A policy output is valid for a message `i → j` sent at time `s` if the
-/// resulting arrival time `t` satisfies `s ≤ t ≤ s + d_ij`.
-#[derive(Debug, Clone)]
-pub struct DelayBounds {
-    topology: Topology,
-}
-
-impl DelayBounds {
-    /// Creates delay bounds for `topology`.
-    #[must_use]
-    pub fn new(topology: Topology) -> Self {
-        Self { topology }
-    }
-
-    /// Checks that arrival time `t` for a message `from → to` sent at `s` is
-    /// within `[s, s + d]` (with tolerance `1e-9`).
-    #[must_use]
-    pub fn is_valid(&self, from: usize, to: usize, s: f64, t: f64) -> bool {
-        let d = self.topology.distance(from, to);
-        t >= s - 1e-9 && t <= s + d + 1e-9
-    }
 }
 
 /// A message-delay policy.
@@ -100,12 +68,46 @@ pub trait DelayPolicy: fmt::Debug {
     ///
     /// Sharded simulations give each shard its own fork so delay decisions
     /// need no cross-thread coordination. Policies that are stateful in
-    /// call order (e.g. [`AdversarialDelay`], [`RecordedDelay`] with an
-    /// order-dependent fallback) return `None` — the default — and are
-    /// rejected by the sharded build path.
+    /// call order (e.g. [`AdversarialDelay`]) return `None` — the default —
+    /// and are rejected by the sharded build path.
     fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
         None
     }
+}
+
+/// A boxed policy is a policy, so a type chosen at runtime passes
+/// straight to [`DelayPolicy`]-generic builders and wrappers.
+impl<D: DelayPolicy + ?Sized> DelayPolicy for Box<D> {
+    fn decide(&mut self, from: usize, to: usize, seq: u64, send_time: f64) -> DelayOutcome {
+        (**self).decide(from, to, seq, send_time)
+    }
+
+    fn bind_topology(&mut self, topology: &Topology) {
+        (**self).bind_topology(topology);
+    }
+
+    fn min_delay_bound(&self) -> f64 {
+        (**self).min_delay_bound()
+    }
+
+    fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
+        (**self).fork()
+    }
+}
+
+/// The per-message random stream of the seeded policies: a pure function
+/// of `(seed, from, to, seq)`, so a draw does not depend on the order in
+/// which the simulator asks (each policy passes its own salted seed).
+#[inline]
+fn message_rng(seed: u64, from: usize, to: usize, seq: u64) -> StdRng {
+    let mut h = seed;
+    for x in [from as u64, to as u64, seq] {
+        h ^= x
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(h << 6)
+            .wrapping_add(h >> 2);
+    }
+    StdRng::seed_from_u64(h)
 }
 
 /// The nominal policy: every message `i → j` takes exactly `frac × d_ij`.
@@ -191,14 +193,6 @@ impl UniformDelay {
             topology: None,
         }
     }
-
-    /// Binds the policy to a topology (done automatically by the simulator
-    /// builder; callable directly for standalone use).
-    #[must_use]
-    pub fn bound_to(mut self, topology: &Topology) -> Self {
-        self.topology = Some(topology.clone());
-        self
-    }
 }
 
 impl DelayPolicy for UniformDelay {
@@ -223,15 +217,7 @@ impl DelayPolicy for UniformDelay {
             .as_ref()
             .expect("UniformDelay must be bound to a topology before use")
             .distance(from, to);
-        // Derive a per-message RNG so the draw is order-independent.
-        let mut h = self.seed;
-        for x in [from as u64, to as u64, seq] {
-            h ^= x
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(h << 6)
-                .wrapping_add(h >> 2);
-        }
-        let mut rng = StdRng::seed_from_u64(h);
+        let mut rng = message_rng(self.seed, from, to, seq);
         let lo = self.lo_frac * d;
         let hi = self.hi_frac * d;
         let delay = if hi > lo {
@@ -240,60 +226,6 @@ impl DelayPolicy for UniformDelay {
             lo
         };
         DelayOutcome::Delay(delay)
-    }
-}
-
-/// Replay policy used by the lower-bound constructions: absolute arrival
-/// times recorded per `(from, to, seq)`, with a fallback policy for messages
-/// not in the record.
-///
-/// A recorded arrival is used only if it is still *valid* for the actual
-/// send time (arrival ≥ send, delay ≤ `d_ij`); otherwise the fallback
-/// decides. This keeps replayed prefixes exact while remaining a legal
-/// adversary on the (possibly divergent) suffix.
-#[derive(Debug)]
-pub struct RecordedDelay {
-    arrivals: HashMap<(usize, usize, u64), f64>,
-    bounds: DelayBounds,
-    fallback: Box<dyn DelayPolicy>,
-}
-
-impl RecordedDelay {
-    /// Creates a replay policy.
-    #[must_use]
-    pub fn new(
-        arrivals: HashMap<(usize, usize, u64), f64>,
-        topology: Topology,
-        fallback: Box<dyn DelayPolicy>,
-    ) -> Self {
-        Self {
-            arrivals,
-            bounds: DelayBounds::new(topology),
-            fallback,
-        }
-    }
-
-    /// The number of recorded arrivals.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Returns `true` if no arrivals are recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-}
-
-impl DelayPolicy for RecordedDelay {
-    fn decide(&mut self, from: usize, to: usize, seq: u64, send_time: f64) -> DelayOutcome {
-        if let Some(&t) = self.arrivals.get(&(from, to, seq)) {
-            if self.bounds.is_valid(from, to, send_time, t) {
-                return DelayOutcome::ArriveAt(t);
-            }
-        }
-        self.fallback.decide(from, to, seq, send_time)
     }
 }
 
@@ -370,14 +302,7 @@ impl DelayPolicy for BroadcastDelay {
     }
 
     fn decide(&mut self, from: usize, to: usize, seq: u64, _send_time: f64) -> DelayOutcome {
-        let mut h = self.seed ^ 0xABCD_EF01_2345_6789;
-        for x in [from as u64, to as u64, seq] {
-            h ^= x
-                .wrapping_add(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(h << 6)
-                .wrapping_add(h >> 2);
-        }
-        let mut rng = StdRng::seed_from_u64(h);
+        let mut rng = message_rng(self.seed ^ 0xABCD_EF01_2345_6789, from, to, seq);
         let jitter = if self.epsilon > 0.0 {
             rng.random_range(0.0..=self.epsilon)
         } else {
@@ -391,29 +316,32 @@ impl DelayPolicy for BroadcastDelay {
 /// probability `loss`, deterministic in `(seed, from, to, seq)`. Everything
 /// else is delegated to the inner policy.
 ///
+/// Generic over the boxed inner policy so that [`LossyDelay::fork`] can
+/// hand sharded simulations the same wrapper over a `Send` fork.
+///
 /// The paper's model assumes reliable links; this wrapper exists for the
 /// robustness extension experiments only.
 #[derive(Debug)]
-pub struct LossyDelay {
-    inner: Box<dyn DelayPolicy>,
+pub struct LossyDelay<P: DelayPolicy + ?Sized = dyn DelayPolicy> {
+    inner: Box<P>,
     loss: f64,
     seed: u64,
 }
 
-impl LossyDelay {
+impl<P: DelayPolicy + ?Sized> LossyDelay<P> {
     /// Wraps `inner`, dropping each message with probability `loss ∈ [0, 1)`.
     ///
     /// # Panics
     ///
     /// Panics if `loss` is outside `[0, 1)`.
     #[must_use]
-    pub fn new(inner: Box<dyn DelayPolicy>, loss: f64, seed: u64) -> Self {
+    pub fn new(inner: Box<P>, loss: f64, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
         Self { inner, loss, seed }
     }
 }
 
-impl DelayPolicy for LossyDelay {
+impl<P: DelayPolicy + ?Sized> DelayPolicy for LossyDelay<P> {
     // Forward the binding: the wrapped policy (e.g. `UniformDelay`) may
     // need the topology's distances, and the default `bind_topology` is
     // a no-op that would leave it unbound.
@@ -428,7 +356,7 @@ impl DelayPolicy for LossyDelay {
     }
 
     fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
-        Some(Box::new(SendLossyDelay {
+        Some(Box::new(LossyDelay {
             inner: self.inner.fork()?,
             loss: self.loss,
             seed: self.seed,
@@ -436,81 +364,12 @@ impl DelayPolicy for LossyDelay {
     }
 
     fn decide(&mut self, from: usize, to: usize, seq: u64, send_time: f64) -> DelayOutcome {
-        lossy_decide(
-            &mut *self.inner,
-            self.loss,
-            self.seed,
-            from,
-            to,
-            seq,
-            send_time,
-        )
-    }
-}
-
-/// The loss decision shared by [`LossyDelay`] and its thread-safe fork:
-/// a pure function of `(seed, from, to, seq)`, so wrapper and fork drop
-/// exactly the same messages.
-fn lossy_decide(
-    inner: &mut dyn DelayPolicy,
-    loss: f64,
-    seed: u64,
-    from: usize,
-    to: usize,
-    seq: u64,
-    send_time: f64,
-) -> DelayOutcome {
-    let mut h = seed ^ 0x1357_9BDF_2468_ACE0;
-    for x in [from as u64, to as u64, seq] {
-        h ^= x
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(h << 6)
-            .wrapping_add(h >> 2);
-    }
-    let mut rng = StdRng::seed_from_u64(h);
-    if rng.random_range(0.0..1.0) < loss {
-        DelayOutcome::Drop
-    } else {
-        inner.decide(from, to, seq, send_time)
-    }
-}
-
-/// [`LossyDelay`] over a `Send` inner policy — what [`LossyDelay::fork`]
-/// hands to sharded simulations.
-#[derive(Debug)]
-struct SendLossyDelay {
-    inner: Box<dyn DelayPolicy + Send>,
-    loss: f64,
-    seed: u64,
-}
-
-impl DelayPolicy for SendLossyDelay {
-    fn bind_topology(&mut self, topology: &Topology) {
-        self.inner.bind_topology(topology);
-    }
-
-    fn min_delay_bound(&self) -> f64 {
-        self.inner.min_delay_bound()
-    }
-
-    fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
-        Some(Box::new(SendLossyDelay {
-            inner: self.inner.fork()?,
-            loss: self.loss,
-            seed: self.seed,
-        }))
-    }
-
-    fn decide(&mut self, from: usize, to: usize, seq: u64, send_time: f64) -> DelayOutcome {
-        lossy_decide(
-            &mut *self.inner,
-            self.loss,
-            self.seed,
-            from,
-            to,
-            seq,
-            send_time,
-        )
+        let mut rng = message_rng(self.seed ^ 0x1357_9BDF_2468_ACE0, from, to, seq);
+        if rng.random_range(0.0..1.0) < self.loss {
+            DelayOutcome::Drop
+        } else {
+            self.inner.decide(from, to, seq, send_time)
+        }
     }
 }
 
@@ -529,7 +388,8 @@ mod tests {
     #[test]
     fn uniform_delays_stay_in_bounds() {
         let t = Topology::line(6);
-        let mut p = UniformDelay::new(0.25, 0.75, 3).bound_to(&t);
+        let mut p = UniformDelay::new(0.25, 0.75, 3);
+        p.bind_topology(&t);
         for seq in 0..100 {
             match p.decide(0, 5, seq, 0.0) {
                 DelayOutcome::Delay(d) => {
@@ -543,8 +403,10 @@ mod tests {
     #[test]
     fn uniform_delays_are_order_independent() {
         let t = Topology::line(3);
-        let mut a = UniformDelay::new(0.0, 1.0, 5).bound_to(&t);
-        let mut b = UniformDelay::new(0.0, 1.0, 5).bound_to(&t);
+        let mut a = UniformDelay::new(0.0, 1.0, 5);
+        let mut b = UniformDelay::new(0.0, 1.0, 5);
+        a.bind_topology(&t);
+        b.bind_topology(&t);
         let x1 = a.decide(0, 1, 0, 0.0);
         let _ = a.decide(1, 2, 0, 0.0);
         let y1 = a.decide(0, 1, 1, 5.0);
@@ -552,32 +414,6 @@ mod tests {
         let x2 = b.decide(0, 1, 0, 0.0);
         assert_eq!(x1, x2);
         assert_eq!(y1, b.decide(0, 1, 1, 5.0));
-    }
-
-    #[test]
-    fn recorded_delay_replays_valid_arrivals() {
-        let t = Topology::line(3);
-        let mut arrivals = HashMap::new();
-        arrivals.insert((0usize, 1usize, 0u64), 5.5_f64);
-        let fallback = Box::new(FixedFractionDelay::for_topology(&t, 0.5));
-        let mut p = RecordedDelay::new(arrivals, t, fallback);
-        assert_eq!(p.len(), 1);
-        // Valid: sent at 5.0, arrival 5.5, distance 1.
-        assert_eq!(p.decide(0, 1, 0, 5.0), DelayOutcome::ArriveAt(5.5));
-        // Invalid: sent at 6.0 (> recorded arrival) => fallback (delay 0.5).
-        assert_eq!(p.decide(0, 1, 0, 6.0), DelayOutcome::Delay(0.5));
-        // Unrecorded: fallback.
-        assert_eq!(p.decide(1, 2, 0, 0.0), DelayOutcome::Delay(0.5));
-    }
-
-    #[test]
-    fn recorded_delay_rejects_excessive_delay() {
-        let t = Topology::line(2);
-        let mut arrivals = HashMap::new();
-        arrivals.insert((0usize, 1usize, 0u64), 10.0_f64); // delay 10 > d = 1
-        let fallback = Box::new(FixedFractionDelay::for_topology(&t, 0.0));
-        let mut p = RecordedDelay::new(arrivals, t, fallback);
-        assert_eq!(p.decide(0, 1, 0, 0.0), DelayOutcome::Delay(0.0));
     }
 
     #[test]
@@ -643,14 +479,5 @@ mod tests {
                 other => panic!("unexpected outcome {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn delay_bounds_validate_window() {
-        let b = DelayBounds::new(Topology::line(3));
-        assert!(b.is_valid(0, 2, 1.0, 2.0));
-        assert!(b.is_valid(0, 2, 1.0, 3.0));
-        assert!(!b.is_valid(0, 2, 1.0, 3.1));
-        assert!(!b.is_valid(0, 2, 1.0, 0.9));
     }
 }

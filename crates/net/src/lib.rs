@@ -13,9 +13,10 @@
 //!   a neighbor relation used by algorithms that only talk to nearby nodes.
 //! - [`DelayPolicy`]: the adversary's (or environment's) choice of message
 //!   delays, always bounded by `[0, d_ij]`. Implementations include the
-//!   nominal half-distance policy, seeded uniform-random delays, recorded
-//!   replays (used by the lower-bound constructions), and near-zero
-//!   uncertainty broadcast (the RBS setting).
+//!   nominal half-distance policy, seeded uniform-random delays, and
+//!   near-zero uncertainty broadcast (the RBS setting). The lower-bound
+//!   constructions replay recorded executions through `gcs-core`'s
+//!   `HwReplayDelay`, which pins deliveries by receiver hardware reading.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +25,7 @@ mod delay;
 mod topology;
 
 pub use delay::{
-    AdversarialDelay, BroadcastDelay, DelayBounds, DelayOutcome, DelayPolicy, FixedFractionDelay,
-    LossyDelay, RecordedDelay, UniformDelay,
+    AdversarialDelay, BroadcastDelay, DelayOutcome, DelayPolicy, FixedFractionDelay, LossyDelay,
+    UniformDelay,
 };
 pub use topology::{Topology, TopologyError};

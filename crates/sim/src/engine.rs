@@ -215,18 +215,11 @@ impl SimulationBuilder {
 
     /// Sets the message-delay policy (defaults to the nominal half-distance
     /// policy). The policy's [`DelayPolicy::bind_topology`] is called
-    /// automatically.
+    /// automatically. A `Box<dyn DelayPolicy>` chosen at runtime is a
+    /// policy too.
     #[must_use]
     pub fn delay_policy(mut self, policy: impl DelayPolicy + 'static) -> Self {
         self.delay = Some(Box::new(policy));
-        self
-    }
-
-    /// Sets the boxed message-delay policy (useful when the concrete type is
-    /// chosen at runtime).
-    #[must_use]
-    pub fn delay_policy_boxed(mut self, policy: Box<dyn DelayPolicy>) -> Self {
-        self.delay = Some(policy);
         self
     }
 
@@ -1152,7 +1145,7 @@ mod tests {
 
     #[test]
     fn infinite_arrival_is_a_typed_error() {
-        let sim = sim_with_delay(|_, _, _, _| DelayOutcome::ArriveAt(f64::INFINITY));
+        let sim = sim_with_delay(|_, _, _, _| DelayOutcome::ArriveAtHw(f64::INFINITY));
         let err = sim.try_execute_until(5.0).unwrap_err();
         assert!(matches!(
             err,

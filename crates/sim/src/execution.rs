@@ -276,36 +276,6 @@ impl<M> Execution<M> {
             .filter(|e| e.node == i && e.time < t)
             .count()
     }
-
-    /// Maps `f` over message payloads, preserving all timing data. Used to
-    /// erase or translate payload types.
-    #[must_use]
-    pub fn map_payloads<N>(self, f: impl Fn(M) -> N) -> Execution<N> {
-        Execution {
-            topology: self.topology,
-            schedules: self.schedules,
-            horizon: self.horizon,
-            events: self.events,
-            messages: self
-                .messages
-                .into_iter()
-                .map(|m| MessageRecord {
-                    from: m.from,
-                    to: m.to,
-                    seq: m.seq,
-                    send_time: m.send_time,
-                    send_hw: m.send_hw,
-                    arrival_time: m.arrival_time,
-                    arrival_hw: m.arrival_hw,
-                    status: m.status,
-                    payload: f(m.payload),
-                })
-                .collect(),
-            trajectories: self.trajectories,
-            dynamic: self.dynamic,
-            drop_in_flight: self.drop_in_flight,
-        }
-    }
 }
 
 impl<M> fmt::Display for Execution<M> {

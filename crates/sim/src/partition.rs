@@ -865,17 +865,6 @@ where
                 let t = time + delay;
                 Some((t, self.clock.value_at(to, t)))
             }
-            DelayOutcome::ArriveAt(t) => {
-                if !t.is_finite() {
-                    return Err(non_finite());
-                }
-                assert!(
-                    t >= time - 1e-9 && t <= time + d + 1e-9,
-                    "delay policy violated the model: arrival {t} for \
-                     {from}->{to} sent at {time} with distance {d}"
-                );
-                Some((t, self.clock.value_at(to, t)))
-            }
             DelayOutcome::ArriveAtHw(h) => {
                 if !h.is_finite() {
                     return Err(non_finite());

@@ -460,7 +460,7 @@ impl Scenario {
         };
         builder
             .record_events(self.record)
-            .delay_policy_boxed(self.delay_policy())
+            .delay_policy(self.delay_policy())
     }
 
     /// Builds the simulation with custom nodes instead of
@@ -767,7 +767,7 @@ mod tests {
         let mut eager_sim = gcs_sim::SimulationBuilder::new(scenario.topology().clone())
             .record_events(false)
             .schedules(scenario.schedules())
-            .delay_policy_boxed(scenario.delay_policy())
+            .delay_policy(scenario.delay_policy())
             .build_with(|id, n| scenario.algorithm_kind().build(id, n))
             .unwrap();
         eager_sim.set_probe_schedule(0.0, 10.0);

@@ -195,7 +195,7 @@ fn check_hostile(sc: &VoprScenario) -> Result<(), Failure> {
             .schedules(scenario.schedules())
             .delay_policy(AdversarialDelay::new(move |_, _, _, _| match hostile {
                 HostileDelay::Nan => DelayOutcome::Delay(f64::NAN),
-                HostileDelay::Infinite => DelayOutcome::ArriveAt(f64::INFINITY),
+                HostileDelay::Infinite => DelayOutcome::ArriveAtHw(f64::INFINITY),
             }))
             .build_with(sc.make_nodes())
             .map_err(|e| format!("build failed: {e}"))?;

@@ -129,7 +129,8 @@ pub enum FaultSpec {
 pub enum HostileDelay {
     /// Every delay decision is `NaN`.
     Nan,
-    /// Every delay decision is `+∞`.
+    /// Every delivery is pinned to receiver hardware reading `+∞`
+    /// ([`gcs_net::DelayOutcome::ArriveAtHw`]).
     Infinite,
 }
 

@@ -44,7 +44,7 @@ fn lazy_run_matches_the_committed_eager_golden() {
         .expect("walk scenarios expose the lazy source");
     let exec = gradient_clock_sync::sim::SimulationBuilder::new(scenario.topology().clone())
         .drift_source(source)
-        .delay_policy_boxed(scenario.delay_policy())
+        .delay_policy(scenario.delay_policy())
         .build_with(|id, n| scenario.algorithm_kind().build(id, n))
         .expect("builds")
         .try_execute_until(scenario.horizon_time())

@@ -204,3 +204,25 @@ fn chained_add_skew_compounds_skew() {
         second.report.skew_after
     );
 }
+
+#[test]
+fn lower_bound_experiment_tables_match_committed_golden() {
+    // The quick-scale tables of every experiment that runs the
+    // lower-bound constructions (E2 Ω(d), E3 Add Skew, E4 Speed Up, E5
+    // the main theorem, E13 the fresh-link skew and its prefix check),
+    // rendered as text. Regenerate intentionally with:
+    // GCS_BLESS=1 cargo test -q
+    use gradient_clock_sync::experiments::{run_selected, Scale};
+    let ids = ["e2", "e3", "e4", "e5", "e13"].map(String::from);
+    let text: String = run_selected(Scale::Quick, &ids)
+        .iter()
+        .map(|t| t.render() + "\n")
+        .collect();
+    assert_text_matches_golden(
+        &text,
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/lower_bound_tables_quick.txt"
+        ),
+    );
+}

@@ -210,7 +210,8 @@ proptest! {
         seq in 0u64..50,
     ) {
         let topo = Topology::line(n);
-        let mut p = UniformDelay::new(lo, lo + width, seed).bound_to(&topo);
+        let mut p = UniformDelay::new(lo, lo + width, seed);
+        p.bind_topology(&topo);
         for i in 0..n {
             for j in 0..n {
                 if i == j { continue; }
