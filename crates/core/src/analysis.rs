@@ -1,93 +1,8 @@
 //! Skew measurement and empirical gradient profiles.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use gcs_sim::Execution;
-
-/// The matrix of pairwise logical-clock skews at a single instant.
-///
-/// # Examples
-///
-/// ```
-/// # let exec = gcs_testkit::Scenario::line(3).horizon(20.0).run();
-/// use gcs_core::analysis::SkewMatrix;
-/// let m = SkewMatrix::at(&exec, 10.0);
-/// println!("worst pair: {:?}", m.max_abs());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SkewMatrix {
-    n: usize,
-    /// Row-major `L_i - L_j`.
-    skew: Vec<f64>,
-    time: f64,
-}
-
-impl SkewMatrix {
-    /// Computes all pairwise skews `L_i(t) - L_j(t)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is outside `[0, horizon]`.
-    #[must_use]
-    pub fn at<M>(exec: &Execution<M>, t: f64) -> Self {
-        let n = exec.node_count();
-        let logical: Vec<f64> = (0..n).map(|i| exec.logical_at(i, t)).collect();
-        let mut skew = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                skew[i * n + j] = logical[i] - logical[j];
-            }
-        }
-        Self { n, skew, time: t }
-    }
-
-    /// The instant this matrix was computed at.
-    #[must_use]
-    pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// The skew `L_i - L_j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    #[must_use]
-    pub fn skew(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.n && j < self.n, "node index out of range");
-        self.skew[i * self.n + j]
-    }
-
-    /// The maximum `|L_i - L_j|` and the pair attaining it. Returns `None`
-    /// for single-node networks.
-    #[must_use]
-    pub fn max_abs(&self) -> Option<(f64, (usize, usize))> {
-        let mut best: Option<(f64, (usize, usize))> = None;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                let s = self.skew[i * self.n + j].abs();
-                if best.is_none_or(|(b, _)| s > b) {
-                    best = Some((s, (i, j)));
-                }
-            }
-        }
-        best
-    }
-}
-
-impl fmt::Display for SkewMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.max_abs() {
-            Some((s, (i, j))) => write!(
-                f,
-                "skews at t={} ({} nodes, worst |{i},{j}| = {s:.4})",
-                self.time, self.n
-            ),
-            None => write!(f, "skews at t={} (single node)", self.time),
-        }
-    }
-}
 
 /// Candidate times at which a node's logical clock (as a function of real
 /// time) changes slope or jumps: schedule breakpoints plus trajectory
@@ -183,7 +98,8 @@ impl GradientProfile {
     /// for every pair of nodes.
     ///
     /// Cost is `O(n² · b)` for `b` logical breakpoints per node; for large
-    /// executions prefer [`GradientProfile::measure_sampled`].
+    /// executions probe instead (`gcs_sim::GradientProfileObserver`, live
+    /// or through `gcs_sim::observe_execution`).
     #[must_use]
     pub fn measure<M>(exec: &Execution<M>, from: f64) -> Self {
         let n = exec.node_count();
@@ -194,29 +110,6 @@ impl GradientProfile {
                 let (skew, _) = max_abs_skew(exec, i, j, from);
                 let entry = rows.entry(d.to_bits()).or_insert((d, 0.0));
                 entry.1 = entry.1.max(skew);
-            }
-        }
-        Self { rows }
-    }
-
-    /// Measures the per-distance maximum skew at `samples` evenly spaced
-    /// instants in `[from, horizon]`. A lower bound on the exact profile.
-    #[must_use]
-    pub fn measure_sampled<M>(exec: &Execution<M>, from: f64, samples: usize) -> Self {
-        let n = exec.node_count();
-        let horizon = exec.horizon();
-        let samples = samples.max(1);
-        let mut rows: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
-        for k in 0..=samples {
-            let t = from + (horizon - from) * k as f64 / samples as f64;
-            let logical: Vec<f64> = (0..n).map(|i| exec.logical_at(i, t)).collect();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let d = exec.topology().distance(i, j);
-                    let skew = (logical[i] - logical[j]).abs();
-                    let entry = rows.entry(d.to_bits()).or_insert((d, 0.0));
-                    entry.1 = entry.1.max(skew);
-                }
             }
         }
         Self { rows }
@@ -273,28 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn skew_matrix_is_antisymmetric() {
-        let e = fixture();
-        let m = SkewMatrix::at(&e, 10.0);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((m.skew(i, j) + m.skew(j, i)).abs() < 1e-12);
-            }
-        }
-        assert_eq!(m.skew(0, 0), 0.0);
-    }
-
-    #[test]
-    fn skew_matrix_max_abs_finds_worst_pair() {
-        let e = fixture();
-        // At t=10: L0 = 11, L1 = 10, L2 = 13. Worst pair is (1,2) with 3.
-        let m = SkewMatrix::at(&e, 10.0);
-        let (s, (i, j)) = m.max_abs().unwrap();
-        assert_eq!((i, j), (1, 2));
-        assert!((s - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn max_abs_skew_catches_jump_left_limit() {
         let e = fixture();
         // Pair (0,2): before the jump at t=5 skew is 0.1·t (max 0.5-);
@@ -344,7 +215,8 @@ mod tests {
     fn sampled_profile_is_a_lower_bound_on_exact() {
         let e = fixture();
         let exact = GradientProfile::measure(&e, 0.0);
-        let sampled = GradientProfile::measure_sampled(&e, 0.0, 50);
+        let mut sampled = gcs_sim::GradientProfileObserver::new();
+        gcs_sim::observe_execution(&e, 0.0, 0.2, &mut [&mut sampled]);
         for ((d1, s_exact), (d2, s_sampled)) in exact.rows().iter().zip(sampled.rows().iter()) {
             assert_eq!(d1, d2);
             assert!(s_sampled <= &(s_exact + 1e-9));
@@ -365,12 +237,5 @@ mod tests {
         };
         assert!(p.satisfies(&generous));
         assert!(!p.satisfies(&stingy));
-    }
-
-    #[test]
-    fn display_of_skew_matrix_mentions_worst() {
-        let e = fixture();
-        let m = SkewMatrix::at(&e, 10.0);
-        assert!(format!("{m}").contains("worst"));
     }
 }

@@ -224,59 +224,6 @@ impl ValidityCondition {
     }
 }
 
-/// A witnessed violation of the f-gradient property.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GradientViolation {
-    /// First node of the pair.
-    pub i: usize,
-    /// Second node of the pair.
-    pub j: usize,
-    /// Real time of the witness.
-    pub time: f64,
-    /// Observed skew `|L_i - L_j|`.
-    pub skew: f64,
-    /// The bound `f(d_ij)` that was exceeded.
-    pub bound: f64,
-}
-
-/// Checks the f-gradient property on an execution by sampling each pair's
-/// skew at `samples` evenly spaced times (plus the horizon). Returns all
-/// witnessed violations.
-///
-/// Sampling can miss violations between samples; for exact pairwise maxima
-/// use [`crate::analysis::max_abs_skew`].
-#[must_use]
-pub fn check_gradient<M>(
-    exec: &Execution<M>,
-    f: &GradientFunction,
-    samples: usize,
-) -> Vec<GradientViolation> {
-    let mut out = Vec::new();
-    let horizon = exec.horizon();
-    let n = exec.node_count();
-    let times: Vec<f64> = (0..=samples)
-        .map(|k| horizon * k as f64 / samples.max(1) as f64)
-        .collect();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let bound = f.eval(exec.topology().distance(i, j));
-            for &t in &times {
-                let skew = exec.skew(i, j, t).abs();
-                if skew > bound + 1e-9 {
-                    out.push(GradientViolation {
-                        i,
-                        j,
-                        time: t,
-                        skew,
-                        bound,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,34 +322,6 @@ mod tests {
         t.push(4.0, 9.0, 1.0); // forward jump
         let exec = exec_with_trajectories(vec![t], vec![1.0]);
         assert!(ValidityCondition::default().check(&exec).is_empty());
-    }
-
-    #[test]
-    fn gradient_check_flags_excessive_skew() {
-        // Node 0 runs 2× logical rate: skew grows to 10 by t = 10; distance
-        // 1 with f(d) = d admits only 1.
-        let fast = PiecewiseLinear::new(0.0, 0.0, 2.0);
-        let slow = PiecewiseLinear::new(0.0, 0.0, 1.0);
-        let exec = exec_with_trajectories(vec![fast, slow], vec![1.0, 1.0]);
-        let f = GradientFunction::Linear {
-            per_distance: 1.0,
-            constant: 0.0,
-        };
-        let violations = check_gradient(&exec, &f, 10);
-        assert!(!violations.is_empty());
-        let worst = violations.iter().map(|v| v.skew).fold(0.0_f64, f64::max);
-        assert!((worst - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gradient_check_passes_within_bound() {
-        let exec =
-            exec_with_trajectories(vec![PiecewiseLinear::new(0.0, 0.0, 1.0); 3], vec![1.0; 3]);
-        let f = GradientFunction::Linear {
-            per_distance: 1.0,
-            constant: 0.0,
-        };
-        assert!(check_gradient(&exec, &f, 16).is_empty());
     }
 
     #[test]

@@ -9,22 +9,17 @@
 //! GCS_OUT=target/experiments cargo run --release -p gcs-experiments --bin run_experiments
 //! ```
 //!
-//! Positional arguments select experiments by id (`e1` … `e11`); with none
+//! Positional arguments select experiments by id (`e1` … `e15`); with none
 //! given, every experiment runs. With `GCS_OUT` set, each table is
 //! additionally written as CSV into the given directory, along with
-//! `cell_metrics.json` — per-cell telemetry (event counters, drop
-//! reasons, latency and adjacent-skew histograms, engine high-water
-//! marks) from a standard reference sweep.
+//! `cell_metrics.json`, the reference sweep's per-cell telemetry (see
+//! `gcs_experiments::reference_cell_metrics_json`).
 
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use gcs_algorithms::AlgorithmKind;
-use gcs_experiments::{
-    cell_metrics_json, run_all, run_selected, MetricsSpec, RunSpec, Scale, SweepRunner,
-};
-use gcs_testkit::Scenario;
+use gcs_experiments::{reference_cell_metrics_json, run_all, run_selected, Scale, SweepRunner};
 
 fn main() {
     let scale = Scale::from_env();
@@ -57,26 +52,9 @@ fn main() {
     }
 
     if let Some(dir) = &out_dir {
-        // Per-cell telemetry for the reference sweep: small enough to run
-        // on every invocation, rich enough to diff between revisions.
-        let spec = RunSpec::new()
-            .scenario(
-                Scenario::ring(8)
-                    .drift_walk(0.02, 8.0, 0.005)
-                    .uniform_delay(0.1, 0.9)
-                    .horizon(40.0),
-            )
-            .algorithms([
-                AlgorithmKind::Max { period: 1.0 },
-                AlgorithmKind::Gradient {
-                    period: 1.0,
-                    kappa: 0.5,
-                },
-            ])
-            .seeds([1, 2]);
-        let results = SweepRunner::new().run_cell_metrics(&spec, &MetricsSpec::default());
         let path = dir.join("cell_metrics.json");
-        fs::write(&path, cell_metrics_json(&results)).expect("write cell metrics");
+        fs::write(&path, reference_cell_metrics_json(&SweepRunner::new()))
+            .expect("write cell metrics");
         eprintln!("wrote {}", path.display());
     }
 

@@ -14,14 +14,13 @@
 
 use gcs_algorithms::AlgorithmKind;
 use gcs_clocks::{drift::DriftModel, DriftBound};
-use gcs_core::analysis::GradientProfile;
 use gcs_net::{Topology, UniformDelay};
-use gcs_sim::SimulationBuilder;
+use gcs_sim::{observe_execution, GradientProfileObserver, SimulationBuilder};
 
 use crate::table::fnum;
 use crate::{Scale, SweepRunner, Table};
 
-fn profile_run(kind: AlgorithmKind, n: usize, horizon: f64, seed: u64) -> GradientProfile {
+fn profile_run(kind: AlgorithmKind, n: usize, horizon: f64, seed: u64) -> GradientProfileObserver {
     let rho = DriftBound::new(0.02).expect("valid rho");
     let drift = DriftModel::new(rho, 10.0, 0.005);
     let topology = Topology::line(n);
@@ -32,8 +31,12 @@ fn profile_run(kind: AlgorithmKind, n: usize, horizon: f64, seed: u64) -> Gradie
         .unwrap()
         .try_execute_until(horizon)
         .expect("the gradient-profile line run");
-    // Skip the first quarter as warm-up.
-    GradientProfile::measure_sampled(&exec, horizon * 0.25, 200)
+    // Skip the first quarter as warm-up, then probe 201 evenly spaced
+    // instants through the horizon.
+    let from = horizon * 0.25;
+    let mut profile = GradientProfileObserver::new();
+    observe_execution(&exec, from, (horizon - from) / 200.0, &mut [&mut profile]);
+    profile
 }
 
 /// Runs the experiment.
@@ -72,7 +75,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         &col_refs,
     );
 
-    let profiles: Vec<GradientProfile> =
+    let profiles: Vec<GradientProfileObserver> =
         SweepRunner::new().map(&algorithms, |_, &k| profile_run(k, n, horizon, 42));
     let distances: Vec<f64> = profiles[0].rows().iter().map(|(d, _)| *d).collect();
     for &d in &distances {
@@ -131,6 +134,16 @@ mod tests {
     #[test]
     fn gradient_profile_grows_with_distance() {
         let tables = run(Scale::Quick);
+        // Both quick-scale tables, pinned as text. Regenerate intentionally
+        // with GCS_BLESS=1.
+        let text: String = tables.iter().map(|t| t.render() + "\n").collect();
+        gcs_testkit::assert_text_matches_golden(
+            &text,
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../tests/golden/e8_tables_quick.txt"
+            ),
+        );
         let rows = tables[0].rows();
         let first = &rows[0];
         let last = rows.last().unwrap();

@@ -55,7 +55,7 @@ pub mod e9_rbs;
 pub mod sweep;
 mod table;
 
-pub use sweep::{cell_metrics_json, MetricsSpec, RunSpec, SweepCell, SweepRunner};
+pub use sweep::{reference_cell_metrics_json, SweepRunner};
 pub use table::Table;
 
 /// How much work an experiment should do.

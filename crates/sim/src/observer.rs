@@ -328,8 +328,9 @@ impl Observer for AdjacentSkewObserver {
 }
 
 /// Streaming gradient profile: for every pairwise distance class, the
-/// worst probe-sampled `|L_i - L_j|` — the streaming counterpart of
-/// `gcs_core::analysis::GradientProfile::measure_sampled`. Memory is
+/// worst probe-sampled `|L_i - L_j|` — the probed counterpart of the exact
+/// `gcs_core::analysis::GradientProfile::measure`, and a lower bound on
+/// it. Memory is
 /// O(pairs + distance classes), independent of the horizon; the
 /// pair-to-class mapping is computed once from the first probe's
 /// (static) topology, so each probe is a flat array max-update.

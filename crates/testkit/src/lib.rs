@@ -16,7 +16,7 @@
 //!   on-disk goldens lock in deterministic replay across releases.
 //! - [`oracle`]: skew oracles — [`oracle::assert_global_skew_bound`],
 //!   [`oracle::assert_gradient_property`], validity checks, and the
-//!   [`oracle::DynNode`] adapter for fault-wrapping boxed algorithms.
+//!   four-observer [`oracle::StreamedMetrics`] bundle.
 //!
 //! # Example
 //!
@@ -48,7 +48,7 @@ pub use oracle::{
     assert_global_skew_bound, assert_gradient_property, assert_stabilization,
     assert_streamed_global_skew_bound, assert_validity, assert_validity_in,
     assert_weak_gradient_property, for_each_live_edge_sample, streamed_metrics,
-    worst_adjacent_skew, DynNode, LiveEdgeSample, StreamedMetrics,
+    worst_adjacent_skew, LiveEdgeSample, StreamedMetrics,
 };
 pub use scenario::{DelaySpec, DriftSpec, Scenario};
 pub use snapshot::{
@@ -62,7 +62,7 @@ pub mod prelude {
         assert_global_skew_bound, assert_gradient_property, assert_stabilization,
         assert_streamed_global_skew_bound, assert_validity, assert_validity_in,
         assert_weak_gradient_property, for_each_live_edge_sample, streamed_metrics,
-        worst_adjacent_skew, DynNode, LiveEdgeSample, StreamedMetrics,
+        worst_adjacent_skew, LiveEdgeSample, StreamedMetrics,
     };
     pub use crate::scenario::{DelaySpec, DriftSpec, Scenario};
     pub use crate::snapshot::{

@@ -1,11 +1,13 @@
 //! Skew oracles: assertions about global skew, the gradient property, and
-//! validity, plus churn-aware oracles for dynamic topologies and the
-//! [`DynNode`] adapter for fault-injection wrappers.
+//! validity, plus churn-aware oracles for dynamic topologies.
 
-use gcs_core::analysis::{max_abs_skew, GradientProfile};
-use gcs_core::problem::{check_gradient, GradientFunction, ValidityCondition};
+use gcs_core::analysis::max_abs_skew;
+use gcs_core::problem::{GradientFunction, ValidityCondition};
 use gcs_dynamic::DynamicTopology;
-use gcs_sim::{Context, Execution, Node, NodeId};
+use gcs_sim::{
+    observe_execution, AdjacentSkewObserver, Execution, GlobalSkewObserver,
+    GradientProfileObserver, Observer, ValidityObserver,
+};
 
 /// Asserts the worst pairwise skew from time `from` onward is at most
 /// `bound`, and returns the witnessed global skew.
@@ -40,28 +42,27 @@ pub fn assert_global_skew_bound<M>(exec: &Execution<M>, from: f64, bound: f64) -
     worst
 }
 
-/// Asserts the execution satisfies the `f`-gradient property, checking
-/// both the sampled per-pair skews (`samples` points per pair) and the
-/// distance-binned [`GradientProfile`] measured from a quarter of the
-/// horizon onward.
+/// Asserts the execution satisfies the `f`-gradient property on the probe
+/// grid `k · horizon / samples`: one [`GradientProfileObserver`] pass over
+/// the whole run, then every distance class's worst skew against `f`.
 ///
 /// # Panics
 ///
-/// Panics with the witnessed violations if the property fails.
+/// Panics naming the distance, skew and bound of the first class above
+/// `f(d)`.
 pub fn assert_gradient_property<M>(exec: &Execution<M>, f: &GradientFunction, samples: usize) {
-    let violations = check_gradient(exec, f, samples);
-    assert!(
-        violations.is_empty(),
-        "gradient property violated at {} pair-times, first: {:?}",
-        violations.len(),
-        violations.first(),
-    );
-    let profile = GradientProfile::measure_sampled(exec, exec.horizon() * 0.25, samples.max(2));
-    assert!(
-        profile.satisfies(f),
-        "gradient profile exceeds f: {:?}",
-        profile.rows(),
-    );
+    let mut profile = GradientProfileObserver::new();
+    // A zero horizon has the one instant t = 0, which any positive cadence
+    // probes.
+    let every = (exec.horizon() / samples.max(1) as f64).max(f64::MIN_POSITIVE);
+    observe_execution(exec, 0.0, every, &mut [&mut profile]);
+    for (d, skew) in profile.rows() {
+        let bound = f.eval(d);
+        assert!(
+            skew <= bound + 1e-9,
+            "gradient property violated at distance {d}: skew {skew} > f(d) = {bound}"
+        );
+    }
 }
 
 /// Asserts the validity condition (logical clocks advance within the
@@ -287,8 +288,8 @@ pub fn worst_adjacent_skew<M>(exec: &Execution<M>, from: f64, radius: f64) -> f6
 }
 
 /// The four built-in streaming metrics of one run, computed by the
-/// engine's observers — either live (attach the same observers via
-/// [`crate::Scenario::run_observed`]) or post hoc via
+/// engine's observers from [`StreamedMetrics::collect`] — either live
+/// (drive [`crate::Scenario::run_observed`] with them) or post hoc via
 /// [`streamed_metrics`]. Both paths execute the *same* observer code on
 /// the *same* probe grid, so their values are bit-equal; the `observers`
 /// integration suite pins this equivalence on every topology family.
@@ -305,13 +306,31 @@ pub struct StreamedMetrics {
     pub validity_violations: u64,
 }
 
+impl StreamedMetrics {
+    /// Builds the four built-in observers (adjacency radius `radius`,
+    /// validity rate 1/2), hands them to `drive` — a live run or a replay
+    /// — and collects their values beside `drive`'s own result.
+    pub fn collect<R>(radius: f64, drive: impl FnOnce(&mut [&mut dyn Observer]) -> R) -> (Self, R) {
+        let mut global = GlobalSkewObserver::new();
+        let mut adjacent = AdjacentSkewObserver::new(radius);
+        let mut profile = GradientProfileObserver::new();
+        let mut validity = ValidityObserver::new(0.5);
+        let ran = drive(&mut [&mut global, &mut adjacent, &mut profile, &mut validity]);
+        let metrics = Self {
+            global_skew: global.worst(),
+            adjacent_skew: adjacent.worst(),
+            profile: profile.rows(),
+            validity_violations: validity.violations(),
+        };
+        (metrics, ran)
+    }
+}
+
 /// The post-hoc path of the streaming oracles: replays a recorded
-/// execution through the built-in observers on the probe grid
-/// `from + k · every`, pairs within `radius` counting as adjacent.
-///
-/// This is the *one* implementation of the sampled metrics — live runs
-/// stream the identical observers — so checking a streaming run against
-/// its recording reduces to comparing two [`StreamedMetrics`] for
+/// execution through [`StreamedMetrics::collect`]'s observers on the probe
+/// grid `from + k · every`, pairs within `radius` counting as adjacent.
+/// Live runs stream the identical observers, so checking a streaming run
+/// against its recording reduces to comparing two [`StreamedMetrics`] for
 /// equality.
 #[must_use]
 pub fn streamed_metrics<M>(
@@ -320,22 +339,10 @@ pub fn streamed_metrics<M>(
     every: f64,
     radius: f64,
 ) -> StreamedMetrics {
-    let mut global = gcs_sim::GlobalSkewObserver::new();
-    let mut adjacent = gcs_sim::AdjacentSkewObserver::new(radius);
-    let mut profile = gcs_sim::GradientProfileObserver::new();
-    let mut validity = gcs_sim::ValidityObserver::new(0.5);
-    gcs_sim::observe_execution(
-        exec,
-        from,
-        every,
-        &mut [&mut global, &mut adjacent, &mut profile, &mut validity],
-    );
-    StreamedMetrics {
-        global_skew: global.worst(),
-        adjacent_skew: adjacent.worst(),
-        profile: profile.rows(),
-        validity_violations: validity.violations(),
-    }
+    StreamedMetrics::collect(radius, |observers| {
+        observe_execution(exec, from, every, observers);
+    })
+    .0
 }
 
 /// Asserts the probe-sampled global skew over `[from, horizon]` is at
@@ -355,8 +362,8 @@ pub fn assert_streamed_global_skew_bound<M>(
 ) -> f64 {
     // Only the O(n)-per-probe global observer — not the full metric
     // bundle — since the assertion reads nothing else.
-    let mut global = gcs_sim::GlobalSkewObserver::new();
-    gcs_sim::observe_execution(exec, from, every, &mut [&mut global]);
+    let mut global = GlobalSkewObserver::new();
+    observe_execution(exec, from, every, &mut [&mut global]);
     assert!(
         global.worst() <= bound + 1e-9,
         "sampled global skew bound {bound} violated: reached {} at t = {}",
@@ -364,33 +371,6 @@ pub fn assert_streamed_global_skew_bound<M>(
         global.worst_at(),
     );
     global.worst()
-}
-
-/// Adapter giving a boxed algorithm (`Box<dyn Node<M> + Send>`, as
-/// produced by `AlgorithmKind::build`) a sized type, so it can be wrapped
-/// by generic fault injectors like `CrashingNode` and `SilencedNode` and
-/// still run on the sharded (thread-parallel) engine.
-pub struct DynNode<M>(pub Box<dyn Node<M> + Send>);
-
-impl<M> std::fmt::Debug for DynNode<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DynNode(..)")
-    }
-}
-
-impl<M> Node<M> for DynNode<M> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-        self.0.on_start(ctx);
-    }
-    fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: &M) {
-        self.0.on_message(ctx, from, msg);
-    }
-    fn on_timer(&mut self, ctx: &mut Context<'_, M>, timer: u64) {
-        self.0.on_timer(ctx, timer);
-    }
-    fn on_topology_change(&mut self, ctx: &mut Context<'_, M>, peer: NodeId, up: bool) {
-        self.0.on_topology_change(ctx, peer, up);
-    }
 }
 
 #[cfg(test)]
@@ -544,10 +524,7 @@ mod tests {
             .horizon(60.0)
             .run_with(|id, n| {
                 let crash_at = if id == 1 { 15.0 } else { f64::MAX / 2.0 };
-                CrashingNode::new(
-                    DynNode(AlgorithmKind::Max { period: 1.0 }.build(id, n)),
-                    crash_at,
-                )
+                CrashingNode::new(AlgorithmKind::Max { period: 1.0 }.build(id, n), crash_at)
             });
         assert_validity(&exec);
     }

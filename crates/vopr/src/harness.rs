@@ -40,9 +40,7 @@ use gcs_core::problem::GradientFunction;
 use gcs_core::replay::{nominal_fallback, replay_execution};
 use gcs_core::retiming::Retiming;
 use gcs_net::{AdversarialDelay, DelayOutcome};
-use gcs_sim::{
-    AdjacentSkewObserver, Execution, GlobalSkewObserver, GradientProfileObserver, ValidityObserver,
-};
+use gcs_sim::Execution;
 use gcs_telemetry::{render_trace_event, TraceRecorder};
 use gcs_testkit::{
     assert_gradient_property, assert_stabilization, assert_validity_in,
@@ -364,29 +362,17 @@ fn check_mainstream(
 
     // 6. Streaming ≡ post-hoc: the same observers over the same probe
     // grid, live (recording off) vs replayed from the record.
-    let live = guard(seed, "streaming", || -> Result<StreamedMetrics, String> {
-        let mut global = GlobalSkewObserver::new();
-        let mut adjacent = AdjacentSkewObserver::new(1.0);
-        let mut profile = GradientProfileObserver::new();
-        let mut validity = ValidityObserver::new(0.5);
+    let (live, streamed) = guard(seed, "streaming", || {
         let mut sim = scenario
             .clone()
             .record_events(false)
             .build_with(sc.make_nodes());
         sim.set_probe_schedule(sc.probe_from, sc.probe_every);
-        sim.try_run_until_observed(
-            sc.horizon,
-            &mut [&mut global, &mut adjacent, &mut profile, &mut validity],
-        )
-        .map_err(|e| format!("streaming run failed: {e}"))?;
-        Ok(StreamedMetrics {
-            global_skew: global.worst(),
-            adjacent_skew: adjacent.worst(),
-            profile: profile.rows(),
-            validity_violations: validity.violations(),
+        StreamedMetrics::collect(1.0, |observers| {
+            sim.try_run_until_observed(sc.horizon, observers)
         })
-    })?
-    .map_err(|m| fail(seed, "streaming", m))?;
+    })?;
+    streamed.map_err(|e| fail(seed, "streaming", format!("streaming run failed: {e}")))?;
     let posthoc = guard(seed, "streaming", || {
         streamed_metrics(&exec, sc.probe_from, sc.probe_every, 1.0)
     })?;

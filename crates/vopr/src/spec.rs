@@ -10,8 +10,8 @@
 use gcs_algorithms::fault::{CrashingNode, SilencedNode};
 use gcs_algorithms::{AlgorithmKind, SyncMsg};
 use gcs_dynamic::{ChurnEvent, ChurnKind, ChurnSchedule};
-use gcs_sim::NodeId;
-use gcs_testkit::{DelaySpec, DriftSpec, DynNode, Scenario};
+use gcs_sim::{Node, NodeId};
+use gcs_testkit::{DelaySpec, DriftSpec, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -480,11 +480,12 @@ impl VoprScenario {
     /// and replay verification identically.
     pub fn make_nodes(
         &self,
-    ) -> impl FnMut(NodeId, usize) -> CrashingNode<SilencedNode<DynNode<SyncMsg>>> + '_ {
+    ) -> impl FnMut(NodeId, usize) -> CrashingNode<SilencedNode<Box<dyn Node<SyncMsg> + Send>>> + '_
+    {
         let kind = self.algorithm;
         let fault = self.fault;
         move |id, n| {
-            let inner = DynNode(kind.build(id, n));
+            let inner = kind.build(id, n);
             // Inert windows: a silence window entirely past any
             // reachable hardware time, and a crash "never".
             let (sf, st) = match fault {

@@ -5,8 +5,6 @@
 //! cargo run --example quickstart
 //! ```
 
-use gradient_clock_sync::core::analysis::{GradientProfile, SkewMatrix};
-use gradient_clock_sync::core::problem::ValidityCondition;
 use gradient_clock_sync::prelude::*;
 
 fn main() {
@@ -35,14 +33,24 @@ fn main() {
     let violations = ValidityCondition::default().check(&exec);
     println!("validity violations: {}", violations.len());
 
-    // 2. Instantaneous skews at the end of the run.
-    let matrix = SkewMatrix::at(&exec, horizon);
-    if let Some((worst, (i, j))) = matrix.max_abs() {
-        println!("worst final skew: {worst:.3} between nodes {i} and {j}");
-    }
+    // 2. Replay the run through two probes at 201 evenly spaced instants
+    //    of its last three quarters: the global skew and, per distance,
+    //    the worst skew (the empirical gradient).
+    let from = horizon * 0.25;
+    let mut global = GlobalSkewObserver::new();
+    let mut profile = GradientProfileObserver::new();
+    observe_execution(
+        &exec,
+        from,
+        (horizon - from) / 200.0,
+        &mut [&mut global, &mut profile],
+    );
+    println!(
+        "worst global skew: {:.3} at t = {}",
+        global.worst(),
+        global.worst_at()
+    );
 
-    // 3. The empirical gradient: worst skew per distance over the run.
-    let profile = GradientProfile::measure_sampled(&exec, horizon * 0.25, 200);
     println!("\ndistance -> worst observed skew");
     for (d, skew) in profile.rows() {
         let bar = "#".repeat((skew * 40.0) as usize + 1);

@@ -75,7 +75,7 @@ pub mod prelude {
     };
     pub use gcs_clocks::{drift::DriftModel, DriftBound, PiecewiseLinear, RateSchedule};
     pub use gcs_core::{
-        analysis::{GradientProfile, SkewMatrix},
+        analysis::GradientProfile,
         problem::{GradientFunction, ValidityCondition},
     };
     pub use gcs_dynamic::{ChurnSchedule, DynamicTopology};

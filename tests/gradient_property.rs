@@ -5,7 +5,7 @@
 use gcs_testkit::prelude::*;
 use gradient_clock_sync::algorithms::AlgorithmKind;
 use gradient_clock_sync::core::analysis::max_abs_skew;
-use gradient_clock_sync::core::problem::{check_gradient, GradientFunction};
+use gradient_clock_sync::core::problem::GradientFunction;
 
 fn stochastic(kind: AlgorithmKind, n: usize, seed: u64, horizon: f64) -> Scenario {
     Scenario::line(n)
@@ -55,8 +55,7 @@ fn gradient_algorithm_meets_a_linear_gradient_bound() {
     )
     .run();
     // A generous linear bound: f(d) = 1.5 d + 2.5. The gradient algorithm
-    // must satisfy it; the oracle checks sampled pair skews and the
-    // distance-binned profile.
+    // must satisfy it on every distance class of the probed profile.
     let f = GradientFunction::Linear {
         per_distance: 1.5,
         constant: 2.5,
@@ -65,6 +64,7 @@ fn gradient_algorithm_meets_a_linear_gradient_bound() {
 }
 
 #[test]
+#[should_panic(expected = "gradient property violated")]
 fn no_sync_violates_any_fixed_bound_eventually() {
     // Drifting clocks with no synchronization: skew grows linearly in
     // time, so a fixed bound must fail on long enough runs.
@@ -77,8 +77,7 @@ fn no_sync_violates_any_fixed_bound_eventually() {
         per_distance: 1.0,
         constant: 1.0,
     };
-    let violations = check_gradient(&exec, &f, 100);
-    assert!(!violations.is_empty());
+    assert_gradient_property(&exec, &f, 100);
 }
 
 #[test]

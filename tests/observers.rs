@@ -66,24 +66,13 @@ fn scenario_family(which: usize, seed: u64) -> Scenario {
 /// Runs `scenario` twice — once live/streaming (recording off), once
 /// recorded + replayed — and returns both metric sets.
 fn both_paths(scenario: &Scenario, from: f64, every: f64) -> (StreamedMetrics, StreamedMetrics) {
-    let mut global = GlobalSkewObserver::new();
-    let mut adjacent = AdjacentSkewObserver::new(1.0);
-    let mut profile = GradientProfileObserver::new();
-    let mut validity = ValidityObserver::new(0.5);
-    let _ = scenario.clone().record_events(false).run_observed(
-        from,
-        every,
-        &mut [&mut global, &mut adjacent, &mut profile, &mut validity],
-    );
-    let live = StreamedMetrics {
-        global_skew: global.worst(),
-        adjacent_skew: adjacent.worst(),
-        profile: profile.rows(),
-        validity_violations: validity.violations(),
-    };
-
-    let exec = scenario.run();
-    let posthoc = streamed_metrics(&exec, from, every, 1.0);
+    let (live, _) = StreamedMetrics::collect(1.0, |observers| {
+        scenario
+            .clone()
+            .record_events(false)
+            .run_observed(from, every, observers)
+    });
+    let posthoc = streamed_metrics(&scenario.run(), from, every, 1.0);
     (live, posthoc)
 }
 
@@ -105,23 +94,23 @@ fn streaming_equals_posthoc_on_every_family() {
 
 #[test]
 fn streaming_metrics_match_the_core_sampled_oracles() {
-    // GradientProfileObserver against gcs-core's measure_sampled on the
-    // same dyadic grid (from = 0, horizon 64, 128 samples → step 0.5):
-    // the two implementations must agree exactly, which pins the
-    // observers to the pre-existing post-hoc oracle semantics.
-    let scenario = scenario_family(1, 23);
-    let exec = scenario.run();
-    let posthoc = streamed_metrics(&exec, 0.0, 0.5, 1.0);
-    let core_profile = GradientProfile::measure_sampled(&exec, 0.0, 128);
-    assert_eq!(posthoc.profile, core_profile.rows());
-    assert_eq!(posthoc.global_skew, core_profile.global_skew());
-
     // The sampled metrics are lower bounds on the exact breakpoint-based
     // oracles.
+    let exec = scenario_family(1, 23).run();
+    let posthoc = streamed_metrics(&exec, 0.0, 0.5, 1.0);
     let exact_global = assert_global_skew_bound(&exec, 0.0, 1e6);
     assert!(posthoc.global_skew <= exact_global + 1e-9);
     let exact_adjacent = worst_adjacent_skew(&exec, 0.0, 1.0);
     assert!(posthoc.adjacent_skew <= exact_adjacent + 1e-9);
+    let exact_profile = GradientProfile::measure(&exec, 0.0).rows();
+    assert_eq!(posthoc.profile.len(), exact_profile.len());
+    for ((d, probed), (d_exact, exact)) in posthoc.profile.iter().zip(&exact_profile) {
+        assert_eq!(d, d_exact);
+        assert!(
+            probed <= &(exact + 1e-9),
+            "distance {d}: {probed} > {exact}"
+        );
+    }
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! deterministic-replay machinery must keep working with faults injected.
 //!
 //! Fault scenarios are built with `gcs-testkit`: lossy delays come from
-//! `Scenario::message_loss`, and boxed algorithms are wrapped in fault
-//! injectors via `DynNode`.
+//! `Scenario::message_loss`, and boxed algorithms (`AlgorithmKind::build`)
+//! go straight into the fault injectors.
 
 use gcs_testkit::prelude::*;
 use gradient_clock_sync::algorithms::fault::{CrashingNode, SilencedNode};
@@ -58,10 +58,7 @@ fn validity_holds_under_loss_and_crashes() {
 
     let exec: Execution<SyncMsg> = Scenario::line(4).horizon(60.0).run_with(|id, nn| {
         let crash_at = if id == 1 { 15.0 } else { f64::MAX / 2.0 };
-        CrashingNode::new(
-            DynNode(AlgorithmKind::Max { period: 1.0 }.build(id, nn)),
-            crash_at,
-        )
+        CrashingNode::new(AlgorithmKind::Max { period: 1.0 }.build(id, nn), crash_at)
     });
     assert_validity(&exec);
 }
@@ -95,7 +92,7 @@ fn partition_heals_after_silence() {
         .horizon(160.0)
         .run_with(|id, nn| {
             let (from, to) = if id == 2 { (20.0, 60.0) } else { (1e17, 2e17) };
-            SilencedNode::new(DynNode(kind.build(id, nn)), from, to)
+            SilencedNode::new(kind.build(id, nn), from, to)
         });
     // During the partition, cross skew grows…
     let mid_skew = exec.skew(0, 4, 60.0).abs();
@@ -134,13 +131,11 @@ fn crashed_source_strands_tree_sync_but_not_gradient() {
         .run_with(|id, nn| {
             let crash_at = if id == 0 { 30.0 } else { f64::MAX / 2.0 };
             CrashingNode::new(
-                DynNode(
-                    AlgorithmKind::Gradient {
-                        period: 1.0,
-                        kappa: 0.5,
-                    }
-                    .build(id, nn),
-                ),
+                AlgorithmKind::Gradient {
+                    period: 1.0,
+                    kappa: 0.5,
+                }
+                .build(id, nn),
                 crash_at,
             )
         });
