@@ -65,12 +65,6 @@ impl PiecewiseLinear {
         }
     }
 
-    /// Creates the identity function on `[x0, ∞)` with `f(x0) = x0`.
-    #[must_use]
-    pub fn identity_from(x0: f64) -> Self {
-        Self::new(x0, x0, 1.0)
-    }
-
     /// Appends a breakpoint at `x` with (post-jump) value `y` and new `slope`.
     ///
     /// # Panics
@@ -439,7 +433,7 @@ mod tests {
     #[test]
     fn compose_with_identity_is_identity() {
         let f = staircase();
-        let id = PiecewiseLinear::identity_from(0.0);
+        let id = PiecewiseLinear::new(0.0, 0.0, 1.0);
         let g = f.compose_with_map(&id);
         for x in [0.0, 3.0, 10.0, 17.2, 25.0] {
             assert!((g.value_at(x) - f.value_at(x)).abs() < 1e-12);

@@ -1,6 +1,5 @@
 //! Piecewise-constant hardware clock rate schedules.
 
-use crate::PiecewiseLinear;
 use std::fmt;
 
 /// A hardware clock defined by a piecewise-constant rate function of real
@@ -162,16 +161,6 @@ impl RateSchedule {
     #[must_use]
     pub fn segments(&self) -> &[(f64, f64)] {
         &self.segments
-    }
-
-    /// The hardware-value function `H(t)` as a [`PiecewiseLinear`].
-    #[must_use]
-    pub fn to_piecewise(&self) -> PiecewiseLinear {
-        let mut f = PiecewiseLinear::new(0.0, 0.0, self.segments[0].1);
-        for (i, &(t, rate)) in self.segments.iter().enumerate().skip(1) {
-            f.push(t, self.values[i], rate);
-        }
-        f
     }
 
     fn segment_index(&self, t: f64) -> usize {
@@ -410,18 +399,6 @@ mod tests {
         let s = RateSchedule::builder(1.0).rate_from(0.0, 2.0).build();
         assert_eq!(s.rate_at(0.0), 2.0);
         assert_eq!(s.segments().len(), 1);
-    }
-
-    #[test]
-    fn to_piecewise_matches_value_at() {
-        let s = RateSchedule::builder(1.0)
-            .rate_from(4.0, 1.5)
-            .rate_from(8.0, 0.75)
-            .build();
-        let f = s.to_piecewise();
-        for t in [0.0, 2.0, 4.0, 6.0, 8.0, 11.0] {
-            assert!((f.value_at(t) - s.value_at(t)).abs() < 1e-12);
-        }
     }
 
     #[test]

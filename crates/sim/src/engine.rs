@@ -1,6 +1,6 @@
 //! The single-heap discrete-event simulation engine: the dispatch core
 //! ([`crate::partition`]) over every node, plus the stepping API, the
-//! live tracer, the phase profile and per-event observers.
+//! live tracer, the wall-clock counters and per-event observers.
 
 use std::fmt;
 use std::time::Instant;
@@ -14,7 +14,7 @@ use crate::execution::Execution;
 use crate::node::Node;
 use crate::observer::Observer;
 use crate::partition::{cap_exceeded, Frame, Halt, Partition};
-use crate::profile::{add_elapsed, ProfileState, ProfiledClock, SimProfile};
+use crate::shard::{add_elapsed, ShardedCounters};
 use crate::trace::{TraceEvent, Tracer};
 use crate::NodeId;
 
@@ -61,10 +61,8 @@ pub enum SimError {
         /// The requested hardware-clock target.
         target_hw: f64,
     },
-    /// The sharded engine cannot run this configuration: profiling is
-    /// armed (it times the global dispatch interleaving, which sharded
-    /// dispatch does not produce live), the clock source / delay
-    /// policy does not support [`ClockSource::fork`] /
+    /// The sharded engine cannot run this configuration: the clock
+    /// source / delay policy does not support [`ClockSource::fork`] /
     /// [`DelayPolicy::fork`], or the lookahead is too small to advance a
     /// window at the run horizon.
     ShardUnsupported {
@@ -126,7 +124,6 @@ pub struct SimulationBuilder {
     delay: Option<Box<dyn DelayPolicy>>,
     event_cap: u64,
     record_events: bool,
-    pub(crate) profile: bool,
     pub(crate) shards: usize,
 }
 
@@ -151,7 +148,6 @@ impl SimulationBuilder {
             delay: None,
             event_cap: DEFAULT_EVENT_CAP,
             record_events: true,
-            profile: false,
             shards: 1,
         }
     }
@@ -280,8 +276,8 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// As [`SimulationBuilder::build_with`], plus
-    /// [`SimError::ShardUnsupported`] when profiling is armed, or the
-    /// clock source / delay policy cannot be forked across threads.
+    /// [`SimError::ShardUnsupported`] when the clock source / delay
+    /// policy cannot be forked across threads.
     pub fn build_sharded_with<M, N, F>(
         self,
         mut make: F,
@@ -296,16 +292,6 @@ impl SimulationBuilder {
             .map(|i| Box::new(make(i, n)) as Box<dyn Node<M> + Send>)
             .collect();
         crate::ShardedSimulation::from_builder(self, nodes)
-    }
-
-    /// Arms wall-clock per-phase profiling (default off) — see
-    /// [`crate::profile`] and [`Simulation::profile_report`]. Profiling
-    /// is observational only: event order, records, and traces are
-    /// unaffected.
-    #[must_use]
-    pub fn profile(mut self, enabled: bool) -> Self {
-        self.profile = enabled;
-        self
     }
 
     /// Builds the simulation, constructing one node per topology entry with
@@ -324,22 +310,13 @@ impl SimulationBuilder {
         let n = self.topology.len();
         let nodes: Vec<Box<dyn Node<M>>> = (0..n).map(|i| Box::new(make(i, n)) as _).collect();
         let (clock, delay) = self.take_parts()?;
-        // Profiling wraps the clock in a timing decorator; every query
-        // still delegates unchanged, so profiled runs stay bit-identical.
-        let (clock, profile) = if self.profile {
-            let ns = std::rc::Rc::new(std::cell::Cell::new(0u64));
-            let wrapped: Box<dyn ClockSource> = Box::new(ProfiledClock::new(clock, ns.clone()));
-            (wrapped, Some(ProfileState::new(ns)))
-        } else {
-            (clock, None)
-        };
         let frame = self.into_frame();
         let core = Partition::new(0, 0..n, nodes, &frame, clock, delay, false);
         Ok(Simulation {
             frame,
             core,
             tracer: None,
-            profile,
+            probe_ns: 0,
             peak_trajectory_breakpoints: 0,
         })
     }
@@ -457,9 +434,8 @@ pub struct Simulation<M> {
     /// Structured trace sink (see [`crate::trace`]); `None` costs one
     /// branch per event.
     tracer: Option<Box<dyn Tracer>>,
-    /// Wall-clock phase accumulators, armed by
-    /// [`SimulationBuilder::profile`].
-    profile: Option<ProfileState>,
+    /// Wall-clock nanoseconds in `emit_probes`.
+    probe_ns: u64,
     peak_trajectory_breakpoints: usize,
 }
 
@@ -520,11 +496,16 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         if !horizon.is_finite() || horizon < 0.0 {
             return Err(SimError::InvalidHorizon { horizon });
         }
-        let run_t0 = self.profile.as_ref().map(|_| Instant::now());
+        let started = Instant::now();
+        let probe_ns_before = self.probe_ns;
         let result = self.run_loop_observed(horizon, observers);
-        if let Some(p) = self.profile.as_mut() {
-            add_elapsed(&mut p.run_ns, run_t0);
-        }
+        // One window per run call; probes fired inside it are `probe_ns`.
+        let counters = &mut self.core.counters;
+        counters.windows += 1;
+        add_elapsed(&mut counters.run_ns, Some(started));
+        counters.run_ns = counters
+            .run_ns
+            .saturating_sub(self.probe_ns - probe_ns_before);
         result
     }
 
@@ -649,13 +630,19 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         self.tracer = Some(tracer);
     }
 
-    /// The wall-clock phase profile accumulated so far, or `None` when
-    /// [`SimulationBuilder::profile`] was not armed. See [`SimProfile`].
+    /// Where the wall time went so far, in the sharded engine's terms
+    /// ([`crate::ShardedSimulation::counters`]): one row, whose window
+    /// count is the number of [`Simulation::try_run_until_observed`]
+    /// calls and whose `run_ns` is their time net of probes. Events
+    /// dispatched by [`Simulation::try_step_observed`] count, its time
+    /// does not.
     #[must_use]
-    pub fn profile_report(&self) -> Option<SimProfile> {
-        self.profile
-            .as_ref()
-            .map(|p| p.report(self.core.dispatched))
+    pub fn counters(&self) -> ShardedCounters {
+        ShardedCounters {
+            shards: vec![self.core.counters()],
+            finish_ns: 0,
+            probe_ns: self.probe_ns,
+        }
     }
 
     /// Configures observer probes: probe `k` fires at `from + k · every`,
@@ -692,11 +679,10 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     /// Fires every probe due at or before `limit` (strictly before unless
     /// `inclusive`).
     fn emit_probes(&mut self, limit: f64, inclusive: bool, observers: &mut [&mut dyn Observer]) {
-        if self.frame.probe_every.is_none() {
-            return;
-        }
-        let probe_t0 = self.profile.as_ref().map(|_| Instant::now());
+        // Called once per event: read the clock only when a probe is due.
+        let mut started = None;
         while let Some(t) = self.frame.next_probe_due(limit, inclusive) {
+            started.get_or_insert_with(Instant::now);
             if let Some(tr) = &mut self.tracer {
                 tr.record(&TraceEvent::ProbeFired {
                     time: t,
@@ -711,9 +697,7 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
                 .max(self.frame.breakpoints());
             self.frame.fire_probe(t, &*self.core.clock, observers);
         }
-        if let Some(p) = self.profile.as_mut() {
-            add_elapsed(&mut p.probe_ns, probe_t0);
-        }
+        add_elapsed(&mut self.probe_ns, started);
     }
 
     /// Pops and dispatches the next event, hands it to `observers` and
@@ -725,25 +709,17 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     ) -> Result<Option<EventRecord>, SimError> {
         let ev = self.core.queue.pop().expect("the caller peeked an event");
         let cap = self.frame.event_cap;
-        let dispatch_t0 = self.profile.as_ref().map(|_| Instant::now());
         let (env, trajectories) = self.frame.split();
         let dispatched =
             self.core
                 .dispatch(ev, &env, trajectories, cap, self.tracer.as_deref_mut());
-        if let Some(p) = self.profile.as_mut() {
-            add_elapsed(&mut p.dispatch_ns, dispatch_t0);
-        }
         let record = match dispatched {
             Ok(Some(record)) => record,
             Ok(None) => return Ok(None),
             Err(Halt::Cap(record)) => cap_exceeded(cap, record.time),
             Err(Halt::Error(e)) => return Err(e),
         };
-        let observe_t0 = self.profile.as_ref().map(|_| Instant::now());
         self.frame.observe(&record, &*self.core.clock, observers);
-        if let Some(p) = self.profile.as_mut() {
-            add_elapsed(&mut p.observer_ns, observe_t0);
-        }
         Ok(Some(record))
     }
 }
@@ -1318,40 +1294,47 @@ mod tests {
     }
 
     #[test]
-    fn profiling_times_the_phases_without_changing_the_run() {
-        use crate::observer::GlobalSkewObserver;
-        let run = |profile: bool| {
+    fn counters_account_for_the_wall_time_on_both_engines() {
+        let builder = || {
             let rates = (0..8u8).map(|i| RateSchedule::constant(1.0 + 0.01 * f64::from(i)));
-            let mut sim = SimulationBuilder::new(Topology::ring(8))
+            SimulationBuilder::new(Topology::ring(8))
                 .schedules(rates.collect())
                 .record_events(false)
-                .profile(profile)
-                .build_with(|_, _| MaxTest { period: 1.0 })
-                .unwrap();
-            sim.set_probe_schedule(0.0, 1.0);
-            let mut global = GlobalSkewObserver::new();
-            sim.try_run_until_observed(200.0, &mut [&mut global])
-                .unwrap();
-            let (report, stats) = (sim.profile_report(), sim.stats());
-            let exec = sim.into_execution();
-            let worst = (global.worst().to_bits(), global.worst_at(), global.probes());
-            (
-                format!("{worst:?} {:?}", exec.trajectories()),
-                stats,
-                report,
-            )
         };
-        let (plain, plain_stats, none) = run(false);
-        let (profiled, stats, report) = run(true);
-        assert_eq!(none, None);
-        assert_eq!((profiled, stats), (plain, plain_stats));
-        let p = report.expect("profiling was armed");
-        assert!(p.run_ns > 0 && p.dispatch_ns > 0 && p.probe_ns > 0, "{p:?}");
-        assert_eq!(p.dispatched, stats.dispatched);
+        let mut sim = builder()
+            .build_with(|_, _| MaxTest { period: 1.0 })
+            .unwrap();
+        sim.set_probe_schedule(0.0, 1.0);
+        let wall = Instant::now();
+        sim.try_run_until_observed(50.0, &mut []).unwrap();
+        sim.try_step_observed(&mut []).unwrap();
+        sim.try_run_until_observed(100.0, &mut []).unwrap();
+        sim.try_step_observed(&mut []).unwrap();
+        sim.try_run_until_observed(150.0, &mut []).unwrap();
+        let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap();
+        let heap = sim.counters();
+        let [row] = heap.shards.as_slice() else {
+            panic!("the single heap is one row: {heap:?}");
+        };
+        assert_eq!(row.windows, 3);
+        assert_eq!(row.events, sim.stats().dispatched);
+        assert!(row.run_ns > 0 && heap.probe_ns > 0, "{heap:?}");
         assert!(
-            p.dispatch_ns + p.observer_ns + p.probe_ns <= p.run_ns,
-            "{p:?}"
+            row.run_ns + heap.probe_ns <= wall_ns,
+            "{heap:?} vs {wall_ns}"
         );
+
+        for k in [1, 2] {
+            let mut sharded = builder()
+                .shards(k)
+                .build_sharded_with(|_, _| MaxTest { period: 1.0 })
+                .unwrap();
+            sharded.try_run_until_observed(150.0, &mut []).unwrap();
+            let counters = sharded.counters();
+            assert_eq!(counters.shards.len(), k);
+            let events: u64 = counters.shards.iter().map(|s| s.events).sum();
+            assert_eq!((events, sharded.dispatched()), (row.events, row.events));
+        }
     }
 
     #[test]

@@ -96,15 +96,18 @@
 //! via [`observe_execution`], so streaming and post-hoc metrics are one
 //! implementation.
 //!
-//! # Tracing and profiling
+//! # Tracing and wall-clock counters
 //!
 //! A [`Tracer`] ([`trace`] module) attached via [`Simulation::set_tracer`]
 //! receives every structured sim-domain [`TraceEvent`] — message lifecycle,
 //! timer fires, link changes, probes — in deterministic dispatch order;
 //! recorders, exporters, metrics, and skew forensics live in
-//! `gcs-telemetry`. [`SimulationBuilder::profile`]`(true)` additionally
-//! arms wall-clock per-phase accumulators ([`profile`] module),
-//! reported by [`Simulation::profile_report`].
+//! `gcs-telemetry`. Where a run's wall time went is always counted, on
+//! both engines and with the same type: [`Simulation::counters`] and
+//! [`ShardedSimulation::counters`] return [`ShardedCounters`] (one row
+//! per shard; the single heap is one row). The counters read the clock
+//! twice per run call or window and twice per probe batch, never per
+//! event.
 //!
 //! # Sharded parallel runs
 //!
@@ -118,7 +121,7 @@
 //! [`ShardedSimulation`] is one core per shard — each with its own
 //! `BinaryHeap` of pending events — plus the window protocol. Executions
 //! are bit-identical to the single-heap engine for every shard count.
-//! Tracing and profiling are single-heap only.
+//! Tracing is single-heap only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -130,7 +133,6 @@ mod execution;
 mod node;
 pub mod observer;
 mod partition;
-pub mod profile;
 mod send_seq;
 mod shard;
 pub mod trace;
@@ -147,7 +149,6 @@ pub use observer::{
     observe_execution, AdjacentSkewObserver, GlobalSkewObserver, GradientProfileObserver, Observer,
     Probe, ValidityObserver,
 };
-pub use profile::SimProfile;
 pub use shard::{ShardCounters, ShardedCounters, ShardedSimulation};
 pub use trace::{DropReason, TraceEvent, Tracer};
 

@@ -498,6 +498,8 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) dropped_link_down: u64,
     pub(crate) peak_queued_events: usize,
     pub(crate) peak_message_slots: usize,
+    /// Windows and busy time; `events` stays zero here, since
+    /// [`Partition::counters`] reads it from `dispatched`.
     pub(crate) counters: ShardCounters,
 }
 
@@ -550,6 +552,15 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             peak_queued_events: 0,
             peak_message_slots: 0,
             counters: ShardCounters::default(),
+        }
+    }
+
+    /// This partition's wall-clock account; its event count is
+    /// `dispatched`.
+    pub(crate) fn counters(&self) -> ShardCounters {
+        ShardCounters {
+            events: self.dispatched,
+            ..self.counters
         }
     }
 

@@ -59,10 +59,9 @@
 //!
 //! # What sharded runs do not support
 //!
-//! Tracers and profiling observe the live global interleaving, which
-//! sharded dispatch does not produce: a sharded run takes no tracer, and
-//! arming profiling is a [`SimError::ShardUnsupported`]. Clock sources
-//! and delay policies must support [`ClockSource::fork`] /
+//! A tracer observes the live global interleaving, which sharded
+//! dispatch does not produce: a sharded run takes no tracer. Clock
+//! sources and delay policies must support [`ClockSource::fork`] /
 //! [`DelayPolicy::fork`].
 //!
 //! A policy with zero lookahead cannot overlap shards; the build falls
@@ -80,6 +79,8 @@
 //! cost is two clock reads per shard per phase per window. Busy time
 //! summed over shards against the run's wall time says whether the
 //! shards overlapped or took turns; E15 prints the table.
+//! [`crate::Simulation::counters`] gives the single heap's account in the
+//! same type, one row with one window per run call.
 
 use std::any::Any;
 use std::fmt;
@@ -99,26 +100,35 @@ use crate::observer::Observer;
 use crate::partition::{
     canonical_order, cap_exceeded, settle, Env, Frame, Halt, Handoff, MsgKey, Partition,
 };
-use crate::profile::add_elapsed;
 use crate::NodeId;
 
-/// Wall-clock accounting of one shard: what it did and how long it was
-/// busy doing it. Always on: the cost is two clock reads per shard per
-/// window and per mailbox drain.
+/// Adds the wall-clock nanoseconds since `started` to `acc`; `None`
+/// (nothing was timed) adds nothing.
+pub(crate) fn add_elapsed(acc: &mut u64, started: Option<Instant>) {
+    if let Some(t0) = started {
+        *acc += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    }
+}
+
+/// Wall-clock accounting of one shard (or of the single heap): what it
+/// did and how long it was busy doing it. Always on: the cost is two
+/// clock reads per shard per window and per mailbox drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
-    /// Conservative windows this shard entered (one per round).
+    /// Conservative windows this shard entered (one per round; on the
+    /// single heap, one per run call).
     pub windows: u64,
     /// Events this shard dispatched.
     pub events: u64,
     /// Nanoseconds inside the window's dispatch loop.
     pub run_ns: u64,
-    /// Nanoseconds sorting and enqueuing cross-shard deliveries.
+    /// Nanoseconds sorting and enqueuing cross-shard deliveries (zero on
+    /// the single heap).
     pub drain_ns: u64,
 }
 
-/// Where a sharded run's wall time went, from
-/// [`ShardedSimulation::counters`]: per-shard busy time beside the
+/// Where a run's wall time went, from [`ShardedSimulation::counters`]
+/// or [`crate::Simulation::counters`]: per-shard busy time beside the
 /// coordinator's serial phases. Shards whose `run_ns` sum to the run's
 /// wall time took turns; shards that each come close to it overlapped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -126,7 +136,8 @@ pub struct ShardedCounters {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardCounters>,
     /// Coordinator nanoseconds between super-windows: status write-backs,
-    /// event merge and observer replay (probes excluded).
+    /// event merge and observer replay (probes excluded; zero on the
+    /// single heap, whose observers run inline in `run_ns`).
     pub finish_ns: u64,
     /// Coordinator nanoseconds firing probes: trajectory compaction and
     /// the observers' `on_probe`.
@@ -187,7 +198,6 @@ impl<M: Clone> Shard<M> {
         cap: u64,
     ) -> Result<(), SimError> {
         let started = Instant::now();
-        let before = self.dispatched;
         if !env.record_events {
             // No query in this or any later window reaches behind the
             // window start; a windowing clock fork can drop the past.
@@ -211,7 +221,6 @@ impl<M: Clone> Shard<M> {
             }
         };
         self.counters.windows += 1;
-        self.counters.events += self.dispatched - before;
         add_elapsed(&mut self.counters.run_ns, Some(started));
         result
     }
@@ -274,11 +283,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         nodes: Vec<Box<dyn Node<M> + Send>>,
     ) -> Result<Self, SimError> {
         let (clock, delay) = builder.take_parts()?;
-        if builder.profile {
-            return Err(SimError::ShardUnsupported {
-                reason: "profiling is armed (use the single-heap engine)".into(),
-            });
-        }
         // Zero lookahead cannot overlap shards: fall back to one shard,
         // whose window is unbounded.
         let lookahead = delay.min_delay_bound();
@@ -334,12 +338,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         self.shards.len()
     }
 
-    /// The lookahead window `L` (`∞` when running one shard).
-    #[must_use]
-    pub fn lookahead(&self) -> f64 {
-        self.lookahead
-    }
-
     /// The furthest simulated time this run has been driven to.
     #[must_use]
     pub fn now(&self) -> f64 {
@@ -357,7 +355,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
     #[must_use]
     pub fn counters(&self) -> ShardedCounters {
         ShardedCounters {
-            shards: self.shards.iter().map(|s| s.counters).collect(),
+            shards: self.shards.iter().map(|s| s.counters()).collect(),
             finish_ns: self.finish_ns,
             probe_ns: self.probe_ns,
         }

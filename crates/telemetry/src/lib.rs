@@ -27,10 +27,9 @@
 //!
 //! Everything here consumes *simulated*-domain quantities only, so all
 //! outputs inherit the engine's determinism: same run, same bytes —
-//! across repeats, recording modes, and sweep thread counts. The only
-//! wall-clock instrumentation in the stack is the engine's opt-in phase
-//! profiler ([`gcs_sim::SimProfile`]), which is kept strictly off the
-//! deterministic surface.
+//! across repeats, recording modes, and sweep thread counts. The
+//! engine's wall-clock account lives beside it, off the deterministic
+//! surface: `counters()` on both engines ([`gcs_sim::ShardedCounters`]).
 //!
 //! # Example
 //!
@@ -75,4 +74,4 @@ pub use metrics::{Histogram, MetricsRegistry, RunMetrics, LATENCY_EDGES, SKEW_ED
 pub use recorder::{render_trace_event, trace_fingerprint, trace_from_execution, TraceRecorder};
 // The engine-side tracing surface, re-exported so telemetry users need
 // one import path.
-pub use gcs_sim::{DropReason, SimProfile, TraceEvent, Tracer};
+pub use gcs_sim::{DropReason, TraceEvent, Tracer};

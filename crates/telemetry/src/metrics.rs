@@ -83,22 +83,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Merges another histogram with identical edges into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the edge vectors differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.edges, other.edges, "cannot merge unlike histograms");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     fn to_json(&self) -> String {
         let mut out = String::from("{\"edges\":[");
         for (k, e) in self.edges.iter().enumerate() {
@@ -158,13 +142,6 @@ impl MetricsRegistry {
         self.gauges.insert(name.to_string(), v);
     }
 
-    /// Raises gauge `name` to `v` if larger (high-water mark; created
-    /// at `v`).
-    pub fn max_gauge(&mut self, name: &str, v: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(v);
-        *g = g.max(v);
-    }
-
     /// Registers histogram `name` with the given edges if absent.
     pub fn register_histogram(&mut self, name: &str, edges: &[f64]) {
         self.histograms
@@ -197,30 +174,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Merges another registry: counters add, gauges take the max
-    /// (every standard gauge is a high-water mark), histograms merge
-    /// bucket-wise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared histogram name has different edges.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, n) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += n;
-        }
-        for (name, v) in &other.gauges {
-            self.max_gauge(name, *v);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(name.clone(), h.clone());
-                }
-            }
-        }
     }
 
     /// Serializes the registry as deterministic JSON: one object with
@@ -383,24 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_adds() {
-        let mut a = Histogram::new(&[1.0]);
-        let mut b = Histogram::new(&[1.0]);
-        a.record(0.5);
-        b.record(2.0);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 1]);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unlike histograms")]
-    fn histogram_merge_rejects_different_edges() {
-        let mut a = Histogram::new(&[1.0]);
-        a.merge(&Histogram::new(&[2.0]));
-    }
-
-    #[test]
     fn registry_json_is_deterministic_and_ordered() {
         let mut r = MetricsRegistry::new();
         r.inc("b");
@@ -415,21 +350,6 @@ mod tests {
         assert!(a < b, "counters must serialize in name order");
         assert!(json.contains("\"g\":1.5"));
         assert!(json.contains("\"edges\":[1.0]"));
-    }
-
-    #[test]
-    fn registry_merge_sums_and_maxes() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.inc("c");
-        b.add("c", 4);
-        a.set_gauge("peak", 2.0);
-        b.set_gauge("peak", 5.0);
-        b.observe("h", &[1.0], 0.5);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 5);
-        assert_eq!(a.gauge("peak"), Some(5.0));
-        assert_eq!(a.histogram("h").map(Histogram::count), Some(1));
     }
 
     #[test]

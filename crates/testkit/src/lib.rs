@@ -45,9 +45,8 @@ pub mod scenario;
 pub mod snapshot;
 
 pub use oracle::{
-    assert_global_skew_bound, assert_gradient_property, assert_stabilization,
-    assert_streamed_global_skew_bound, assert_validity, assert_validity_in,
-    assert_weak_gradient_property, for_each_live_edge_sample, streamed_metrics,
+    assert_global_skew_bound, assert_gradient_property, assert_stabilization, assert_validity,
+    assert_validity_in, assert_weak_gradient_property, for_each_live_edge_sample, streamed_metrics,
     worst_adjacent_skew, LiveEdgeSample, StreamedMetrics,
 };
 pub use scenario::{DelaySpec, DriftSpec, Scenario};
@@ -59,10 +58,9 @@ pub mod prelude {
     //! One-stop imports for conformance tests.
 
     pub use crate::oracle::{
-        assert_global_skew_bound, assert_gradient_property, assert_stabilization,
-        assert_streamed_global_skew_bound, assert_validity, assert_validity_in,
-        assert_weak_gradient_property, for_each_live_edge_sample, streamed_metrics,
-        worst_adjacent_skew, LiveEdgeSample, StreamedMetrics,
+        assert_global_skew_bound, assert_gradient_property, assert_stabilization, assert_validity,
+        assert_validity_in, assert_weak_gradient_property, for_each_live_edge_sample,
+        streamed_metrics, worst_adjacent_skew, LiveEdgeSample, StreamedMetrics,
     };
     pub use crate::scenario::{DelaySpec, DriftSpec, Scenario};
     pub use crate::snapshot::{

@@ -345,34 +345,6 @@ pub fn streamed_metrics<M>(
     .0
 }
 
-/// Asserts the probe-sampled global skew over `[from, horizon]` is at
-/// most `bound` — the streaming counterpart of
-/// [`assert_global_skew_bound`], sharing the observer implementation with
-/// live runs. Being sampled, it is a *lower* bound on the exact oracle:
-/// use it when the run is (or will be) too large to record.
-///
-/// # Panics
-///
-/// Panics if the sampled skew exceeds the bound.
-pub fn assert_streamed_global_skew_bound<M>(
-    exec: &Execution<M>,
-    from: f64,
-    every: f64,
-    bound: f64,
-) -> f64 {
-    // Only the O(n)-per-probe global observer — not the full metric
-    // bundle — since the assertion reads nothing else.
-    let mut global = GlobalSkewObserver::new();
-    observe_execution(exec, from, every, &mut [&mut global]);
-    assert!(
-        global.worst() <= bound + 1e-9,
-        "sampled global skew bound {bound} violated: reached {} at t = {}",
-        global.worst(),
-        global.worst_at(),
-    );
-    global.worst()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
