@@ -24,7 +24,7 @@
 //!    magnitude below the dense-state footprint at full scale.
 //!
 //! A third table says where the multi-shard run's wall time went:
-//! per shard, windows, events and busy time from
+//! per shard, windows, events, cross-shard handoffs and busy time from
 //! [`gcs_sim::ShardedSimulation::counters`], the coordinator's serial
 //! phases, and how much of each shard's busy time fell in stretches of
 //! the run where the other shards had next to nothing to do.
@@ -197,12 +197,14 @@ fn shard_table(n: usize, k: usize, run: &ScaleRun) -> Table {
             "Where the wall time went (n = {n}, dynamic-gradient, shards = {k}): \
              per-shard busy time against wall; alone_share is the part of a shard's \
              run_ms spent in twentieths of the horizon where it did at least \
-             {ALONE_SHARE} of all dispatch work"
+             {ALONE_SHARE} of all dispatch work; handoffs_per_event is the shard's \
+             cross-shard sends over its events"
         ),
         &[
             "part",
             "windows",
             "events",
+            "handoffs_per_event",
             "run_ms",
             "drain_ms",
             "share_of_wall",
@@ -216,6 +218,7 @@ fn shard_table(n: usize, k: usize, run: &ScaleRun) -> Table {
             format!("shard {i}"),
             c.windows.to_string(),
             c.events.to_string(),
+            fnum(c.handoffs as f64 / (c.events as f64).max(1.0)),
             ms(c.run_ns),
             ms(c.drain_ns),
             of_wall(c.run_ns + c.drain_ns),
@@ -231,16 +234,19 @@ fn shard_table(n: usize, k: usize, run: &ScaleRun) -> Table {
             part.to_string(),
             blank(),
             blank(),
+            blank(),
             ms(ns),
             blank(),
             of_wall(ns),
             blank(),
         ]);
     }
+    let handoffs: u64 = run.counters.shards.iter().map(|c| c.handoffs).sum();
     table.row_owned(vec![
         "wall".to_string(),
         blank(),
         run.dispatched.to_string(),
+        fnum(handoffs as f64 / (run.dispatched as f64).max(1.0)),
         fnum(run.wall_secs * 1e3),
         blank(),
         fnum(1.0),

@@ -14,6 +14,7 @@ use crate::execution::Execution;
 use crate::node::Node;
 use crate::observer::Observer;
 use crate::partition::{cap_exceeded, Frame, Halt, Partition};
+use crate::placement::Placement;
 use crate::shard::{add_elapsed, ShardedCounters};
 use crate::trace::{TraceEvent, Tracer};
 use crate::NodeId;
@@ -310,8 +311,8 @@ impl SimulationBuilder {
         let n = self.topology.len();
         let nodes: Vec<Box<dyn Node<M>>> = (0..n).map(|i| Box::new(make(i, n)) as _).collect();
         let (clock, delay) = self.take_parts()?;
-        let frame = self.into_frame();
-        let core = Partition::new(0, 0..n, nodes, &frame, clock, delay, false);
+        let frame = self.into_frame(1);
+        let core = Partition::new(0, nodes, &frame, clock, delay, false);
         Ok(Simulation {
             frame,
             core,
@@ -351,9 +352,11 @@ impl SimulationBuilder {
         Ok((clock, delay))
     }
 
-    /// The frame both engines keep beside their partitions.
-    pub(crate) fn into_frame(self) -> Frame {
+    /// The frame both engines keep beside their partitions, over `parts`
+    /// partitions.
+    pub(crate) fn into_frame(self, parts: usize) -> Frame {
         Frame::new(
+            Placement::new(&self.topology, parts),
             self.topology,
             self.dynamic,
             self.drop_on_link_down,

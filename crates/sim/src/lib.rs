@@ -133,6 +133,7 @@ mod execution;
 mod node;
 pub mod observer;
 mod partition;
+mod placement;
 mod send_seq;
 mod shard;
 pub mod trace;

@@ -45,6 +45,9 @@ pub struct Probe<'a> {
     topology: &'a Topology,
     clock: &'a dyn ClockSource,
     trajectories: &'a [PiecewiseLinear],
+    /// Where node `i`'s trajectory sits in `trajectories`: at
+    /// `positions[i]`, or at `i` when `positions` is empty.
+    positions: &'a [u32],
 }
 
 impl fmt::Debug for Probe<'_> {
@@ -62,12 +65,14 @@ impl<'a> Probe<'a> {
         topology: &'a Topology,
         clock: &'a dyn ClockSource,
         trajectories: &'a [PiecewiseLinear],
+        positions: &'a [u32],
     ) -> Self {
         Self {
             time,
             topology,
             clock,
             trajectories,
+            positions,
         }
     }
 
@@ -106,7 +111,8 @@ impl<'a> Probe<'a> {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn logical(&self, i: NodeId) -> f64 {
-        self.trajectories[i].value_at(self.hw(i))
+        let at = self.positions.get(i).map_or(i, |&p| p as usize);
+        self.trajectories[at].value_at(self.hw(i))
     }
 
     /// The logical skew `L_i - L_j` at this instant.
@@ -189,7 +195,7 @@ pub fn observe_execution<M>(
     );
     let horizon = exec.horizon();
     let schedules = exec.schedules();
-    let view_at = |t: f64| Probe::new(t, exec.topology(), &schedules, exec.trajectories());
+    let view_at = |t: f64| Probe::new(t, exec.topology(), &schedules, exec.trajectories(), &[]);
     let mut k: u64 = 0;
     let probe_time = |k: u64| from + (k as f64) * every;
     for event in exec.events() {

@@ -1,15 +1,18 @@
 //! The dispatch core both engines run on.
 //!
-//! A [`Partition`] owns a contiguous node range `[lo, hi)`: its nodes,
-//! their live neighbour lists and timer counters, a `BinaryHeap` of
-//! pending events with its tie counter, a clock source and a delay
-//! policy, the per-pair sequence numbers, the message slab, and the drop
-//! and peak counters. [`crate::Simulation`] is one partition over every
-//! node; [`crate::ShardedSimulation`] is `k` of them plus the window
-//! protocol. A [`Frame`] holds what both engines keep beside their
-//! partitions: the network, every node's logical trajectory (probe views
-//! read them all at once, so each partition borrows its slice), the event
-//! log and the probe grid.
+//! A [`Partition`] owns a member set of nodes, ascending by id, which
+//! [`crate::placement`] assigns: their node states, live neighbour lists
+//! and timer counters, a `BinaryHeap` of pending events with its tie
+//! counter, a clock source and a delay policy, the per-pair sequence
+//! numbers, the message slab, and the drop and peak counters.
+//! [`crate::Simulation`] is one partition over every node;
+//! [`crate::ShardedSimulation`] is `k` of them plus the window protocol.
+//! A [`Frame`] holds what both engines keep beside their partitions: the
+//! network, the placement, every node's logical trajectory in
+//! partition-major order (probe views read them all at once through the
+//! position map, and each partition borrows its contiguous slice), the
+//! event log and the probe grid. Per-node state inside a partition is
+//! indexed by the node's position less the partition's first position.
 //!
 //! The partition is generic over the node, clock and delay box types, so
 //! the single heap keeps accepting non-`Send` nodes and clocks while the
@@ -31,6 +34,7 @@ use crate::event::{EventKind, EventRecord, MessageRecord, MessageStatus};
 use crate::execution::Execution;
 use crate::node::{Actions, Context, Node};
 use crate::observer::{Observer, Probe};
+use crate::placement::Placement;
 use crate::send_seq::SendSeq;
 use crate::shard::ShardCounters;
 use crate::trace::{DropReason, TraceEvent, Tracer};
@@ -239,6 +243,7 @@ pub(crate) fn cap_exceeded(cap: u64, time: f64) -> ! {
 /// The read-only network a dispatch runs against.
 pub(crate) struct Env<'a> {
     topology: &'a Topology,
+    pub(crate) placement: &'a Placement,
     /// The churn view, when in-flight messages drop on link outages.
     outages: Option<&'a DynamicTopology>,
     pub(crate) record_events: bool,
@@ -249,6 +254,9 @@ pub(crate) struct Frame {
     pub(crate) topology: Topology,
     pub(crate) dynamic: Option<DynamicTopology>,
     pub(crate) drop_on_link_down: bool,
+    /// Which partition owns which node, and where its state sits.
+    pub(crate) placement: Placement,
+    /// Every node's logical trajectory, in partition-major order.
     pub(crate) trajectories: Vec<PiecewiseLinear>,
     pub(crate) events: Vec<EventRecord>,
     pub(crate) event_cap: u64,
@@ -266,6 +274,7 @@ pub(crate) struct Frame {
 
 impl Frame {
     pub(crate) fn new(
+        placement: Placement,
         topology: Topology,
         dynamic: Option<DynamicTopology>,
         drop_on_link_down: bool,
@@ -273,6 +282,7 @@ impl Frame {
         record_events: bool,
     ) -> Self {
         Self {
+            placement,
             trajectories: (0..topology.len())
                 .map(|_| PiecewiseLinear::new(0.0, 0.0, 1.0))
                 .collect(),
@@ -295,6 +305,7 @@ impl Frame {
     pub(crate) fn split(&mut self) -> (Env<'_>, &mut [PiecewiseLinear]) {
         let env = Env {
             topology: &self.topology,
+            placement: &self.placement,
             outages: self.dynamic.as_ref().filter(|_| self.drop_on_link_down),
             record_events: self.record_events,
         };
@@ -371,14 +382,21 @@ impl Frame {
         observers: &mut [&mut dyn Observer],
     ) {
         if !self.record_events {
-            for (i, traj) in self.trajectories.iter_mut().enumerate() {
-                traj.compact_before(clock.value_at(i, t));
+            for node in 0..self.topology.len() {
+                let at = self.placement.position(node);
+                self.trajectories[at].compact_before(clock.value_at(node, t));
             }
             // A windowing clock source drops schedule segments behind the
             // frontier too (no-op for eager sources).
             clock.compact_before(t);
         }
-        let view = Probe::new(t, &self.topology, clock, &self.trajectories);
+        let view = Probe::new(
+            t,
+            &self.topology,
+            clock,
+            &self.trajectories,
+            self.placement.positions(),
+        );
         for obs in observers.iter_mut() {
             obs.on_probe(&view);
         }
@@ -394,7 +412,13 @@ impl Frame {
         observers: &mut [&mut dyn Observer],
     ) {
         if !observers.is_empty() {
-            let view = Probe::new(record.time, &self.topology, clock, &self.trajectories);
+            let view = Probe::new(
+                record.time,
+                &self.topology,
+                clock,
+                &self.trajectories,
+                self.placement.positions(),
+            );
             for obs in observers.iter_mut() {
                 obs.on_event(&view, record);
             }
@@ -419,7 +443,7 @@ impl Frame {
     /// counts — a link failing beyond the simulated window must not leak
     /// post-horizon information into the record.
     pub(crate) fn finish<M>(
-        self,
+        mut self,
         mut messages: Vec<MessageRecord<M>>,
         clock: &dyn ClockSource,
     ) -> Execution<M> {
@@ -441,6 +465,7 @@ impl Frame {
         // `[0, horizon]` from the seed, bit-identical to the eager
         // construction of the same walk.
         let schedules = clock.materialize_prefix(horizon);
+        self.placement.restore_id_order(&mut self.trajectories);
         Execution::new(
             self.topology,
             schedules,
@@ -454,13 +479,13 @@ impl Frame {
     }
 }
 
-/// One partition: a node range, its queue, its clock and delay handles,
+/// One partition: a member set, its queue, its clock and delay handles,
 /// and everything a dispatch in it writes. See the module docs.
 pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) index: usize,
-    /// Owned node range `[lo, hi)`.
-    pub(crate) lo: NodeId,
-    pub(crate) hi: NodeId,
+    /// The positions of the owned members ([`Placement::span`]).
+    pub(crate) span: Range<usize>,
+    /// Member states, by position less `span.start`.
     pub(crate) nodes: Vec<N>,
     neighbors: Vec<Vec<NodeId>>,
     next_timer: Vec<TimerId>,
@@ -504,21 +529,24 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
 }
 
 impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
-    /// A partition over `range`, with `nodes` for exactly those nodes.
-    /// `keyed` keeps merge keys (recording with several partitions).
+    /// Partition `index` of the frame's placement, with `nodes` for
+    /// exactly its members, ascending by id. `keyed` keeps merge keys
+    /// (recording with several partitions).
     pub(crate) fn new(
         index: usize,
-        range: Range<NodeId>,
         nodes: Vec<N>,
         frame: &Frame,
         clock: Box<C>,
         delay: Box<D>,
         keyed: bool,
     ) -> Self {
+        let span = frame.placement.span(index);
+        assert_eq!(nodes.len(), span.len(), "one node state per member");
         // The live neighbor sets start from the view's graph at time zero
         // and follow TopoChange events as they dispatch.
-        let neighbors = range
-            .clone()
+        let neighbors = frame
+            .placement
+            .members(index)
             .map(|i| match &frame.dynamic {
                 Some(view) => view.neighbors_at(i, 0.0),
                 None => frame.topology.neighbors(i),
@@ -526,16 +554,15 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             .collect();
         Self {
             index,
-            lo: range.start,
-            hi: range.end,
             nodes,
             neighbors,
-            next_timer: vec![0; range.len()],
+            next_timer: vec![0; span.len()],
             queue: BinaryHeap::new(),
             tie: 0,
             clock,
             delay,
-            send_seq: SendSeq::new(range),
+            send_seq: SendSeq::new(span.len()),
+            span,
             messages: Vec::new(),
             free_slots: Vec::new(),
             msg_keys: keyed.then(Vec::new),
@@ -661,7 +688,7 @@ where
             kind,
             ..
         } = ev;
-        let local = node - self.lo;
+        let local = env.placement.position(node) - self.span.start;
         // Topology changes enqueue with a placeholder reading; resolve it
         // now, at dispatch.
         let hw = if matches!(kind, QueuedKind::TopoChange { .. }) {
@@ -802,7 +829,15 @@ where
         for (action_index, (to, payload)) in actions.sends.drain(..).enumerate() {
             if err.is_none() {
                 err = self
-                    .try_send_message(env, node, to, payload, time, hw, tracer.as_deref_mut())
+                    .try_send_message(
+                        env,
+                        (node, local),
+                        to,
+                        payload,
+                        time,
+                        hw,
+                        tracer.as_deref_mut(),
+                    )
                     .err();
                 // Slots are never recycled when recording, so a send that
                 // logged a record grew the log by one.
@@ -846,14 +881,14 @@ where
     fn try_send_message(
         &mut self,
         env: &Env<'_>,
-        from: NodeId,
+        (from, local): (NodeId, usize),
         to: NodeId,
         payload: M,
         time: f64,
         hw: f64,
         tracer: Option<&mut (dyn Tracer + 'static)>,
     ) -> Result<(), SimError> {
-        let seq = self.send_seq.next(from, to);
+        let seq = self.send_seq.next(local, to);
         let d = env.topology.distance(from, to);
         let non_finite = || SimError::NonFiniteDelay {
             from,
@@ -929,7 +964,7 @@ where
         // resolves it at dispatch time, and finalization reconciles
         // whatever is still in flight at the final horizon — which is what
         // lets a run be extended past any horizon chosen up front.
-        let remote = arrival.is_some() && !(self.lo..self.hi).contains(&to);
+        let remote = arrival.is_some() && !self.span.contains(&env.placement.position(to));
         let (msg_index, carried) = if remote && !env.record_events {
             // Streaming: the handoff carries the message whole.
             (NO_SLOT, Some(payload))

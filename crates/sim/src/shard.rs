@@ -3,9 +3,12 @@
 //!
 //! # The window protocol
 //!
-//! The topology is split into `k` contiguous node ranges, each one
-//! dispatch core ([`crate::partition`]) with its own `BinaryHeap` of
-//! pending events, a forked clock source and a forked delay policy. Let
+//! The topology is split into `k` member sets, each one dispatch core
+//! ([`crate::partition`]) with its own `BinaryHeap` of pending events, a
+//! forked clock source and a forked delay policy. The sets are
+//! breadth-first chunks of the static base graph ([`crate::placement`]):
+//! on a spatial graph each is a region, so few sends cross shards, and
+//! node ids are spread evenly over the shards. Let
 //! `L` be the delay policy's [`DelayPolicy::min_delay_bound`] — the
 //! *lookahead*: every message takes at least `L` real time. A round
 //! starts at the globally earliest pending event time `t_min` and
@@ -73,12 +76,14 @@
 //! # Where the wall time went
 //!
 //! Every run counts, per shard, the windows it entered, the events it
-//! dispatched and the nanoseconds it spent dispatching and draining its
-//! mailbox, and on the coordinator the time spent merging between
-//! super-windows and firing probes ([`ShardedSimulation::counters`]). The
-//! cost is two clock reads per shard per phase per window. Busy time
-//! summed over shards against the run's wall time says whether the
-//! shards overlapped or took turns; E15 prints the table.
+//! dispatched, the cross-shard sends it handed off and the nanoseconds it
+//! spent dispatching and draining its mailbox, and on the coordinator the
+//! time spent merging between super-windows and firing probes
+//! ([`ShardedSimulation::counters`]). The cost is two clock reads per
+//! shard per phase per window; handoffs are counted per window, as the
+//! outbox drains. Busy time summed over shards against the run's wall
+//! time says whether the shards overlapped or took turns; E15 prints the
+//! table.
 //! [`crate::Simulation::counters`] gives the single heap's account in the
 //! same type, one row with one window per run call.
 
@@ -100,7 +105,6 @@ use crate::observer::Observer;
 use crate::partition::{
     canonical_order, cap_exceeded, settle, Env, Frame, Halt, Handoff, MsgKey, Partition,
 };
-use crate::NodeId;
 
 /// Adds the wall-clock nanoseconds since `started` to `acc`; `None`
 /// (nothing was timed) adds nothing.
@@ -125,6 +129,9 @@ pub struct ShardCounters {
     /// Nanoseconds sorting and enqueuing cross-shard deliveries (zero on
     /// the single heap).
     pub drain_ns: u64,
+    /// Cross-shard sends this shard deposited in other shards' mailboxes
+    /// (zero on one shard and on the single heap).
+    pub handoffs: u64,
 }
 
 /// Where a run's wall time went, from [`ShardedSimulation::counters`]
@@ -155,7 +162,7 @@ const DENSITY: u64 = 256;
 /// coordinator merges in streaming mode.
 const BATCH_CAP: u64 = 65_536;
 
-/// One shard: the dispatch core over a node range, with `Send` boxes.
+/// One shard: the dispatch core over a member set, with `Send` boxes.
 type Shard<M> =
     Partition<M, Box<dyn Node<M> + Send>, dyn ClockSource + Send, dyn DelayPolicy + Send>;
 
@@ -296,21 +303,22 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         } else {
             1
         };
-        let frame = builder.into_frame();
+        let frame = builder.into_frame(k);
         let keyed = frame.record_events && k > 1;
         let unsupported = |what: &str| SimError::ShardUnsupported {
             reason: format!("the {what} does not support fork()"),
         };
-        let mut nodes = nodes.into_iter();
+        let mut nodes: Vec<_> = nodes.into_iter().map(Some).collect();
         let shards = (0..k)
             .map(|index| {
-                let range = index * n / k..(index + 1) * n / k;
                 let clock = clock.fork().ok_or_else(|| unsupported("clock source"))?;
                 let delay = delay.fork().ok_or_else(|| unsupported("delay policy"))?;
-                let own = nodes.by_ref().take(range.len()).collect();
-                Ok(Partition::new(
-                    index, range, own, &frame, clock, delay, keyed,
-                ))
+                let own = frame
+                    .placement
+                    .members(index)
+                    .map(|node| nodes[node].take().expect("each node has one owner"))
+                    .collect();
+                Ok(Partition::new(index, own, &frame, clock, delay, keyed))
             })
             .collect::<Result<_, SimError>>()?;
         Ok(Self {
@@ -416,7 +424,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         }
         if self.frame.start() {
             for (time, node, hw, kind) in self.frame.initial_events() {
-                let owner = self.shards.partition_point(|s| s.hi <= node);
+                let owner = self.frame.placement.owner(node);
                 self.shards[owner].push(time, node, hw, kind);
             }
         }
@@ -458,7 +466,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         }
 
         let k = self.shards.len();
-        let his: &[NodeId] = &self.shards.iter().map(|s| s.hi).collect::<Vec<_>>();
         let mailboxes: &[Mutex<Vec<Handoff<M>>>] =
             &(0..k).map(|_| Mutex::default()).collect::<Vec<_>>();
         // Per shard, after each round: its next event time and the events
@@ -479,7 +486,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                 .enumerate()
                 .map(|(i, shard)| {
                     let (own, rest) =
-                        std::mem::take(&mut trajectories).split_at_mut(shard.hi - shard.lo);
+                        std::mem::take(&mut trajectories).split_at_mut(shard.span.len());
                     trajectories = rest;
                     let start = shard.dispatched;
                     scope.spawn(move || {
@@ -490,6 +497,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                             // sends into destination mailboxes.
                             guard(&mut failure, || {
                                 shard.run_window(env, own, end, horizon, start + budget)?;
+                                shard.counters.handoffs += shard.outbox.len() as u64;
                                 for h in shard.outbox.drain(..) {
                                     assert!(
                                         h.arrival_time >= end,
@@ -501,8 +509,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
                                         h.from,
                                         h.to
                                     );
-                                    let dest = his.partition_point(|&hi| hi <= h.to);
-                                    lock(&mailboxes[dest]).push(h);
+                                    lock(&mailboxes[env.placement.owner(h.to)]).push(h);
                                 }
                                 Ok(())
                             });
@@ -675,6 +682,7 @@ mod tests {
 
     use gcs_net::{DelayOutcome, DelayPolicy, FixedFractionDelay, Topology, UniformDelay};
 
+    use crate::placement::Placement;
     use crate::{
         observe_execution, Context, EventRecord, Node, NodeId, Observer, Probe, SimError,
         SimulationBuilder, TimerId,
@@ -795,6 +803,43 @@ mod tests {
                 "event {i} differs without a simultaneous event"
             );
         }
+    }
+
+    #[test]
+    fn handoffs_count_exactly_the_cross_shard_sends() {
+        let topology = Topology::random_geometric(40, 10.0, 3.0, 3);
+        let setup = || {
+            SimulationBuilder::new(topology.clone()).delay_policy(UniformDelay::new(0.25, 0.75, 9))
+        };
+        let horizon = 12.0;
+        let handoffs = |k: usize| {
+            let mut sim = setup().shards(k).build_sharded_with(adopt).unwrap();
+            assert_eq!(sim.shard_count(), k);
+            sim.try_run_until_observed(horizon, &mut []).unwrap();
+            let counted: Vec<u64> = sim.counters().shards.iter().map(|s| s.handoffs).collect();
+            (counted, sim.into_execution())
+        };
+        let (one, _) = handoffs(1);
+        assert_eq!(one, vec![0]);
+        let single = setup().build_with(adopt).unwrap();
+        single
+            .counters()
+            .shards
+            .iter()
+            .for_each(|s| assert_eq!(s.handoffs, 0));
+
+        // Every logged message that arrives and whose endpoints sit in
+        // different shards was handed off exactly once.
+        let (two, exec) = handoffs(2);
+        let placement = Placement::new(&topology, 2);
+        let crossing = exec
+            .messages()
+            .iter()
+            .filter(|m| m.arrival_time.is_some())
+            .filter(|m| placement.owner(m.from) != placement.owner(m.to))
+            .count() as u64;
+        assert!(crossing > 0, "the fixture crosses no cut");
+        assert_eq!(two.iter().sum::<u64>(), crossing);
     }
 
     /// Runs `case` on a thread of its own under a watchdog, so a hang

@@ -6,11 +6,17 @@
 //! pins: the shard count trades wall-clock for thread count, never
 //! output.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
+
 use gcs_testkit::prelude::*;
 use gradient_clock_sync::algorithms::{AlgorithmKind, SyncMsg};
 use gradient_clock_sync::dynamic::ChurnSchedule;
-use gradient_clock_sync::net::Topology;
-use gradient_clock_sync::sim::MessageRecord;
+use gradient_clock_sync::net::{DelayOutcome, DelayPolicy, Topology};
+use gradient_clock_sync::sim::{
+    Context, Execution, MessageRecord, Node, NodeId, SimError, SimulationBuilder, TimerId,
+};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -60,6 +66,25 @@ fn churned_geometric() -> Scenario {
         .uniform_delay(0.1, 0.9)
         .seed(21)
         .horizon(80.0)
+}
+
+/// A small random-geometric scenario under random churn of its neighbour
+/// edges: the shape on which shard member sets differ most from id ranges.
+fn small_churned_geometric(n: usize, seed: u64) -> Scenario {
+    let topology = Topology::random_geometric(n, 10.0, 4.0, seed);
+    let churn = ChurnSchedule::random_churn(&topology.neighbor_edges(), 0.2, 40.0, seed);
+    Scenario::on(format!("rgg{n}_churn_s{seed}"), topology)
+        .algorithm(AlgorithmKind::DynamicGradient {
+            period: 1.0,
+            kappa_strong: 0.5,
+            kappa_weak: 6.0,
+            window: 20.0,
+        })
+        .churn(churn)
+        .drift_walk(0.02, 10.0, 0.005)
+        .uniform_delay(0.1, 0.9)
+        .seed(seed)
+        .horizon(40.0)
 }
 
 /// Every shard count must reproduce the single-heap execution of
@@ -181,6 +206,98 @@ fn recorded_message_layout_is_unchanged() {
     assert_eq!(std::mem::size_of::<MessageRecord<SyncMsg>>(), 104);
 }
 
+/// Runs `case` on a thread of its own under a watchdog, so a hang fails
+/// the test instead of stalling it; a panic in `case` is re-raised.
+fn watched<T: Send + 'static>(case: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(catch_unwind(AssertUnwindSafe(case)));
+    });
+    match rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the run hung past the watchdog")
+    {
+        Ok(value) => value,
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+/// Arms one timer at a reading spread over the horizon by node id,
+/// broadcasts when it fires, and relays the first message it receives.
+#[derive(Debug)]
+struct RelayOnce {
+    fire_at: f64,
+    relayed: bool,
+}
+
+impl Node<f64> for RelayOnce {
+    fn on_start(&mut self, ctx: &mut Context<'_, f64>) {
+        ctx.set_timer(self.fire_at);
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, f64>, _timer: TimerId) {
+        ctx.send_to_neighbors(&ctx.hw_now());
+    }
+    fn on_message(&mut self, ctx: &mut Context<'_, f64>, _from: NodeId, msg: &f64) {
+        if !std::mem::replace(&mut self.relayed, true) {
+            ctx.send_to_neighbors(msg);
+        }
+    }
+}
+
+/// Delays of exactly one or two lookaheads, by sequence parity.
+#[derive(Debug, Clone)]
+struct Lookaheads(f64);
+
+impl DelayPolicy for Lookaheads {
+    fn decide(&mut self, _from: usize, _to: usize, seq: u64, _t: f64) -> DelayOutcome {
+        DelayOutcome::Delay(self.0 * (1 + seq % 2) as f64)
+    }
+    fn min_delay_bound(&self) -> f64 {
+        self.0
+    }
+    fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+/// A ring of eight `RelayOnce` nodes with perfect clocks whose spacing
+/// admits delays of two `lookahead`s, run to `horizon` on `shards`
+/// shards (one shard is the single heap).
+fn relay_ring(lookahead: f64, horizon: f64, shards: usize) -> Result<Execution<f64>, SimError> {
+    let n: usize = 8;
+    let spacing = (2.0 * lookahead).max(1.0);
+    let dist = (0..n * n)
+        .map(|ij| {
+            let hops = (ij / n).abs_diff(ij % n);
+            hops.min(n - hops) as f64 * spacing
+        })
+        .collect();
+    let topology = Topology::from_matrix(dist, spacing).expect("a valid ring");
+    let builder = SimulationBuilder::new(topology).delay_policy(Lookaheads(lookahead));
+    let make = |id: NodeId, n: usize| RelayOnce {
+        fire_at: horizon * (id + 1) as f64 / (n + 1) as f64,
+        relayed: false,
+    };
+    if shards == 1 {
+        builder.build_with(make)?.try_execute_until(horizon)
+    } else {
+        let sim = builder.shards(shards).build_sharded_with(make)?;
+        assert_eq!(sim.shard_count(), shards);
+        sim.try_execute_until(horizon)
+    }
+}
+
+/// `2^e` for `-1074 <= e <= 1023`, exact down through the subnormals
+/// (where `powi` underflows to zero).
+fn pow2(e: i32) -> f64 {
+    let bits = if e >= -1022 {
+        u64::try_from(e + 1023).unwrap() << 52
+    } else {
+        1 << (e + 1074)
+    };
+    f64::from_bits(bits)
+}
+
 /// A 6-node line whose distances, delays, broadcast period and horizon
 /// are all `10^k` times the unit-scale scenario's. Distances cannot go
 /// below 1, so below unit scale the delay fractions shrink instead: the
@@ -206,15 +323,31 @@ fn scaled_line(k: i32, seed: u64) -> Scenario {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    // Shard member sets are breadth-first chunks of the base graph, which
+    // on a geometric graph cut across id ranges; the execution must not
+    // depend on them at any shard count.
+    #[test]
+    fn churned_geometric_runs_match_the_single_heap(n in 8usize..40, seed in 0u64..1_000_000) {
+        let scenario = small_churned_geometric(n, seed);
+        let reference = scenario.run();
+        for k in [2, 3, 8] {
+            assert_bit_identical(&reference, &scenario.run_sharded(k));
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     // The conservative window leans on monotone rounding of `t + L`
-    // (see the shard module docs): at every scale from 10^-6 to 10^6 the
+    // (see the shard module docs): at every scale from 10^-12 to 10^12 the
     // handoff assertion `arrival >= window end` holds, or the sharded run
     // panics, and the sharded record equals the single heap's.
     #[test]
     fn windows_stay_safe_across_twelve_orders_of_magnitude(seed in 1u64..10_000) {
-        for k in -6..=6 {
+        for k in -12..=12 {
             let scenario = scaled_line(k, seed);
             let reference = scenario.run();
             prop_assert!(reference.events().len() > 200, "scale 1e{}: too few events", k);
@@ -231,6 +364,43 @@ proptest! {
                     shards
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Lookaheads from the smallest subnormal up, against horizons up to
+    // 2^1000, drawn to straddle half an ulp of the horizon: a window from
+    // any `t <= horizon` advances exactly when the lookahead exceeds it.
+    // Under a watchdog, each sharded run matches the single heap bit for
+    // bit, or is refused with `ShardUnsupported` exactly at or below that
+    // line.
+    #[test]
+    fn a_window_advances_or_the_run_is_refused(
+        horizon_exp in -1074i32..=1000,
+        mantissa in 1.0f64..2.0,
+        offset in -6i32..=6,
+        shards in 2usize..=4,
+    ) {
+        let horizon = (mantissa * pow2(horizon_exp)).max(pow2(-1074));
+        let lookahead = pow2((horizon_exp - 53 + offset).max(-1074));
+        let refused = lookahead <= (horizon.next_up() - horizon) / 2.0;
+        match watched(move || relay_ring(lookahead, horizon, shards)) {
+            Err(SimError::ShardUnsupported { .. }) => prop_assert!(
+                refused,
+                "lookahead {:e} refused at horizon {:e}",
+                lookahead,
+                horizon
+            ),
+            Ok(sharded) => {
+                prop_assert!(!refused, "lookahead {:e} ran at horizon {:e}", lookahead, horizon);
+                let reference = watched(move || relay_ring(lookahead, horizon, 1)).unwrap();
+                prop_assert!(!reference.messages().is_empty(), "horizon {:e}: no sends", horizon);
+                assert_bit_identical(&reference, &sharded);
+            }
+            Err(e) => prop_assert!(false, "unexpected error {}", e),
         }
     }
 }
