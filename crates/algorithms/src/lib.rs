@@ -151,8 +151,8 @@ impl AlgorithmKind {
 
     /// Builds a node of this kind for node `id` in a network of `n` nodes.
     ///
-    /// Nodes are `Send` so they can run on either the single-heap or the
-    /// sharded (thread-parallel) engine. `n` is accepted for signature
+    /// Nodes are `Send` so that a simulation with several shards can
+    /// move them onto its worker threads. `n` is accepted for signature
     /// stability with `build_with` closures but no algorithm allocates
     /// O(n) state anymore — per-node state is O(degree) at most.
     #[must_use]

@@ -314,7 +314,7 @@ mod tests {
             fn on_message(&mut self, _c: &mut Ctx<'_, SyncMsg>, _f: NodeId, _m: &SyncMsg) {}
         }
         let sim = SimulationBuilder::new(Topology::line(2))
-            .build_with(|id, _| -> Box<dyn NodeTrait<SyncMsg>> {
+            .build_with(|id, _| -> Box<dyn NodeTrait<SyncMsg> + Send> {
                 if id == 0 {
                     Box::new(OffsetMaxNode::new(OffsetMaxParams::default()))
                 } else {

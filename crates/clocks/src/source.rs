@@ -105,8 +105,9 @@ pub trait ClockSource {
     /// without sharing interior mutability. Lazy sources reconstruct from
     /// their seed rather than copying materialized state, so the fork's
     /// compaction frontier starts at zero regardless of the parent's.
-    /// The default returns `None`: the source cannot be forked and the
-    /// sharded path must refuse the run.
+    /// The default returns `None`: the source cannot be forked and a
+    /// build with more than one shard must refuse it; one shard never
+    /// forks.
     fn fork(&self) -> Option<Box<dyn ClockSource + Send>> {
         None
     }

@@ -345,7 +345,7 @@ mod tests {
         DriftBound::new(0.5).unwrap()
     }
 
-    fn run<N: Node<f64> + 'static>(
+    fn run<N: Node<f64> + Send + 'static>(
         make: impl FnMut(usize, usize) -> N,
         n: usize,
         horizon: f64,

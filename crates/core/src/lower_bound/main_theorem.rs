@@ -216,8 +216,8 @@ impl MainTheorem {
     /// construction is rejected.
     pub fn run<M, N, F>(&self, make: F) -> Result<MainTheoremReport, MainTheoremError>
     where
-        M: Clone + fmt::Debug + 'static,
-        N: Node<M> + 'static,
+        M: Clone + fmt::Debug + Send + 'static,
+        N: Node<M> + Send + 'static,
         F: Fn(NodeId, usize) -> N,
     {
         let cfg = &self.config;

@@ -100,8 +100,8 @@ pub fn demonstrate_omega_d<M, N, F>(
     make: F,
 ) -> Result<ShiftReport, ShiftError>
 where
-    M: Clone + fmt::Debug + 'static,
-    N: Node<M> + 'static,
+    M: Clone + fmt::Debug + Send + 'static,
+    N: Node<M> + Send + 'static,
     F: FnMut(NodeId, usize) -> N,
 {
     assert!(d >= 1.0, "distances are normalized to at least 1");

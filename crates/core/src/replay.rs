@@ -35,7 +35,7 @@ pub struct HwReplayDelay {
     arrivals: HashMap<(NodeId, NodeId, u64), f64>,
     schedules: Vec<RateSchedule>,
     topology: Topology,
-    fallback: Box<dyn DelayPolicy>,
+    fallback: Box<dyn DelayPolicy + Send>,
 }
 
 impl fmt::Debug for HwReplayDelay {
@@ -50,7 +50,7 @@ impl HwReplayDelay {
     /// Builds a replay policy from a transformed execution: every message
     /// with a recorded arrival reading (delivered or in flight) is pinned.
     #[must_use]
-    pub fn from_execution<M>(exec: &Execution<M>, fallback: Box<dyn DelayPolicy>) -> Self {
+    pub fn from_execution<M>(exec: &Execution<M>, fallback: Box<dyn DelayPolicy + Send>) -> Self {
         let mut arrivals = HashMap::new();
         for m in exec.messages() {
             if m.status == MessageStatus::Dropped {
@@ -111,12 +111,12 @@ impl DelayPolicy for HwReplayDelay {
 pub fn replay_execution<M, N, F>(
     transformed: &Execution<M>,
     horizon: f64,
-    fallback: Box<dyn DelayPolicy>,
+    fallback: Box<dyn DelayPolicy + Send>,
     make: F,
 ) -> Result<Execution<M>, SimError>
 where
-    M: Clone + fmt::Debug + 'static,
-    N: Node<M> + 'static,
+    M: Clone + fmt::Debug + Send + 'static,
+    N: Node<M> + Send + 'static,
     F: FnMut(NodeId, usize) -> N,
 {
     let policy = HwReplayDelay::from_execution(transformed, fallback);
@@ -138,7 +138,7 @@ where
 /// Convenience: the nominal half-distance fallback used by the paper's
 /// constructions (delay `d_ij / 2` for every unpinned message).
 #[must_use]
-pub fn nominal_fallback(topology: &Topology) -> Box<dyn DelayPolicy> {
+pub fn nominal_fallback(topology: &Topology) -> Box<dyn DelayPolicy + Send> {
     Box::new(gcs_net::FixedFractionDelay::for_topology(topology, 0.5))
 }
 

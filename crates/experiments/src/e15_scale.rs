@@ -3,14 +3,15 @@
 //!
 //! The paper's gradient lower bound is about *large-diameter* networks —
 //! `Ω(D)` only bites when `D` is big — but most recorded experiments top
-//! out at a few hundred nodes because the single-heap engine serializes
-//! dispatch. This experiment pins the scale path: a random-geometric
-//! graph (the paper's motivating sensor-network geometry) under churn,
-//! run in streaming mode on [`gcs_sim::ShardedSimulation`], for **every**
-//! algorithm in the catalog — including `DynamicGradient`, whose per-node
-//! state is O(degree) (a sorted small-vec of formation stamps) rather
-//! than O(n), which is what makes a 100k-node churned run representable
-//! at all (a dense map would be `n²` slots ≈ 160 GB at full scale).
+//! out at a few hundred nodes because one partition serializes dispatch.
+//! This experiment pins the scale path: a random-geometric graph (the
+//! paper's motivating sensor-network geometry) under churn, run in
+//! streaming mode on `k` shards ([`gcs_sim::SimulationBuilder::shards`]),
+//! for **every** algorithm in the catalog — including `DynamicGradient`,
+//! whose per-node state is O(degree) (a sorted small-vec of formation
+//! stamps) rather than O(n), which is what makes a 100k-node churned run
+//! representable at all (a dense map would be `n²` slots ≈ 160 GB at full
+//! scale).
 //!
 //! Three claims, asserted:
 //!
@@ -25,7 +26,7 @@
 //!
 //! A third table says where the multi-shard run's wall time went:
 //! per shard, windows, events, cross-shard handoffs and busy time from
-//! [`gcs_sim::ShardedSimulation::counters`], the coordinator's serial
+//! [`gcs_sim::Simulation::counters`], the coordinator's serial
 //! phases, and how much of each shard's busy time fell in stretches of
 //! the run where the other shards had next to nothing to do.
 //!
@@ -149,7 +150,7 @@ fn run_sharded(scenario: &Scenario, shards: usize, horizon: f64) -> ScaleRun {
     let mut sim = scenario.build_sharded_with(shards, |id, n| kind.build(id, n));
     sim.set_probe_schedule(0.0, horizon / 4.0);
     let mut global = GlobalSkewObserver::new();
-    let mut alone_ns = vec![0u64; sim.shard_count()];
+    let mut alone_ns = vec![0u64; sim.counters().shards.len()];
     let mut before = sim.counters();
     let t0 = Instant::now();
     for slice in 1..=SLICES {
@@ -170,7 +171,7 @@ fn run_sharded(scenario: &Scenario, shards: usize, horizon: f64) -> ScaleRun {
     }
     let wall_secs = t0.elapsed().as_secs_f64();
     ScaleRun {
-        dispatched: sim.dispatched(),
+        dispatched: sim.stats().dispatched,
         wall_secs,
         worst_skew: global.worst(),
         worst_at: global.worst_at(),

@@ -108,7 +108,7 @@ pub fn line_scenario(kind: AlgorithmKind, n: usize, horizon: f64) -> Execution<S
 /// its clock to the far node every period. Wrapper-owned timer ids are
 /// tracked so the inner algorithm's timers are delegated untouched.
 struct LongHaul {
-    inner: Box<dyn gcs_sim::Node<SyncMsg>>,
+    inner: Box<dyn gcs_sim::Node<SyncMsg> + Send>,
     far: Option<usize>,
     period: f64,
     own_timer: Option<u64>,

@@ -57,7 +57,7 @@ pub trait DelayPolicy: fmt::Debug {
     /// sharded engine may dispatch all events up to `min_pending + bound`
     /// in parallel, because no message sent inside that window can arrive
     /// within it. The default — `0.0` — is always sound and simply yields
-    /// no lookahead (the sharded engine then degrades to serial windows).
+    /// no lookahead (the simulation then runs on one partition).
     fn min_delay_bound(&self) -> f64 {
         0.0
     }
@@ -69,7 +69,8 @@ pub trait DelayPolicy: fmt::Debug {
     /// Sharded simulations give each shard its own fork so delay decisions
     /// need no cross-thread coordination. Policies that are stateful in
     /// call order (e.g. [`AdversarialDelay`]) return `None` — the default —
-    /// and are rejected by the sharded build path.
+    /// and are rejected by a build with more than one shard; one shard
+    /// never forks.
     fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
         None
     }
@@ -233,13 +234,13 @@ impl DelayPolicy for UniformDelay {
 /// by the Section-2 counterexample, where the adversary switches the delay
 /// on one link mid-execution.
 pub struct AdversarialDelay {
-    f: Box<dyn FnMut(usize, usize, u64, f64) -> DelayOutcome>,
+    f: Box<dyn FnMut(usize, usize, u64, f64) -> DelayOutcome + Send>,
 }
 
 impl AdversarialDelay {
     /// Wraps a delay function `(from, to, seq, send_time) → outcome`.
     #[must_use]
-    pub fn new(f: impl FnMut(usize, usize, u64, f64) -> DelayOutcome + 'static) -> Self {
+    pub fn new(f: impl FnMut(usize, usize, u64, f64) -> DelayOutcome + Send + 'static) -> Self {
         Self { f: Box::new(f) }
     }
 }

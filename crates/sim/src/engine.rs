@@ -1,6 +1,7 @@
-//! The single-heap discrete-event simulation engine: the dispatch core
-//! ([`crate::partition`]) over every node, plus the stepping API, the
-//! live tracer, the wall-clock counters and per-event observers.
+//! The engine: one dispatch core ([`crate::partition`]) per shard. One
+//! partition dispatches inline on the calling thread; several run the
+//! window protocol ([`crate::shard`]). Plus the run API, the live tracer,
+//! the wall-clock counters and per-event observers.
 
 use std::fmt;
 use std::time::Instant;
@@ -9,14 +10,13 @@ use gcs_clocks::{ClockSource, EagerSchedule, RateSchedule};
 use gcs_dynamic::DynamicTopology;
 use gcs_net::{DelayPolicy, FixedFractionDelay, Topology};
 
-use crate::event::EventRecord;
 use crate::execution::Execution;
 use crate::node::Node;
 use crate::observer::Observer;
-use crate::partition::{cap_exceeded, Frame, Halt, Partition};
+use crate::partition::{cap_exceeded, Frame, Halt, MsgKey, Part, Partition};
 use crate::placement::Placement;
 use crate::shard::{add_elapsed, ShardedCounters};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::Tracer;
 use crate::NodeId;
 
 /// Default cap on the number of dispatched events, guarding against
@@ -62,12 +62,12 @@ pub enum SimError {
         /// The requested hardware-clock target.
         target_hw: f64,
     },
-    /// The sharded engine cannot run this configuration: the clock
+    /// More than one partition cannot run this configuration: the clock
     /// source / delay policy does not support [`ClockSource::fork`] /
-    /// [`DelayPolicy::fork`], or the lookahead is too small to advance a
-    /// window at the run horizon.
+    /// [`DelayPolicy::fork`], a tracer is attached, or the lookahead is
+    /// too small to advance a window at the run horizon.
     ShardUnsupported {
-        /// What the sharded engine could not accommodate.
+        /// What the partitioned run could not accommodate.
         reason: String,
     },
 }
@@ -103,7 +103,7 @@ impl fmt::Display for SimError {
                 )
             }
             SimError::ShardUnsupported { reason } => {
-                write!(f, "sharded engine cannot run this configuration: {reason}")
+                write!(f, "the shards cannot run this configuration: {reason}")
             }
         }
     }
@@ -111,21 +111,17 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A run's clock source and bound delay policy, taken out of the builder.
-type ClockAndDelay = (Box<dyn ClockSource>, Box<dyn DelayPolicy>);
-
-/// Builder for [`Simulation`] and [`crate::ShardedSimulation`]: set the
-/// model, then build one engine with [`SimulationBuilder::build_with`] or
-/// [`SimulationBuilder::build_sharded_with`].
+/// Builder for [`Simulation`]: set the model, then build with
+/// [`SimulationBuilder::build_with`].
 pub struct SimulationBuilder {
     topology: Topology,
     dynamic: Option<DynamicTopology>,
     drop_on_link_down: bool,
-    clock: Option<Box<dyn ClockSource>>,
-    delay: Option<Box<dyn DelayPolicy>>,
+    clock: Option<Box<dyn ClockSource + Send>>,
+    delay: Option<Box<dyn DelayPolicy + Send>>,
     event_cap: u64,
     record_events: bool,
-    pub(crate) shards: usize,
+    shards: usize,
 }
 
 impl fmt::Debug for SimulationBuilder {
@@ -205,7 +201,7 @@ impl SimulationBuilder {
     /// [`ClockSource::node_count`] does not match the topology is
     /// rejected at build time with [`SimError::ScheduleCount`].
     #[must_use]
-    pub fn drift_source(mut self, source: impl ClockSource + 'static) -> Self {
+    pub fn drift_source(mut self, source: impl ClockSource + Send + 'static) -> Self {
         self.clock = Some(Box::new(source));
         self
     }
@@ -215,7 +211,7 @@ impl SimulationBuilder {
     /// automatically. A `Box<dyn DelayPolicy>` chosen at runtime is a
     /// policy too.
     #[must_use]
-    pub fn delay_policy(mut self, policy: impl DelayPolicy + 'static) -> Self {
+    pub fn delay_policy(mut self, policy: impl DelayPolicy + Send + 'static) -> Self {
         self.delay = Some(Box::new(policy));
         self
     }
@@ -251,13 +247,13 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets the number of shards [`SimulationBuilder::build_sharded_with`]
-    /// partitions the topology into (default 1).
-    /// [`SimulationBuilder::build_with`] ignores it and stays on the
-    /// single-heap engine.
+    /// Sets the number of shards [`SimulationBuilder::build_with`]
+    /// partitions the topology into (default 1). One partition dispatches
+    /// inline on the calling thread; several dispatch in parallel on
+    /// scoped threads under the window protocol (see `shard.rs`).
     ///
-    /// Sharded runs produce bit-identical [`Execution`]s for every shard
-    /// count — `shards` trades wall-clock for thread count, never output.
+    /// Runs produce bit-identical [`Execution`]s for every shard count —
+    /// `shards` trades wall-clock for thread count, never output.
     ///
     /// # Panics
     ///
@@ -269,64 +265,34 @@ impl SimulationBuilder {
         self
     }
 
-    /// Builds a sharded simulation (see [`crate::ShardedSimulation`]),
-    /// constructing one node per topology entry with `make(node_id,
-    /// node_count)`. The shard count comes from
-    /// [`SimulationBuilder::shards`].
+    /// Builds the simulation, constructing one node per topology entry with
+    /// `make(node_id, node_count)`, over [`SimulationBuilder::shards`]
+    /// partitions: never more than there are nodes, and one when the delay
+    /// policy has no lookahead ([`DelayPolicy::min_delay_bound`] zero).
+    /// Only more than one partition forks the clock source and the delay
+    /// policy.
     ///
     /// # Errors
     ///
-    /// As [`SimulationBuilder::build_with`], plus
-    /// [`SimError::ShardUnsupported`] when the clock source / delay
-    /// policy cannot be forked across threads.
-    pub fn build_sharded_with<M, N, F>(
-        self,
-        mut make: F,
-    ) -> Result<crate::ShardedSimulation<M>, SimError>
+    /// Returns [`SimError::ScheduleCount`] if the clock source does not
+    /// match the topology size, [`SimError::NonFiniteRate`] if it yields a
+    /// non-finite rate, or [`SimError::ShardUnsupported`] if more than one
+    /// partition is due and the clock source or the delay policy cannot be
+    /// forked.
+    ///
+    /// # Panics
+    ///
+    /// With more than one shard, if the delay policy reports a negative
+    /// lookahead.
+    pub fn build_with<M, N, F>(mut self, mut make: F) -> Result<Simulation<M>, SimError>
     where
         M: Clone + fmt::Debug + Send + 'static,
         N: Node<M> + Send + 'static,
         F: FnMut(NodeId, usize) -> N,
     {
         let n = self.topology.len();
-        let nodes = (0..n)
-            .map(|i| Box::new(make(i, n)) as Box<dyn Node<M> + Send>)
-            .collect();
-        crate::ShardedSimulation::from_builder(self, nodes)
-    }
-
-    /// Builds the simulation, constructing one node per topology entry with
-    /// `make(node_id, node_count)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduleCount`] if the clock source does not
-    /// match the topology size, or [`SimError::NonFiniteRate`] if it
-    /// yields a non-finite rate.
-    pub fn build_with<M, N, F>(mut self, mut make: F) -> Result<Simulation<M>, SimError>
-    where
-        N: Node<M> + 'static,
-        F: FnMut(NodeId, usize) -> N,
-    {
-        let n = self.topology.len();
-        let nodes: Vec<Box<dyn Node<M>>> = (0..n).map(|i| Box::new(make(i, n)) as _).collect();
-        let (clock, delay) = self.take_parts()?;
-        let frame = self.into_frame(1);
-        let core = Partition::new(0, nodes, &frame, clock, delay, false);
-        Ok(Simulation {
-            frame,
-            core,
-            tracer: None,
-            probe_ns: 0,
-            peak_trajectory_breakpoints: 0,
-        })
-    }
-
-    /// Takes the clock source (perfect rate-1 clocks by default), checked
-    /// against the topology, and the delay policy, bound to the topology,
-    /// out of the builder.
-    pub(crate) fn take_parts(&mut self) -> Result<ClockAndDelay, SimError> {
-        let n = self.topology.len();
+        let nodes: Vec<Box<dyn Node<M> + Send>> =
+            (0..n).map(|i| Box::new(make(i, n)) as _).collect();
         let clock = self
             .clock
             .take()
@@ -349,20 +315,72 @@ impl SimulationBuilder {
             .take()
             .unwrap_or_else(|| Box::new(FixedFractionDelay::for_topology(&self.topology, 0.5)));
         delay.bind_topology(&self.topology);
-        Ok((clock, delay))
-    }
-
-    /// The frame both engines keep beside their partitions, over `parts`
-    /// partitions.
-    pub(crate) fn into_frame(self, parts: usize) -> Frame {
-        Frame::new(
-            Placement::new(&self.topology, parts),
+        // Zero lookahead cannot overlap partitions: fall back to one.
+        let lookahead = if self.shards > 1 {
+            delay.min_delay_bound()
+        } else {
+            0.0
+        };
+        assert!(
+            lookahead >= 0.0,
+            "delay policy reported a negative lookahead {lookahead}"
+        );
+        let k = if lookahead > 0.0 {
+            self.shards.min(n.max(1))
+        } else {
+            1
+        };
+        let frame = Frame::new(
+            Placement::new(&self.topology, k),
             self.topology,
             self.dynamic,
             self.drop_on_link_down,
             self.event_cap,
             self.record_events,
-        )
+        );
+        let (parts, coordinator) = if k == 1 {
+            (vec![Partition::new(0, nodes, &frame, clock, delay)], None)
+        } else {
+            let unsupported = |what: &str| SimError::ShardUnsupported {
+                reason: format!("the {what} does not support fork()"),
+            };
+            let mut nodes: Vec<_> = nodes.into_iter().map(Some).collect();
+            let parts = (0..k)
+                .map(|index| {
+                    let clock = clock.fork().ok_or_else(|| unsupported("clock source"))?;
+                    let delay = delay.fork().ok_or_else(|| unsupported("delay policy"))?;
+                    let own = frame
+                        .placement
+                        .members(index)
+                        .map(|node| nodes[node].take().expect("each node has one owner"))
+                        .collect();
+                    Ok(Partition::new(index, own, &frame, clock, delay))
+                })
+                .collect::<Result<_, SimError>>()?;
+            (parts, Some(clock))
+        };
+        Ok(Simulation {
+            frame,
+            parts,
+            clock: coordinator,
+            lookahead,
+            window_mult: 1,
+            finish_ns: 0,
+        })
+    }
+
+    /// [`SimulationBuilder::build_with`] under its old name, kept only
+    /// because `benchmark/src/adapter.rs` calls it; the benchmark-only
+    /// adapter change of ROADMAP item 1 deletes it.
+    #[doc(hidden)]
+    #[allow(clippy::missing_errors_doc)]
+    pub fn build_sharded_with<M, N, F>(self, make: F) -> Result<Simulation<M>, SimError>
+    where
+        M: Clone + fmt::Debug + Send + 'static,
+        N: Node<M> + Send + 'static,
+        F: FnMut(NodeId, usize) -> N,
+    {
+        self.build_with(make)
     }
 }
 
@@ -371,7 +389,9 @@ impl SimulationBuilder {
 /// ([`SimulationBuilder::record_events`]`(false)`) `message_slots` is
 /// bounded by the peak number of simultaneously in-flight messages and
 /// `recorded_events` stays 0 — the counters a flat-memory assertion
-/// checks.
+/// checks. With several partitions each count is summed over them; so
+/// are the high-water marks of queued events and message slots, which
+/// then bound the simultaneous peak from above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
     /// Events dispatched so far (the quantity the event cap bounds).
@@ -420,38 +440,108 @@ pub struct SimStats {
 /// extended past any fixed horizon.
 ///
 /// Create one with [`SimulationBuilder::build_with`]. The run surface is
-/// a *stepping core*, one fallible method per operation:
+/// one fallible method per operation:
 ///
-/// - [`Simulation::try_step_observed`] dispatches the single next event;
 /// - [`Simulation::try_run_until_observed`] advances through all events
-///   up to a horizon — callable repeatedly with growing horizons;
-/// - both stream every event and probe through [`Observer`]s (pass
-///   `&mut []` for none);
+///   up to a horizon — callable repeatedly with growing horizons — and
+///   streams every event and probe through [`Observer`]s (pass `&mut []`
+///   for none);
 /// - [`Simulation::into_execution`] finalizes the run into the recorded
 ///   [`Execution`], and [`Simulation::try_execute_until`] is the one-shot
 ///   form: run to a horizon, return the execution.
+///
+/// It holds one partition per shard ([`SimulationBuilder::shards`]): one
+/// dispatches inline, several run the window protocol of `shard.rs`. The
+/// [`Execution`] is bit-identical for every shard count.
 pub struct Simulation<M> {
-    frame: Frame,
-    /// The one partition, over every node.
-    core: Partition<M, Box<dyn Node<M>>, dyn ClockSource, dyn DelayPolicy>,
-    /// Structured trace sink (see [`crate::trace`]); `None` costs one
-    /// branch per event.
-    tracer: Option<Box<dyn Tracer>>,
-    /// Wall-clock nanoseconds in `emit_probes`.
-    probe_ns: u64,
-    peak_trajectory_breakpoints: usize,
+    pub(crate) frame: Frame,
+    /// One partition per shard, in placement order.
+    pub(crate) parts: Vec<Part<M>>,
+    /// With several partitions, the coordinator's clock: probe views,
+    /// streaming compaction and final schedule materialization. It answers
+    /// bit-identically to every partition's fork. `None` with one
+    /// partition, which reads its own ([`coordinator_clock`]).
+    pub(crate) clock: Option<Box<dyn ClockSource + Send>>,
+    /// The delay policy's lookahead `L`, read only with several
+    /// partitions.
+    pub(crate) lookahead: f64,
+    /// Current super-window multiplier, in `[1, MAX_MULT]`.
+    pub(crate) window_mult: u64,
+    /// Coordinator time merging super-windows, probes excluded.
+    pub(crate) finish_ns: u64,
+}
+
+/// The engine under its old name, kept only because
+/// `benchmark/src/adapter.rs` names it; the benchmark-only adapter change
+/// of ROADMAP item 1 deletes it.
+#[doc(hidden)]
+pub type ShardedSimulation<M> = Simulation<M>;
+
+/// The clock that probes, observers and finalization read: the
+/// coordinator's with several partitions, else the one partition's own.
+pub(crate) fn coordinator_clock<'a, M>(
+    clock: &'a Option<Box<dyn ClockSource + Send>>,
+    parts: &'a [Part<M>],
+) -> &'a dyn ClockSource {
+    match clock {
+        Some(clock) => &**clock,
+        None => &*parts[0].clock,
+    }
 }
 
 impl<M> fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("topology", &self.frame.topology)
-            .field("queued", &self.core.queue.len())
+            .field("shards", &self.parts.len())
             .finish_non_exhaustive()
     }
 }
 
-impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
+impl<M: Clone> Part<M> {
+    /// Dispatches every event at or before `horizon` on the calling
+    /// thread, handing each to the tracer and `observers` as it happens,
+    /// with the probes due before it first: one window.
+    fn run_inline(
+        &mut self,
+        frame: &mut Frame,
+        horizon: f64,
+        observers: &mut [&mut dyn Observer],
+    ) -> Result<(), SimError> {
+        let (started, probe_ns) = (Instant::now(), frame.probe_ns);
+        let result = loop {
+            let Some(next_time) = self.next_time() else {
+                break Ok(());
+            };
+            if next_time > horizon {
+                break Ok(());
+            }
+            // Probes strictly before the next event fire first, so a probe
+            // at time t always sees the state after *all* events at ≤ t.
+            frame.emit_probes(next_time, false, &*self.clock, observers);
+            let ev = self.queue.pop().expect("peeked above");
+            let cap = frame.event_cap;
+            let (env, trajectories, tracer) = frame.split();
+            let record = match self.dispatch(ev, &env, trajectories, cap, tracer) {
+                Ok(Some(record)) => record,
+                // A delivery dropped by a link outage: no callback ran.
+                Ok(None) => continue,
+                Err(Halt::Cap(record)) => cap_exceeded(cap, record.time),
+                Err(Halt::Error(e)) => break Err(e),
+            };
+            frame.observe(&record, &*self.clock, observers);
+        };
+        // Probes fired inside the window are `probe_ns`, not `run_ns`.
+        let counters = &mut self.counters;
+        counters.windows += 1;
+        counters.events = self.dispatched;
+        add_elapsed(&mut counters.run_ns, Some(started));
+        counters.run_ns = counters.run_ns.saturating_sub(frame.probe_ns - probe_ns);
+        result
+    }
+}
+
+impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
     /// Runs the simulation from real time 0 through `horizon` (inclusive),
     /// consumes it, and returns the recorded execution — the one-shot form
     /// every post-hoc analysis uses, bit-identical to
@@ -460,15 +550,13 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidHorizon`], [`SimError::NonFiniteDelay`], or
-    /// [`SimError::NonFiniteTimer`]. On error the partially-advanced
-    /// simulation is consumed; its state is not a coherent execution.
+    /// As [`Simulation::try_run_until_observed`]. On error the
+    /// partially-advanced simulation is consumed; its state is not a
+    /// coherent execution.
     ///
     /// # Panics
     ///
-    /// If the delay policy emits a finite delay outside `[0, d_ij]` (a
-    /// broken [`DelayPolicy`], not bad input), or if the event cap is
-    /// exceeded.
+    /// As [`Simulation::try_run_until_observed`].
     pub fn try_execute_until(mut self, horizon: f64) -> Result<Execution<M>, SimError> {
         self.try_run_until_observed(horizon, &mut [])?;
         Ok(self.into_execution())
@@ -483,14 +571,24 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     /// same events, in the same order, with the same recorded data as one
     /// call with the final horizon.
     ///
+    /// One partition hands each event to `observers` as it is dispatched;
+    /// several hand over the merged events at each super-window barrier,
+    /// under the rule stated on [`Observer::on_event`].
+    ///
     /// # Errors
     ///
-    /// As [`Simulation::try_execute_until`]. On error the simulation is
-    /// poisoned (partially advanced) and should be discarded.
+    /// [`SimError::InvalidHorizon`], [`SimError::NonFiniteDelay`], or
+    /// [`SimError::NonFiniteTimer`]. With more than one partition,
+    /// [`SimError::ShardUnsupported`] when a tracer is attached or the
+    /// horizon is so large that adding the lookahead no longer moves it;
+    /// then nothing is dispatched. After any other error the simulation
+    /// is poisoned (partially advanced) and should be discarded.
     ///
     /// # Panics
     ///
-    /// As [`Simulation::try_execute_until`].
+    /// If the delay policy emits a finite delay outside `[0, d_ij]` (a
+    /// broken [`DelayPolicy`], not bad input), or if the event cap is
+    /// exceeded.
     pub fn try_run_until_observed(
         &mut self,
         horizon: f64,
@@ -499,66 +597,23 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         if !horizon.is_finite() || horizon < 0.0 {
             return Err(SimError::InvalidHorizon { horizon });
         }
-        let started = Instant::now();
-        let probe_ns_before = self.probe_ns;
-        let result = self.run_loop_observed(horizon, observers);
-        // One window per run call; probes fired inside it are `probe_ns`.
-        let counters = &mut self.core.counters;
-        counters.windows += 1;
-        add_elapsed(&mut counters.run_ns, Some(started));
-        counters.run_ns = counters
-            .run_ns
-            .saturating_sub(self.probe_ns - probe_ns_before);
-        result
-    }
-
-    fn run_loop_observed(
-        &mut self,
-        horizon: f64,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<(), SimError> {
-        self.ensure_started();
-        while let Some(next_time) = self.core.next_time() {
-            if next_time > horizon {
-                break;
-            }
-            // Probes strictly before the next event fire first, so a probe
-            // at time t always sees the state after *all* events at ≤ t.
-            self.emit_probes(next_time, false, observers);
-            self.dispatch_next(observers)?;
+        if self.parts.len() > 1 {
+            self.check_windows(horizon)?;
         }
-        self.emit_probes(horizon, true, observers);
+        if self.frame.start() {
+            for (time, node, hw, kind) in self.frame.initial_events() {
+                self.parts[self.frame.placement.owner(node)].push(time, node, hw, kind);
+            }
+        }
+        if let [core] = self.parts.as_mut_slice() {
+            core.run_inline(&mut self.frame, horizon, observers)?;
+        } else {
+            self.run_windows(horizon, observers)?;
+        }
+        let clock = coordinator_clock(&self.clock, &self.parts);
+        self.frame.emit_probes(horizon, true, clock, observers);
         self.frame.ran_to = self.frame.ran_to.max(horizon);
         Ok(())
-    }
-
-    /// Dispatches the single next event, streaming it and any due probes
-    /// through `observers`, and returns its record (`None` once the queue
-    /// is drained). The first call activates the simulation (start events
-    /// and any scheduled topology changes are enqueued).
-    ///
-    /// # Errors
-    ///
-    /// As [`Simulation::try_run_until_observed`].
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::try_execute_until`].
-    pub fn try_step_observed(
-        &mut self,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<Option<EventRecord>, SimError> {
-        self.ensure_started();
-        while let Some(next_time) = self.core.next_time() {
-            self.emit_probes(next_time, false, observers);
-            self.frame.ran_to = self.frame.ran_to.max(next_time);
-            // A dynamic-dropped delivery is bookkeeping, not an event the
-            // caller stepped over — keep going until something dispatches.
-            if let Some(record) = self.dispatch_next(observers)? {
-                return Ok(Some(record));
-            }
-        }
-        Ok(None)
     }
 
     /// Finalizes the run into the recorded [`Execution`], whose horizon is
@@ -568,22 +623,38 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     /// the horizon is recorded dropped).
     #[must_use]
     pub fn into_execution(self) -> Execution<M> {
+        let Self {
+            frame,
+            mut parts,
+            clock,
+            ..
+        } = self;
         // Streaming mode recycled slots, so the log is not a coherent
         // message history: the execution carries the run's shape
         // (topology, schedules, horizon, trajectories) for metric
         // consumers only.
-        let messages = if self.frame.record_events {
-            self.core.messages
-        } else {
-            Vec::new()
+        let messages = match parts.as_mut_slice() {
+            _ if !frame.record_events => Vec::new(),
+            [core] => std::mem::take(&mut core.messages),
+            // Merge the partitions' logs back into one partition's append
+            // order.
+            several => {
+                let mut tagged = Vec::new();
+                for part in several {
+                    let keys = part.msg_keys.take().unwrap_or_default();
+                    tagged.extend(keys.into_iter().zip(std::mem::take(&mut part.messages)));
+                }
+                tagged.sort_by(|a: &(MsgKey, _), b| a.0.cmp(&b.0));
+                tagged.into_iter().map(|(_, m)| m).collect()
+            }
         };
-        self.frame.finish(messages, &*self.core.clock)
+        frame.finish(messages, coordinator_clock(&clock, &parts))
     }
 
     /// The number of simulated nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.core.nodes.len()
+        self.frame.topology.len()
     }
 
     /// The furthest simulated time this run has been driven to.
@@ -592,59 +663,60 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
         self.frame.ran_to
     }
 
-    /// The time of the next queued event, if any. Activates the
-    /// simulation on first use (like [`Simulation::try_step_observed`]).
+    /// Events dispatched so far, as [`SimStats::dispatched`]; kept only
+    /// because `benchmark/src/adapter.rs` calls it. The benchmark-only
+    /// adapter change of ROADMAP item 1 deletes it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn next_event_time(&mut self) -> Option<f64> {
-        self.ensure_started();
-        self.core.next_time()
+    pub fn dispatched(&self) -> u64 {
+        self.parts.iter().map(|p| p.dispatched).sum()
     }
 
     /// Progress and memory counters — see [`SimStats`].
     #[must_use]
     pub fn stats(&self) -> SimStats {
-        let core = &self.core;
+        let sum = |count: fn(&Part<M>) -> usize| self.parts.iter().map(count).sum();
         let trajectory_breakpoints = self.frame.breakpoints();
-        let occupied = core.messages.len() - core.free_slots.len();
         SimStats {
-            dispatched: core.dispatched,
-            queued_events: core.queue.len(),
+            dispatched: self.dispatched(),
+            queued_events: sum(|p| p.queue.len()),
             recorded_events: self.frame.events.len(),
-            message_slots: core.messages.len(),
-            free_message_slots: core.free_slots.len(),
+            message_slots: sum(|p| p.messages.len()),
+            free_message_slots: sum(|p| p.free_slots.len()),
             trajectory_breakpoints,
-            live_schedule_segments: core.clock.live_segments(),
-            peak_queued_events: core.peak_queued_events.max(core.queue.len()),
-            peak_message_slots: core.peak_message_slots.max(occupied),
-            peak_trajectory_breakpoints: self
-                .peak_trajectory_breakpoints
-                .max(trajectory_breakpoints),
-            dropped_loss: core.dropped_loss,
-            dropped_link_down: core.dropped_link_down,
+            live_schedule_segments: coordinator_clock(&self.clock, &self.parts).live_segments(),
+            peak_queued_events: sum(|p| p.peak_queued_events.max(p.queue.len())),
+            peak_message_slots: sum(|p| {
+                p.peak_message_slots
+                    .max(p.messages.len() - p.free_slots.len())
+            }),
+            peak_trajectory_breakpoints: self.frame.peak_breakpoints.max(trajectory_breakpoints),
+            dropped_loss: self.parts.iter().map(|p| p.dropped_loss).sum(),
+            dropped_link_down: self.parts.iter().map(|p| p.dropped_link_down).sum(),
         }
     }
 
     /// Attaches (or replaces) the [`Tracer`] that receives every
-    /// structured sim-domain [`TraceEvent`] the dispatch loop produces —
-    /// see [`crate::trace`]. Default: no tracer — the untraced path costs
-    /// one branch per event. Mid-run attachment is allowed: the tracer
-    /// sees events from that point on.
+    /// structured sim-domain [`crate::TraceEvent`] the dispatch loop
+    /// produces — see [`crate::trace`]. Default: no tracer — the untraced
+    /// path costs one branch per event. Mid-run attachment is allowed: the
+    /// tracer sees events from that point on. A tracer observes the live
+    /// interleaving of one partition: with more than one, the next run
+    /// call is [`SimError::ShardUnsupported`].
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.tracer = Some(tracer);
+        self.frame.tracer = Some(tracer);
     }
 
-    /// Where the wall time went so far, in the sharded engine's terms
-    /// ([`crate::ShardedSimulation::counters`]): one row, whose window
-    /// count is the number of [`Simulation::try_run_until_observed`]
-    /// calls and whose `run_ns` is their time net of probes. Events
-    /// dispatched by [`Simulation::try_step_observed`] count, its time
-    /// does not.
+    /// Where the wall time went so far: one row per partition beside the
+    /// coordinator's serial phases — see [`ShardedCounters`]. One
+    /// partition counts one window per run call, its `run_ns` net of
+    /// probes, and no `finish_ns`.
     #[must_use]
     pub fn counters(&self) -> ShardedCounters {
         ShardedCounters {
-            shards: vec![self.core.counters()],
-            finish_ns: 0,
-            probe_ns: self.probe_ns,
+            shards: self.parts.iter().map(|p| p.counters).collect(),
+            finish_ns: self.finish_ns,
+            probe_ns: self.frame.probe_ns,
         }
     }
 
@@ -668,69 +740,12 @@ impl<M: Clone + fmt::Debug + 'static> Simulation<M> {
     pub fn set_probe_schedule(&mut self, from: f64, every: f64) {
         self.frame.set_probe_schedule(from, every);
     }
-
-    /// Enqueues the start events and (in dynamic mode) every scheduled
-    /// topology change. Idempotent; called by every advancing method.
-    fn ensure_started(&mut self) {
-        if self.frame.start() {
-            for (time, node, hw, kind) in self.frame.initial_events() {
-                self.core.push(time, node, hw, kind);
-            }
-        }
-    }
-
-    /// Fires every probe due at or before `limit` (strictly before unless
-    /// `inclusive`).
-    fn emit_probes(&mut self, limit: f64, inclusive: bool, observers: &mut [&mut dyn Observer]) {
-        // Called once per event: read the clock only when a probe is due.
-        let mut started = None;
-        while let Some(t) = self.frame.next_probe_due(limit, inclusive) {
-            started.get_or_insert_with(Instant::now);
-            if let Some(tr) = &mut self.tracer {
-                tr.record(&TraceEvent::ProbeFired {
-                    time: t,
-                    index: self.frame.next_probe - 1,
-                });
-            }
-            // Sample the breakpoint high-water mark at probe cadence —
-            // before compaction, so it captures the worst case a
-            // streaming run held between probes.
-            self.peak_trajectory_breakpoints = self
-                .peak_trajectory_breakpoints
-                .max(self.frame.breakpoints());
-            self.frame.fire_probe(t, &*self.core.clock, observers);
-        }
-        add_elapsed(&mut self.probe_ns, started);
-    }
-
-    /// Pops and dispatches the next event, hands it to `observers` and
-    /// keeps its record. `Ok(None)` when it was a delivery dropped by a
-    /// link outage.
-    fn dispatch_next(
-        &mut self,
-        observers: &mut [&mut dyn Observer],
-    ) -> Result<Option<EventRecord>, SimError> {
-        let ev = self.core.queue.pop().expect("the caller peeked an event");
-        let cap = self.frame.event_cap;
-        let (env, trajectories) = self.frame.split();
-        let dispatched =
-            self.core
-                .dispatch(ev, &env, trajectories, cap, self.tracer.as_deref_mut());
-        let record = match dispatched {
-            Ok(Some(record)) => record,
-            Ok(None) => return Ok(None),
-            Err(Halt::Cap(record)) => cap_exceeded(cap, record.time),
-            Err(Halt::Error(e)) => return Err(e),
-        };
-        self.frame.observe(&record, &*self.core.clock, observers);
-        Ok(Some(record))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, MessageStatus};
+    use crate::event::{EventKind, EventRecord, MessageStatus};
     use crate::node::Context;
     use crate::observer::Probe;
     use crate::TimerId;
@@ -1245,15 +1260,27 @@ mod tests {
 
     #[test]
     fn step_walks_the_same_event_sequence() {
+        /// Keeps every event record it is handed.
+        #[derive(Default)]
+        struct Records(Vec<EventRecord>);
+        impl Observer for Records {
+            fn on_event(&mut self, _view: &Probe<'_>, event: &EventRecord) {
+                self.0.push(event.clone());
+            }
+        }
+
         let exec = line_sim(3, &[1.1, 1.0, 0.9])
             .try_execute_until(12.0)
             .unwrap();
+        // A step is a run call to the next event time.
+        let mut times: Vec<f64> = exec.events().iter().map(|e| e.time).collect();
+        times.dedup();
         let mut sim = line_sim(3, &[1.1, 1.0, 0.9]);
-        let mut stepped = Vec::new();
-        while sim.next_event_time().is_some_and(|t| t <= 12.0) {
-            stepped.push(sim.try_step_observed(&mut []).unwrap().expect("event due"));
+        let mut stepped = Records::default();
+        for t in times {
+            sim.try_run_until_observed(t, &mut [&mut stepped]).unwrap();
         }
-        assert_eq!(exec.events(), stepped.as_slice());
+        assert_eq!(exec.events(), stepped.0.as_slice());
     }
 
     #[test]
@@ -1310,14 +1337,12 @@ mod tests {
         sim.set_probe_schedule(0.0, 1.0);
         let wall = Instant::now();
         sim.try_run_until_observed(50.0, &mut []).unwrap();
-        sim.try_step_observed(&mut []).unwrap();
         sim.try_run_until_observed(100.0, &mut []).unwrap();
-        sim.try_step_observed(&mut []).unwrap();
         sim.try_run_until_observed(150.0, &mut []).unwrap();
         let wall_ns = u64::try_from(wall.elapsed().as_nanos()).unwrap();
         let heap = sim.counters();
         let [row] = heap.shards.as_slice() else {
-            panic!("the single heap is one row: {heap:?}");
+            panic!("one partition is one row: {heap:?}");
         };
         assert_eq!(row.windows, 3);
         assert_eq!(row.events, sim.stats().dispatched);
@@ -1330,13 +1355,14 @@ mod tests {
         for k in [1, 2] {
             let mut sharded = builder()
                 .shards(k)
-                .build_sharded_with(|_, _| MaxTest { period: 1.0 })
+                .build_with(|_, _| MaxTest { period: 1.0 })
                 .unwrap();
             sharded.try_run_until_observed(150.0, &mut []).unwrap();
             let counters = sharded.counters();
             assert_eq!(counters.shards.len(), k);
             let events: u64 = counters.shards.iter().map(|s| s.events).sum();
-            assert_eq!((events, sharded.dispatched()), (row.events, row.events));
+            let dispatched = sharded.stats().dispatched;
+            assert_eq!((events, dispatched), (row.events, row.events));
         }
     }
 
@@ -1521,7 +1547,8 @@ mod tests {
             .unwrap();
         // Enqueuing the churn timeline (changes out to t = 2000) must
         // not force the walk out to the last change.
-        assert!(sim.next_event_time().is_some());
+        sim.try_run_until_observed(0.0, &mut []).unwrap();
+        assert!(sim.stats().queued_events > 0);
         let stats = sim.stats();
         assert!(
             stats.live_schedule_segments <= 2 * 2 * 64,

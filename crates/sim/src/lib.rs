@@ -79,22 +79,21 @@
 //! assert_eq!(exec.messages().len(), 4); // 2 ends × 1 + middle × 2
 //! ```
 //!
-//! # Stepping, streaming, and observers
+//! # Running, streaming, and observers
 //!
-//! [`Simulation`] is a stepping core with one fallible method per
-//! operation: [`Simulation::try_run_until_observed`] advances in place
-//! (call it again with a larger horizon to extend the run),
-//! [`Simulation::try_step_observed`] dispatches one event, and
-//! [`Simulation::into_execution`] finalizes the record.
-//! [`Simulation::try_execute_until`] runs to a horizon and finalizes in
-//! one call. Every error is a [`SimError`]. [`Observer`]s ([`observer`]
-//! module) stream metrics — global skew, worst adjacent skew, gradient profiles,
-//! validity — during the run at a configurable probe cadence; with
-//! [`SimulationBuilder::record_events`]`(false)` such metric runs hold
-//! memory proportional to the network's in-flight state, not the
-//! execution's length. The same observers replay over recorded executions
-//! via [`observe_execution`], so streaming and post-hoc metrics are one
-//! implementation.
+//! [`Simulation`] has one fallible method per operation:
+//! [`Simulation::try_run_until_observed`] advances in place (call it again
+//! with a larger horizon to extend the run, or with every event time in
+//! turn to step through it), and [`Simulation::into_execution`] finalizes
+//! the record. [`Simulation::try_execute_until`] runs to a horizon and
+//! finalizes in one call. Every error is a [`SimError`]. [`Observer`]s
+//! ([`observer`] module) stream metrics — global skew, worst adjacent
+//! skew, gradient profiles, validity — during the run at a configurable
+//! probe cadence; with [`SimulationBuilder::record_events`]`(false)` such
+//! metric runs hold memory proportional to the network's in-flight state,
+//! not the execution's length. The same observers replay over recorded
+//! executions via [`observe_execution`], so streaming and post-hoc metrics
+//! are one implementation.
 //!
 //! # Tracing and wall-clock counters
 //!
@@ -102,26 +101,21 @@
 //! receives every structured sim-domain [`TraceEvent`] — message lifecycle,
 //! timer fires, link changes, probes — in deterministic dispatch order;
 //! recorders, exporters, metrics, and skew forensics live in
-//! `gcs-telemetry`. Where a run's wall time went is always counted, on
-//! both engines and with the same type: [`Simulation::counters`] and
-//! [`ShardedSimulation::counters`] return [`ShardedCounters`] (one row
-//! per shard; the single heap is one row). The counters read the clock
-//! twice per run call or window and twice per probe batch, never per
-//! event.
+//! `gcs-telemetry`. Where a run's wall time went is always counted:
+//! [`Simulation::counters`] returns [`ShardedCounters`], one row per
+//! shard. The counters read the clock twice per run call or window and
+//! twice per probe batch, never per event.
 //!
 //! # Sharded parallel runs
 //!
-//! [`SimulationBuilder::shards`] plus
-//! [`SimulationBuilder::build_sharded_with`] runs the same model on the
-//! conservative-window parallel engine ([`ShardedSimulation`]): the
-//! topology is partitioned into shards that dispatch in parallel on
-//! scoped threads, windowed by the delay policy's
-//! [`gcs_net::DelayPolicy::min_delay_bound`] lookahead. Both engines run
-//! one dispatch core: [`Simulation`] is that core over every node,
-//! [`ShardedSimulation`] is one core per shard — each with its own
-//! `BinaryHeap` of pending events — plus the window protocol. Executions
-//! are bit-identical to the single-heap engine for every shard count.
-//! Tracing is single-heap only.
+//! [`SimulationBuilder::shards`] splits the topology into that many
+//! partitions, each one dispatch core with its own `BinaryHeap` of pending
+//! events. One partition (the default) dispatches inline on the calling
+//! thread. Several dispatch in parallel on scoped threads, in
+//! conservative windows set by the delay policy's
+//! [`gcs_net::DelayPolicy::min_delay_bound`] lookahead, and need a clock
+//! source and a delay policy that can fork. Executions are bit-identical
+//! for every shard count. A tracer needs one partition.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -139,7 +133,9 @@ mod shard;
 pub mod trace;
 
 pub use calendar::{CalendarItem, CalendarQueue};
-pub use engine::{SimError, SimStats, Simulation, SimulationBuilder, DEFAULT_EVENT_CAP};
+pub use engine::{
+    ShardedSimulation, SimError, SimStats, Simulation, SimulationBuilder, DEFAULT_EVENT_CAP,
+};
 pub use event::{EventKind, EventRecord, MessageRecord, MessageStatus, TimerId};
 pub use execution::Execution;
 // Clock sources are part of the engine's build surface
@@ -150,7 +146,7 @@ pub use observer::{
     observe_execution, AdjacentSkewObserver, GlobalSkewObserver, GradientProfileObserver, Observer,
     Probe, ValidityObserver,
 };
-pub use shard::{ShardCounters, ShardedCounters, ShardedSimulation};
+pub use shard::{ShardCounters, ShardedCounters};
 pub use trace::{DropReason, TraceEvent, Tracer};
 
 /// Index of a node in the network (`0..topology.len()`).

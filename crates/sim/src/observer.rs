@@ -1,8 +1,8 @@
 //! Streaming observers: O(1)-memory metrics computed *during* a run.
 //!
 //! An [`Observer`] is attached to a run through
-//! [`crate::Simulation::try_run_until_observed`] (or
-//! [`crate::Simulation::try_step_observed`]) and sees two kinds of callbacks:
+//! [`crate::Simulation::try_run_until_observed`] and sees two kinds of
+//! callbacks:
 //!
 //! - [`Observer::on_event`] after every dispatched event, and
 //! - [`Observer::on_probe`] at a configurable simulated-time cadence
@@ -144,8 +144,8 @@ pub trait Observer {
     /// overwritten at the same hardware reading later in the run (a second
     /// event at the same node and instant, such as two simultaneous
     /// deliveries); a view evaluated after that shows the overwriting
-    /// value. The single heap evaluates each view live, right after its
-    /// event; a sharded run with more than one shard evaluates them at the
+    /// value. One partition evaluates each view live, right after its
+    /// event; a run with more than one shard evaluates them at the
     /// super-window barrier and [`observe_execution`] at the end of the
     /// run, so those two agree with each other and can differ from the
     /// live stream only at such instants. Probe views never differ.

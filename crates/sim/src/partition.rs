@@ -1,29 +1,29 @@
-//! The dispatch core both engines run on.
+//! The dispatch core of the engine.
 //!
 //! A [`Partition`] owns a member set of nodes, ascending by id, which
 //! [`crate::placement`] assigns: their node states, live neighbour lists
 //! and timer counters, a `BinaryHeap` of pending events with its tie
 //! counter, a clock source and a delay policy, the per-pair sequence
 //! numbers, the message slab, and the drop and peak counters.
-//! [`crate::Simulation`] is one partition over every node;
-//! [`crate::ShardedSimulation`] is `k` of them plus the window protocol.
-//! A [`Frame`] holds what both engines keep beside their partitions: the
-//! network, the placement, every node's logical trajectory in
-//! partition-major order (probe views read them all at once through the
-//! position map, and each partition borrows its contiguous slice), the
-//! event log and the probe grid. Per-node state inside a partition is
-//! indexed by the node's position less the partition's first position.
+//! A [`crate::Simulation`] holds one partition per shard: one runs inline,
+//! several run the window protocol ([`crate::shard`]). A [`Frame`] holds
+//! what the engine keeps beside its partitions: the network, the
+//! placement, every node's logical trajectory in partition-major order
+//! (probe views read them all at once through the position map, and each
+//! partition borrows its contiguous slice), the event log, the probe grid
+//! and the tracer. Per-node state inside a partition is indexed by the
+//! node's position less the partition's first position.
 //!
-//! The partition is generic over the node, clock and delay box types, so
-//! the single heap keeps accepting non-`Send` nodes and clocks while the
-//! sharded engine moves its partitions onto worker threads. The per-event
-//! paths are `#[inline]`: both engines call them from other modules, and
+//! The engine instantiates the partition with `Send` boxes ([`Part`]), so
+//! that several partitions can move onto worker threads. The per-event
+//! paths are `#[inline]`: the engine calls them from other modules, and
 //! without the hint a 4096-node ring ran about 10 percent slower per
-//! event on the single heap.
+//! event on one partition.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::time::Instant;
 
 use gcs_clocks::{ClockSource, PiecewiseLinear};
 use gcs_dynamic::DynamicTopology;
@@ -36,9 +36,14 @@ use crate::node::{Actions, Context, Node};
 use crate::observer::{Observer, Probe};
 use crate::placement::Placement;
 use crate::send_seq::SendSeq;
-use crate::shard::ShardCounters;
+use crate::shard::{add_elapsed, ShardCounters};
 use crate::trace::{DropReason, TraceEvent, Tracer};
 use crate::{NodeId, TimerId};
+
+/// The partition the engine runs: `Send` boxes, so that it can move onto
+/// a worker thread.
+pub(crate) type Part<M> =
+    Partition<M, Box<dyn Node<M> + Send>, dyn ClockSource + Send, dyn DelayPolicy + Send>;
 
 /// The canonical key of simultaneous events ([`EventKind::tie_key`]).
 type TieKey = (NodeId, u8, u64, u64);
@@ -171,7 +176,7 @@ const NO_SLOT: usize = usize::MAX;
 /// `delivered == false` means a link outage dropped it in flight.
 pub(crate) type StatusUpdate = (usize, usize, bool);
 
-/// Merge key reproducing the single heap's message-log append order:
+/// Merge key reproducing one partition's message-log append order:
 /// sends are appended per dispatched event (events are totally ordered by
 /// `(time, tie_key)`), in action order within one event.
 #[derive(Clone, Copy)]
@@ -231,7 +236,7 @@ impl From<SimError> for Halt {
     }
 }
 
-/// The event-cap panic, raised where the single heap raises it: at the
+/// The event-cap panic, raised where one partition raises it: at the
 /// first event past the cap, in dispatch order.
 pub(crate) fn cap_exceeded(cap: u64, time: f64) -> ! {
     panic!(
@@ -249,7 +254,7 @@ pub(crate) struct Env<'a> {
     pub(crate) record_events: bool,
 }
 
-/// What both engines keep beside their partitions.
+/// What the engine keeps beside its partitions.
 pub(crate) struct Frame {
     pub(crate) topology: Topology,
     pub(crate) dynamic: Option<DynamicTopology>,
@@ -269,7 +274,14 @@ pub(crate) struct Frame {
     probe_from: f64,
     pub(crate) probe_every: Option<f64>,
     /// Index of the next probe: probe `k` fires at `probe_from + k · every`.
-    pub(crate) next_probe: u64,
+    next_probe: u64,
+    /// Wall-clock nanoseconds firing probes.
+    pub(crate) probe_ns: u64,
+    /// High-water mark of the trajectory breakpoints, sampled at probes.
+    pub(crate) peak_breakpoints: usize,
+    /// Structured trace sink (see [`crate::trace`]); `None` costs one
+    /// branch per event.
+    pub(crate) tracer: Option<Box<dyn Tracer>>,
 }
 
 impl Frame {
@@ -297,19 +309,29 @@ impl Frame {
             probe_from: 0.0,
             probe_every: None,
             next_probe: 0,
+            probe_ns: 0,
+            peak_breakpoints: 0,
+            tracer: None,
         }
     }
 
-    /// The dispatch environment, beside the trajectories it lends out.
+    /// The dispatch environment, beside the trajectories and the tracer it
+    /// lends out.
     #[inline]
-    pub(crate) fn split(&mut self) -> (Env<'_>, &mut [PiecewiseLinear]) {
+    pub(crate) fn split(
+        &mut self,
+    ) -> (
+        Env<'_>,
+        &mut [PiecewiseLinear],
+        Option<&mut (dyn Tracer + 'static)>,
+    ) {
         let env = Env {
             topology: &self.topology,
             placement: &self.placement,
             outages: self.dynamic.as_ref().filter(|_| self.drop_on_link_down),
             record_events: self.record_events,
         };
-        (env, &mut self.trajectories)
+        (env, &mut self.trajectories, self.tracer.as_deref_mut())
     }
 
     /// `true` exactly once: on the first call, when the initial events
@@ -359,47 +381,60 @@ impl Frame {
         self.next_probe = 0;
     }
 
-    /// The next probe due at or before `limit` (strictly before unless
-    /// `inclusive`), advancing the grid past it.
-    #[inline]
-    pub(crate) fn next_probe_due(&mut self, limit: f64, inclusive: bool) -> Option<f64> {
-        let every = self.probe_every?;
-        let t = self.probe_from + (self.next_probe as f64) * every;
-        let due = if inclusive { t <= limit } else { t < limit };
-        due.then(|| {
-            self.next_probe += 1;
-            t
-        })
-    }
-
-    /// Hands the probe at `t` to `observers`. A streaming run first
-    /// compacts trajectories and the clock behind it: nothing can query
+    /// Fires every probe due at or before `limit` (strictly before unless
+    /// `inclusive`): trace it, sample the breakpoint high-water mark, and
+    /// hand the view to `observers`. A streaming run first compacts
+    /// trajectories and the clock behind the probe: nothing can query
     /// earlier state afterwards.
-    pub(crate) fn fire_probe(
+    #[inline]
+    pub(crate) fn emit_probes(
         &mut self,
-        t: f64,
+        limit: f64,
+        inclusive: bool,
         clock: &dyn ClockSource,
         observers: &mut [&mut dyn Observer],
     ) {
-        if !self.record_events {
-            for node in 0..self.topology.len() {
-                let at = self.placement.position(node);
-                self.trajectories[at].compact_before(clock.value_at(node, t));
+        // Called once per event: read the wall clock only when a probe is
+        // due.
+        let mut started = None;
+        while let Some(every) = self.probe_every {
+            let t = self.probe_from + (self.next_probe as f64) * every;
+            let due = if inclusive { t <= limit } else { t < limit };
+            if !due {
+                break;
             }
-            // A windowing clock source drops schedule segments behind the
-            // frontier too (no-op for eager sources).
-            clock.compact_before(t);
+            started.get_or_insert_with(Instant::now);
+            if let Some(tr) = &mut self.tracer {
+                tr.record(&TraceEvent::ProbeFired {
+                    time: t,
+                    index: self.next_probe,
+                });
+            }
+            self.next_probe += 1;
+            // Before compaction, so the mark is the worst case a streaming
+            // run held between probes.
+            self.peak_breakpoints = self.peak_breakpoints.max(self.breakpoints());
+            if !self.record_events {
+                for node in 0..self.topology.len() {
+                    let at = self.placement.position(node);
+                    self.trajectories[at].compact_before(clock.value_at(node, t));
+                }
+                // A windowing clock source drops schedule segments behind
+                // the frontier too (no-op for eager sources).
+                clock.compact_before(t);
+            }
+            let view = Probe::new(
+                t,
+                &self.topology,
+                clock,
+                &self.trajectories,
+                self.placement.positions(),
+            );
+            for obs in observers.iter_mut() {
+                obs.on_probe(&view);
+            }
         }
-        let view = Probe::new(
-            t,
-            &self.topology,
-            clock,
-            &self.trajectories,
-            self.placement.positions(),
-        );
-        for obs in observers.iter_mut() {
-            obs.on_probe(&view);
-        }
+        add_elapsed(&mut self.probe_ns, started);
     }
 
     /// Hands a dispatched event to `observers`, then keeps its record when
@@ -513,8 +548,8 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     /// Status write-backs for foreign-owned messages, drained at the
     /// super-window barrier.
     pub(crate) status_updates: Vec<StatusUpdate>,
-    /// Records of the events dispatched this super-window (sharded runs
-    /// only).
+    /// Records of the events dispatched this super-window (more than one
+    /// partition only).
     pub(crate) window_events: Vec<EventRecord>,
     /// The event a window stopped at because the cap was reached.
     pub(crate) overrun: Option<EventRecord>,
@@ -523,24 +558,24 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) dropped_link_down: u64,
     pub(crate) peak_queued_events: usize,
     pub(crate) peak_message_slots: usize,
-    /// Windows and busy time; `events` stays zero here, since
-    /// [`Partition::counters`] reads it from `dispatched`.
+    /// Windows, events and busy time, brought up to date as each window
+    /// ends.
     pub(crate) counters: ShardCounters,
 }
 
 impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
     /// Partition `index` of the frame's placement, with `nodes` for
-    /// exactly its members, ascending by id. `keyed` keeps merge keys
-    /// (recording with several partitions).
+    /// exactly its members, ascending by id.
     pub(crate) fn new(
         index: usize,
         nodes: Vec<N>,
         frame: &Frame,
         clock: Box<C>,
         delay: Box<D>,
-        keyed: bool,
     ) -> Self {
         let span = frame.placement.span(index);
+        // Only a partition short of some nodes has others beside it.
+        let keyed = frame.record_events && span.len() < frame.topology.len();
         assert_eq!(nodes.len(), span.len(), "one node state per member");
         // The live neighbor sets start from the view's graph at time zero
         // and follow TopoChange events as they dispatch.
@@ -579,15 +614,6 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             peak_queued_events: 0,
             peak_message_slots: 0,
             counters: ShardCounters::default(),
-        }
-    }
-
-    /// This partition's wall-clock account; its event count is
-    /// `dispatched`.
-    pub(crate) fn counters(&self) -> ShardCounters {
-        ShardCounters {
-            events: self.dispatched,
-            ..self.counters
         }
     }
 
@@ -671,8 +697,13 @@ where
     /// afterwards; the event that would pass it comes back as
     /// [`Halt::Cap`]. A non-finite delay or timer target produced by the
     /// callback's actions is a typed error.
+    ///
+    /// Both dispatch loops, the inline one and the window one, inline this
+    /// call and [`Partition::try_send_message`]: with two callers a plain
+    /// `#[inline]` left them out of line, a call per event that the
+    /// window loop did not make before it had a second caller.
     #[allow(clippy::too_many_lines)]
-    #[inline]
+    #[inline(always)]
     pub(crate) fn dispatch(
         &mut self,
         ev: Queued,
@@ -877,7 +908,7 @@ where
     /// record, then the delivery — queued here, or handed off when the
     /// receiver belongs to another partition.
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     fn try_send_message(
         &mut self,
         env: &Env<'_>,

@@ -33,7 +33,7 @@ pub(crate) struct Placement {
     /// `position[node]`, the inverse of `order`; empty with it.
     position: Vec<u32>,
     /// The first position of every partition but the first. Empty at one
-    /// partition: the single heap's placement allocates nothing.
+    /// partition: one partition's placement allocates nothing.
     cuts: Vec<usize>,
     /// The node count.
     len: usize,

@@ -1,5 +1,5 @@
-//! The sharded parallel engine: conservative-window dispatch over `k`
-//! partitions of the topology.
+//! How a [`Simulation`] with more than one partition runs:
+//! conservative-window dispatch over `k` partitions of the topology.
 //!
 //! # The window protocol
 //!
@@ -8,9 +8,9 @@
 //! forked clock source and a forked delay policy. The sets are
 //! breadth-first chunks of the static base graph ([`crate::placement`]):
 //! on a spatial graph each is a region, so few sends cross shards, and
-//! node ids are spread evenly over the shards. Let
-//! `L` be the delay policy's [`DelayPolicy::min_delay_bound`] — the
-//! *lookahead*: every message takes at least `L` real time. A round
+//! node ids are spread evenly over the shards. Let `L` be the delay
+//! policy's [`gcs_net::DelayPolicy::min_delay_bound`] — the *lookahead*:
+//! every message takes at least `L` real time. A round
 //! starts at the globally earliest pending event time `t_min` and
 //! dispatches, one thread per shard, every event strictly before
 //! `W = t_min + L`. This is safe — no cross-shard message sent inside the
@@ -37,18 +37,18 @@
 //! # Deterministic merge
 //!
 //! Simultaneous events are ordered by the same canonical
-//! [`crate::EventKind::tie_key`] the single heap uses; the key is unique among
-//! distinct simultaneous events, so the handoff insertion order cannot
-//! influence dispatch order — which is what makes executions
-//! bit-identical for every shard count, including `k = 1`. After each
-//! super-window the coordinator applies the status write-backs for
+//! [`crate::EventKind::tie_key`] one partition uses; the key is unique
+//! among distinct simultaneous events, so the handoff insertion order
+//! cannot influence dispatch order — which is what makes executions
+//! bit-identical for every shard count. After each super-window the
+//! coordinator applies the status write-backs for
 //! messages logged by another shard, merges the shards' event records by
 //! `(time, tie_key)`, and replays them through the observers with probes
 //! interleaved; `on_event` views are evaluated there, under the rule
 //! stated on [`crate::Observer::on_event`]. When recording, per-shard
 //! message logs are merged at finalization by `(send_time, sender event
-//! tie_key, intra-event index)` — the exact append order of the single
-//! heap.
+//! tie_key, intra-event index)` — the exact append order of one
+//! partition.
 //!
 //! # Failures
 //!
@@ -56,22 +56,26 @@
 //! are caught per phase, so every worker still reaches the barrier; the
 //! leader ends the super-window and the coordinator re-raises the first
 //! failure in shard order. The event cap is a budget: a shard stops at
-//! the event that would pass it, and the coordinator panics with the
-//! single heap's message at the first event past the cap in the merged
+//! the event that would pass it, and the coordinator panics with one
+//! partition's message at the first event past the cap in the merged
 //! order.
 //!
-//! # What sharded runs do not support
+//! # What more than one partition does not support
 //!
-//! A tracer observes the live global interleaving, which sharded
-//! dispatch does not produce: a sharded run takes no tracer. Clock
-//! sources and delay policies must support [`ClockSource::fork`] /
-//! [`DelayPolicy::fork`].
+//! Each partition needs its own clock source and delay policy, so both
+//! must support [`gcs_clocks::ClockSource::fork`] /
+//! [`gcs_net::DelayPolicy::fork`]; the build is
+//! [`SimError::ShardUnsupported`] otherwise. One partition forks nothing
+//! and takes every source and policy.
+//!
+//! A tracer observes the live global interleaving, which windowed
+//! dispatch does not produce: with a tracer attached, the next run call
+//! is [`SimError::ShardUnsupported`] and dispatches nothing.
 //!
 //! A policy with zero lookahead cannot overlap shards; the build falls
-//! back to a single shard. A lookahead at or below half an ulp of the
+//! back to one partition. A lookahead at or below half an ulp of the
 //! horizon cannot advance a window either; that run call is a
-//! [`SimError::ShardUnsupported`]. One shard dispatches inline on the
-//! calling thread: its window is unbounded, so each run call is one round.
+//! [`SimError::ShardUnsupported`].
 //!
 //! # Where the wall time went
 //!
@@ -79,13 +83,12 @@
 //! dispatched, the cross-shard sends it handed off and the nanoseconds it
 //! spent dispatching and draining its mailbox, and on the coordinator the
 //! time spent merging between super-windows and firing probes
-//! ([`ShardedSimulation::counters`]). The cost is two clock reads per
-//! shard per phase per window; handoffs are counted per window, as the
-//! outbox drains. Busy time summed over shards against the run's wall
-//! time says whether the shards overlapped or took turns; E15 prints the
-//! table.
-//! [`crate::Simulation::counters`] gives the single heap's account in the
-//! same type, one row with one window per run call.
+//! ([`Simulation::counters`]). The cost is two clock reads per shard per
+//! phase per window; handoffs are counted per window, as the outbox
+//! drains. Busy time summed over shards against the run's wall time says
+//! whether the shards overlapped or took turns; E15 prints the table. One
+//! partition gives its account in the same type: one row with one window
+//! per run call.
 
 use std::any::Any;
 use std::fmt;
@@ -94,17 +97,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as MemOrder};
 use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use gcs_clocks::{ClockSource, PiecewiseLinear};
-use gcs_net::DelayPolicy;
+use gcs_clocks::PiecewiseLinear;
 
-use crate::engine::{SimError, SimulationBuilder};
-use crate::event::{EventRecord, MessageRecord};
-use crate::execution::Execution;
-use crate::node::Node;
+use crate::engine::{coordinator_clock, SimError, Simulation};
+use crate::event::EventRecord;
 use crate::observer::Observer;
-use crate::partition::{
-    canonical_order, cap_exceeded, settle, Env, Frame, Halt, Handoff, MsgKey, Partition,
-};
+use crate::partition::{canonical_order, cap_exceeded, settle, Env, Halt, Handoff, Part};
 
 /// Adds the wall-clock nanoseconds since `started` to `acc`; `None`
 /// (nothing was timed) adds nothing.
@@ -114,37 +112,37 @@ pub(crate) fn add_elapsed(acc: &mut u64, started: Option<Instant>) {
     }
 }
 
-/// Wall-clock accounting of one shard (or of the single heap): what it
-/// did and how long it was busy doing it. Always on: the cost is two
-/// clock reads per shard per window and per mailbox drain.
+/// Wall-clock accounting of one shard: what it did and how long it was
+/// busy doing it. Always on: the cost is two clock reads per shard per
+/// window and per mailbox drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardCounters {
-    /// Conservative windows this shard entered (one per round; on the
-    /// single heap, one per run call).
+    /// Conservative windows this shard entered (one per round; with one
+    /// partition, one per run call).
     pub windows: u64,
     /// Events this shard dispatched.
     pub events: u64,
     /// Nanoseconds inside the window's dispatch loop.
     pub run_ns: u64,
-    /// Nanoseconds sorting and enqueuing cross-shard deliveries (zero on
-    /// the single heap).
+    /// Nanoseconds sorting and enqueuing cross-shard deliveries (zero
+    /// with one partition).
     pub drain_ns: u64,
     /// Cross-shard sends this shard deposited in other shards' mailboxes
-    /// (zero on one shard and on the single heap).
+    /// (zero with one partition).
     pub handoffs: u64,
 }
 
-/// Where a run's wall time went, from [`ShardedSimulation::counters`]
-/// or [`crate::Simulation::counters`]: per-shard busy time beside the
-/// coordinator's serial phases. Shards whose `run_ns` sum to the run's
-/// wall time took turns; shards that each come close to it overlapped.
+/// Where a run's wall time went, from [`Simulation::counters`]: per-shard
+/// busy time beside the coordinator's serial phases. Shards whose
+/// `run_ns` sum to the run's wall time took turns; shards that each come
+/// close to it overlapped.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedCounters {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardCounters>,
     /// Coordinator nanoseconds between super-windows: status write-backs,
-    /// event merge and observer replay (probes excluded; zero on the
-    /// single heap, whose observers run inline in `run_ns`).
+    /// event merge and observer replay (probes excluded; zero with one
+    /// partition, whose observers run inline in `run_ns`).
     pub finish_ns: u64,
     /// Coordinator nanoseconds firing probes: trajectory compaction and
     /// the observers' `on_probe`.
@@ -161,10 +159,6 @@ const DENSITY: u64 = 256;
 /// halves the multiplier. Also bounds the event records buffered between
 /// coordinator merges in streaming mode.
 const BATCH_CAP: u64 = 65_536;
-
-/// One shard: the dispatch core over a member set, with `Send` boxes.
-type Shard<M> =
-    Partition<M, Box<dyn Node<M> + Send>, dyn ClockSource + Send, dyn DelayPolicy + Send>;
 
 /// What stopped a worker: a typed error, or a caught panic to re-raise.
 enum Failure {
@@ -191,7 +185,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<M: Clone> Shard<M> {
+impl<M: Clone> Part<M> {
     /// Dispatches every event strictly before `end` and at or before
     /// `horizon`, buffering records and cross-shard sends for the
     /// barrier. Stops at the event that would take the shard past `cap`
@@ -228,6 +222,7 @@ impl<M: Clone> Shard<M> {
             }
         };
         self.counters.windows += 1;
+        self.counters.events = self.dispatched;
         add_elapsed(&mut self.counters.run_ns, Some(started));
         result
     }
@@ -247,189 +242,38 @@ impl<M: Clone> Shard<M> {
     }
 }
 
-/// A sharded simulation: the conservative-window parallel counterpart of
-/// [`crate::Simulation`], built by
-/// [`SimulationBuilder::build_sharded_with`] with the shard count from
-/// [`SimulationBuilder::shards`].
-///
-/// For every shard count `k ≥ 1` the produced [`Execution`] is
-/// bit-identical to the single-heap engine's — the invariant the
-/// `shard-determinism` CI job pins. The module-level documentation at the
-/// top of `shard.rs` describes the window protocol.
-pub struct ShardedSimulation<M> {
-    frame: Frame,
-    /// Coordinator clock: probe views, streaming compaction, and final
-    /// schedule materialization. Bit-answer-identical to every shard
-    /// fork.
-    clock: Box<dyn ClockSource>,
-    /// The delay policy's lookahead `L` (`∞` when running one shard).
-    lookahead: f64,
-    shards: Vec<Shard<M>>,
-    dispatched: u64,
-    /// Current super-window multiplier, in `[1, MAX_MULT]`.
-    window_mult: u64,
-    /// Coordinator time in `finish_super_window`, probes excluded.
-    finish_ns: u64,
-    /// Coordinator time in `emit_probes`.
-    probe_ns: u64,
-}
-
-impl<M> fmt::Debug for ShardedSimulation<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedSimulation")
-            .field("topology", &self.frame.topology)
-            .field("shards", &self.shards.len())
-            .field("lookahead", &self.lookahead)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
-    pub(crate) fn from_builder(
-        mut builder: SimulationBuilder,
-        nodes: Vec<Box<dyn Node<M> + Send>>,
-    ) -> Result<Self, SimError> {
-        let (clock, delay) = builder.take_parts()?;
-        // Zero lookahead cannot overlap shards: fall back to one shard,
-        // whose window is unbounded.
-        let lookahead = delay.min_delay_bound();
-        assert!(
-            lookahead >= 0.0,
-            "delay policy reported a negative lookahead {lookahead}"
-        );
-        let n = nodes.len();
-        let k = if lookahead > 0.0 {
-            builder.shards.min(n.max(1))
+impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
+    /// What a run call to `horizon` with several partitions refuses before
+    /// dispatching anything: an attached tracer, and a lookahead lost to
+    /// rounding.
+    pub(crate) fn check_windows(&self, horizon: f64) -> Result<(), SimError> {
+        // A window from `t` ends at `t + L` rounded, and dispatches nothing
+        // unless that lies past `t`. It does for every `t <= horizon` iff
+        // `L` exceeds half an ulp of the horizon (exactly half rounds a tie
+        // to even, so down half the time).
+        let reason = if self.frame.tracer.is_some() {
+            "a tracer needs the live interleaving of one partition".to_string()
+        } else if self.lookahead <= (horizon.next_up() - horizon) / 2.0 {
+            format!(
+                "the lookahead {} is at most half an ulp of the horizon {horizon}",
+                self.lookahead
+            )
         } else {
-            1
+            return Ok(());
         };
-        let frame = builder.into_frame(k);
-        let keyed = frame.record_events && k > 1;
-        let unsupported = |what: &str| SimError::ShardUnsupported {
-            reason: format!("the {what} does not support fork()"),
-        };
-        let mut nodes: Vec<_> = nodes.into_iter().map(Some).collect();
-        let shards = (0..k)
-            .map(|index| {
-                let clock = clock.fork().ok_or_else(|| unsupported("clock source"))?;
-                let delay = delay.fork().ok_or_else(|| unsupported("delay policy"))?;
-                let own = frame
-                    .placement
-                    .members(index)
-                    .map(|node| nodes[node].take().expect("each node has one owner"))
-                    .collect();
-                Ok(Partition::new(index, own, &frame, clock, delay, keyed))
-            })
-            .collect::<Result<_, SimError>>()?;
-        Ok(Self {
-            frame,
-            clock,
-            lookahead: if k == 1 { f64::INFINITY } else { lookahead },
-            shards,
-            dispatched: 0,
-            window_mult: 1,
-            finish_ns: 0,
-            probe_ns: 0,
-        })
+        Err(SimError::ShardUnsupported { reason })
     }
 
-    /// The number of simulated nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.frame.topology.len()
-    }
-
-    /// The actual shard count (after clamping to the node count and the
-    /// zero-lookahead fallback).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The furthest simulated time this run has been driven to.
-    #[must_use]
-    pub fn now(&self) -> f64 {
-        self.frame.ran_to
-    }
-
-    /// Events dispatched so far.
-    #[must_use]
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Where the wall time went so far: per-shard busy time and the
-    /// coordinator's serial phases — see [`ShardedCounters`].
-    #[must_use]
-    pub fn counters(&self) -> ShardedCounters {
-        ShardedCounters {
-            shards: self.shards.iter().map(|s| s.counters()).collect(),
-            finish_ns: self.finish_ns,
-            probe_ns: self.probe_ns,
-        }
-    }
-
-    /// Configures observer probes — identical semantics to
-    /// [`crate::Simulation::set_probe_schedule`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `every` is finite and strictly positive and `from`
-    /// is finite and nonnegative.
-    pub fn set_probe_schedule(&mut self, from: f64, every: f64) {
-        self.frame.set_probe_schedule(from, every);
-    }
-
-    /// Runs through `horizon`, consumes the simulation, and returns the
-    /// recorded execution — the sharded counterpart of
-    /// [`crate::Simulation::try_execute_until`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::Simulation::try_execute_until`].
-    pub fn try_execute_until(mut self, horizon: f64) -> Result<Execution<M>, SimError> {
-        self.try_run_until_observed(horizon, &mut [])?;
-        Ok(self.into_execution())
-    }
-
-    /// Advances through every event at time ≤ `horizon` without
-    /// consuming the simulation, streaming every dispatched event (at
-    /// super-window barriers) and every due probe through `observers`;
-    /// callable repeatedly with growing horizons.
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::Simulation::try_run_until_observed`]; the simulation
-    /// is poisoned on error. [`SimError::ShardUnsupported`] when the
-    /// horizon is so large that adding the lookahead no longer moves it.
-    pub fn try_run_until_observed(
+    /// Dispatches every event at or before `horizon`, one super-window at
+    /// a time, with the probes due before each super-window and between
+    /// its merged events.
+    pub(crate) fn run_windows(
         &mut self,
         horizon: f64,
         observers: &mut [&mut dyn Observer],
     ) -> Result<(), SimError> {
-        if !horizon.is_finite() || horizon < 0.0 {
-            return Err(SimError::InvalidHorizon { horizon });
-        }
-        // A window from `t` ends at `t + L` rounded, and dispatches nothing
-        // unless that lies past `t`. It does for every `t <= horizon` iff
-        // `L` exceeds half an ulp of the horizon (exactly half rounds a tie
-        // to even, so down half the time). One shard has `L = ∞`.
-        if self.lookahead <= (horizon.next_up() - horizon) / 2.0 {
-            return Err(SimError::ShardUnsupported {
-                reason: format!(
-                    "the lookahead {} is at most half an ulp of the horizon {horizon}",
-                    self.lookahead
-                ),
-            });
-        }
-        if self.frame.start() {
-            for (time, node, hw, kind) in self.frame.initial_events() {
-                let owner = self.frame.placement.owner(node);
-                self.shards[owner].push(time, node, hw, kind);
-            }
-        }
         while let Some(t_min) = self
-            .shards
+            .parts
             .iter()
             .filter_map(|s| s.next_time())
             .min_by(f64::total_cmp)
@@ -437,12 +281,13 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
             if t_min > horizon {
                 break;
             }
-            self.emit_probes(t_min, false, observers);
-            let rounds = self.run_super_window(t_min, horizon)?;
-            self.finish_super_window(rounds, observers);
+            let clock = coordinator_clock(&self.clock, &self.parts);
+            self.frame.emit_probes(t_min, false, clock, observers);
+            // The events all shards together may dispatch before the cap.
+            let budget = self.frame.event_cap.saturating_sub(self.dispatched());
+            let rounds = self.run_super_window(t_min, horizon, budget)?;
+            self.finish_super_window(rounds, budget, observers);
         }
-        self.emit_probes(horizon, true, observers);
-        self.frame.ran_to = self.frame.ran_to.max(horizon);
         Ok(())
     }
 
@@ -450,22 +295,14 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
     /// rounds completed — see the module docs for the three-barrier
     /// round. On `Err` or a re-raised panic the simulation is poisoned.
     #[allow(clippy::too_many_lines)]
-    fn run_super_window(&mut self, t_min: f64, horizon: f64) -> Result<u64, SimError> {
+    fn run_super_window(&mut self, t_min: f64, horizon: f64, budget: u64) -> Result<u64, SimError> {
         let lookahead = self.lookahead;
         // The first window, computed with the same float addition the
         // arrival times use, so the handoff assertion is exact.
         let first_end = t_min + lookahead;
         let super_end = lookahead.mul_add(self.window_mult as f64, t_min);
-        // The events all shards together may dispatch before the cap.
-        let budget = self.frame.event_cap.saturating_sub(self.dispatched);
-        let (env, mut trajectories) = self.frame.split();
-        if let [shard] = self.shards.as_mut_slice() {
-            let cap = shard.dispatched + budget;
-            shard.run_window(&env, trajectories, first_end, horizon, cap)?;
-            return Ok(1);
-        }
-
-        let k = self.shards.len();
+        let (env, mut trajectories, _) = self.frame.split();
+        let k = self.parts.len();
         let mailboxes: &[Mutex<Vec<Handoff<M>>>] =
             &(0..k).map(|_| Mutex::default()).collect::<Vec<_>>();
         // Per shard, after each round: its next event time and the events
@@ -481,7 +318,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
 
         let failures: Vec<Option<Failure>> = std::thread::scope(|scope| {
             let workers: Vec<_> = self
-                .shards
+                .parts
                 .iter_mut()
                 .enumerate()
                 .map(|(i, shard)| {
@@ -574,20 +411,25 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
 
     /// The super-window barrier work: foreign status write-backs, event
     /// merge, observer replay, and the multiplier update.
-    fn finish_super_window(&mut self, rounds: u64, observers: &mut [&mut dyn Observer]) {
+    fn finish_super_window(
+        &mut self,
+        rounds: u64,
+        budget: u64,
+        observers: &mut [&mut dyn Observer],
+    ) {
         let started = Instant::now();
-        let probe_ns_before = self.probe_ns;
+        let probe_ns_before = self.frame.probe_ns;
         // 1. Status write-backs for messages logged by another shard.
         // Deferring them to the super-window boundary is safe: nothing
         // reads a message's status before finalization, and such messages
         // are logged only when recording, where slots are never recycled.
         let updates: Vec<_> = self
-            .shards
+            .parts
             .iter_mut()
             .flat_map(|s| s.status_updates.drain(..))
             .collect();
         for (owner, slot, delivered) in updates {
-            settle(&mut self.shards[owner].messages[slot], delivered);
+            settle(&mut self.parts[owner].messages[slot], delivered);
         }
 
         // 2. Merge the super-window's event records by the canonical order
@@ -595,82 +437,44 @@ impl<M: Clone + fmt::Debug + Send + 'static> ShardedSimulation<M> {
         // Rounds cover disjoint ascending time ranges, so one global sort
         // equals the per-window sorts concatenated.
         let mut merged: Vec<EventRecord> = self
-            .shards
+            .parts
             .iter_mut()
             .flat_map(|s| s.window_events.drain(..))
             .collect();
         let overruns: Vec<EventRecord> = self
-            .shards
+            .parts
             .iter_mut()
             .filter_map(|s| s.overrun.take())
             .collect();
-        let budget = self.frame.event_cap.saturating_sub(self.dispatched);
         let over = !overruns.is_empty() || merged.len() as u64 > budget;
         merged.extend(overruns);
         merged.sort_by(canonical_order);
         if over {
             // Every shard dispatched in order up to where it stopped, so
-            // the merged prefix is the single heap's: its event number
+            // the merged prefix is one partition's: its event number
             // `budget` is the first one past the cap.
             let first_past = usize::try_from(budget).expect("fewer events than memory");
             cap_exceeded(self.frame.event_cap, merged[first_past].time);
         }
         let window_total = merged.len() as u64;
-        self.dispatched += window_total;
+        let clock = coordinator_clock(&self.clock, &self.parts);
         for record in merged {
-            self.emit_probes(record.time, false, observers);
+            self.frame.emit_probes(record.time, false, clock, observers);
             self.frame.ran_to = self.frame.ran_to.max(record.time);
-            self.frame.observe(&record, &*self.clock, observers);
+            self.frame.observe(&record, clock, observers);
         }
 
         // 3. Adapt the super-window multiplier to the observed density.
-        if self.lookahead.is_finite() {
-            if window_total >= BATCH_CAP {
-                self.window_mult = (self.window_mult / 2).max(1);
-            } else if window_total < DENSITY.saturating_mul(rounds) {
-                self.window_mult = (self.window_mult * 2).min(MAX_MULT);
-            }
+        if window_total >= BATCH_CAP {
+            self.window_mult = (self.window_mult / 2).max(1);
+        } else if window_total < DENSITY.saturating_mul(rounds) {
+            self.window_mult = (self.window_mult * 2).min(MAX_MULT);
         }
         // Probes fired between merged records are `probe_ns`, not this.
         add_elapsed(&mut self.finish_ns, Some(started));
         self.finish_ns = self
             .finish_ns
-            .saturating_sub(self.probe_ns - probe_ns_before);
-    }
-
-    /// Fires every probe due at or before `limit` (strictly before
-    /// unless `inclusive`) — identical semantics to the single heap.
-    fn emit_probes(&mut self, limit: f64, inclusive: bool, observers: &mut [&mut dyn Observer]) {
-        // Called once per merged record: read the clock only when a probe
-        // is due.
-        let mut started = None;
-        while let Some(t) = self.frame.next_probe_due(limit, inclusive) {
-            started.get_or_insert_with(Instant::now);
-            self.frame.fire_probe(t, &*self.clock, observers);
-        }
-        add_elapsed(&mut self.probe_ns, started);
-    }
-
-    /// Finalizes the run into the recorded [`Execution`] — bit-identical
-    /// to [`crate::Simulation::into_execution`] on the same scenario.
-    #[must_use]
-    pub fn into_execution(mut self) -> Execution<M> {
-        let messages = if !self.frame.record_events {
-            Vec::new()
-        } else if let [shard] = self.shards.as_mut_slice() {
-            std::mem::take(&mut shard.messages)
-        } else {
-            // Merge the per-shard logs back into the single heap's append
-            // order.
-            let mut tagged: Vec<(MsgKey, MessageRecord<M>)> = Vec::new();
-            for shard in &mut self.shards {
-                let keys = shard.msg_keys.take().unwrap_or_default();
-                tagged.extend(keys.into_iter().zip(std::mem::take(&mut shard.messages)));
-            }
-            tagged.sort_by(|a, b| a.0.cmp(&b.0));
-            tagged.into_iter().map(|(_, m)| m).collect()
-        };
-        self.frame.finish(messages, &*self.clock)
+            .saturating_sub(self.frame.probe_ns - probe_ns_before);
     }
 }
 
@@ -764,8 +568,8 @@ mod tests {
             .unwrap();
 
         let mut sharded = Log::default();
-        let mut sim = line3().shards(2).build_sharded_with(adopt).unwrap();
-        assert_eq!(sim.shard_count(), 2);
+        let mut sim = line3().shards(2).build_with(adopt).unwrap();
+        assert_eq!(sim.counters().shards.len(), 2);
         sim.set_probe_schedule(0.0, 0.5);
         sim.try_run_until_observed(horizon, &mut [&mut sharded])
             .unwrap();
@@ -813,8 +617,8 @@ mod tests {
         };
         let horizon = 12.0;
         let handoffs = |k: usize| {
-            let mut sim = setup().shards(k).build_sharded_with(adopt).unwrap();
-            assert_eq!(sim.shard_count(), k);
+            let mut sim = setup().shards(k).build_with(adopt).unwrap();
+            assert_eq!(sim.counters().shards.len(), k);
             sim.try_run_until_observed(horizon, &mut []).unwrap();
             let counted: Vec<u64> = sim.counters().shards.iter().map(|s| s.handoffs).collect();
             (counted, sim.into_execution())
@@ -875,8 +679,8 @@ mod tests {
                 sim.try_execute_until(horizon).map(count)
             }),
             watched(move || {
-                let sim = setup().shards(2).build_sharded_with(make).unwrap();
-                assert_eq!(sim.shard_count(), 2);
+                let sim = setup().shards(2).build_with(make).unwrap();
+                assert_eq!(sim.counters().shards.len(), 2);
                 sim.try_execute_until(horizon).map(count)
             }),
         ]

@@ -70,11 +70,8 @@ fn check(topology: &Topology, horizon: f64, min_pairs: usize) {
     let pairs = assert_contiguous(single.messages());
     assert!(pairs >= min_pairs, "only {pairs} directed pairs sent");
 
-    let sharded = builder(topology)
-        .shards(2)
-        .build_sharded_with(make)
-        .unwrap();
-    assert_eq!(sharded.shard_count(), 2);
+    let sharded = builder(topology).shards(2).build_with(make).unwrap();
+    assert_eq!(sharded.counters().shards.len(), 2);
     let sharded = sharded.try_execute_until(horizon).unwrap();
     assert_eq!(single.messages(), sharded.messages());
 }

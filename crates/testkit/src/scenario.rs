@@ -412,8 +412,8 @@ impl Scenario {
 
     /// The delay policy this scenario uses (loss wrapping applied).
     #[must_use]
-    pub fn delay_policy(&self) -> Box<dyn DelayPolicy> {
-        let inner: Box<dyn DelayPolicy> = match self.delay {
+    pub fn delay_policy(&self) -> Box<dyn DelayPolicy + Send> {
+        let inner: Box<dyn DelayPolicy + Send> = match self.delay {
             DelaySpec::FixedFraction { frac } => {
                 Box::new(FixedFractionDelay::for_topology(&self.topology, frac))
             }
@@ -465,23 +465,18 @@ impl Scenario {
 
     /// Builds the simulation with custom nodes instead of
     /// [`Scenario::algorithm`]; topology, schedules, and delays still come
-    /// from the scenario.
+    /// from the scenario. One shard: [`Scenario::build_sharded_with`] at
+    /// `k = 1`.
     ///
     /// # Panics
     ///
-    /// Panics if the topology's neighbor relation is disconnected (a
-    /// disconnected communication graph can never synchronize, which
-    /// silently breaks skew oracles — `random_geometric` with a small
-    /// radius is the usual culprit) — unless this is a churn scenario,
-    /// where partitions are legitimate, deliberate states.
+    /// As [`Scenario::build_sharded_with`].
     pub fn build_with<M, N>(&self, make: impl FnMut(NodeId, usize) -> N) -> Simulation<M>
     where
-        M: Clone + std::fmt::Debug + 'static,
-        N: Node<M> + 'static,
+        M: Clone + std::fmt::Debug + Send + 'static,
+        N: Node<M> + Send + 'static,
     {
-        self.builder()
-            .build_with(make)
-            .unwrap_or_else(|e| panic!("scenario `{}` failed to build: {e}", self.name))
+        self.build_sharded_with(1, make)
     }
 
     /// Builds the simulation for the configured algorithm.
@@ -491,44 +486,46 @@ impl Scenario {
         self.build_with(|id, n| kind.build(id, n))
     }
 
-    /// Runs custom nodes to the horizon and returns the recorded execution.
+    /// Runs custom nodes to the horizon and returns the recorded
+    /// execution: [`Scenario::run_sharded_with`] at `k = 1`.
     pub fn run_with<M, N>(&self, make: impl FnMut(NodeId, usize) -> N) -> Execution<M>
     where
-        M: Clone + std::fmt::Debug + 'static,
-        N: Node<M> + 'static,
+        M: Clone + std::fmt::Debug + Send + 'static,
+        N: Node<M> + Send + 'static,
     {
-        self.build_with(make)
-            .try_execute_until(self.horizon)
-            .unwrap_or_else(|e| panic!("scenario `{}` failed to run: {e}", self.name))
+        self.run_sharded_with(1, make)
     }
 
-    /// As [`Scenario::build_with`], on the sharded parallel engine with
-    /// `k` shards (see [`gcs_sim::ShardedSimulation`]). The produced
-    /// execution is bit-identical to [`Scenario::build_with`] +
-    /// `try_execute_until` for every `k ≥ 1`.
+    /// As [`Scenario::build_with`], with `k` shards (see
+    /// [`gcs_sim::SimulationBuilder::shards`]). The produced execution is
+    /// bit-identical for every `k ≥ 1`.
     ///
     /// # Panics
     ///
-    /// As [`Scenario::build_with`], plus when the scenario's clock source
-    /// or delay policy cannot be forked across shard threads.
+    /// Panics if the topology's neighbor relation is disconnected (a
+    /// disconnected communication graph can never synchronize, which
+    /// silently breaks skew oracles — `random_geometric` with a small
+    /// radius is the usual culprit) — unless this is a churn scenario,
+    /// where partitions are legitimate, deliberate states. Also panics
+    /// when `k > 1` partitions are due and the scenario's clock source or
+    /// delay policy cannot be forked across shard threads.
     pub fn build_sharded_with<M, N>(
         &self,
         k: usize,
         make: impl FnMut(NodeId, usize) -> N,
-    ) -> gcs_sim::ShardedSimulation<M>
+    ) -> Simulation<M>
     where
         M: Clone + std::fmt::Debug + Send + 'static,
         N: Node<M> + Send + 'static,
     {
         self.builder()
             .shards(k)
-            .build_sharded_with(make)
-            .unwrap_or_else(|e| panic!("scenario `{}` failed to build sharded: {e}", self.name))
+            .build_with(make)
+            .unwrap_or_else(|e| panic!("scenario `{}` failed to build: {e}", self.name))
     }
 
-    /// Runs custom nodes to the horizon on the sharded engine with `k`
-    /// shards and returns the recorded execution — bit-identical to
-    /// [`Scenario::run_with`] for every `k ≥ 1`.
+    /// Runs custom nodes to the horizon with `k` shards and returns the
+    /// recorded execution — bit-identical for every `k ≥ 1`.
     pub fn run_sharded_with<M, N>(
         &self,
         k: usize,
@@ -540,12 +537,11 @@ impl Scenario {
     {
         self.build_sharded_with(k, make)
             .try_execute_until(self.horizon)
-            .unwrap_or_else(|e| panic!("scenario `{}` failed to run sharded: {e}", self.name))
+            .unwrap_or_else(|e| panic!("scenario `{}` failed to run: {e}", self.name))
     }
 
-    /// Runs the configured algorithm to the horizon on the sharded engine
-    /// with `k` shards — bit-identical to [`Scenario::run`] for every
-    /// `k ≥ 1`.
+    /// Runs the configured algorithm to the horizon with `k` shards —
+    /// bit-identical to [`Scenario::run`] for every `k ≥ 1`.
     #[must_use]
     pub fn run_sharded(&self, k: usize) -> Execution<SyncMsg> {
         let kind = self.algorithm;

@@ -192,7 +192,7 @@ impl TimedServer {
         make: F,
     ) -> io::Result<ServerHandle>
     where
-        M: Clone + std::fmt::Debug + 'static,
+        M: Clone + std::fmt::Debug + Send + 'static,
         F: FnOnce() -> TimeService<M> + Send + 'static,
     {
         let listener = TcpListener::bind(addr)?;
@@ -296,7 +296,7 @@ struct Templates {
 }
 
 impl Templates {
-    fn new<M: Clone + std::fmt::Debug + 'static>(service: &TimeService<M>) -> Self {
+    fn new<M: Clone + std::fmt::Debug + Send + 'static>(service: &TimeService<M>) -> Self {
         let mut templates = Templates {
             interval: Vec::new(),
             now: Vec::new(),
@@ -307,7 +307,7 @@ impl Templates {
         templates
     }
 
-    fn refresh<M: Clone + std::fmt::Debug + 'static>(&mut self, service: &TimeService<M>) {
+    fn refresh<M: Clone + std::fmt::Debug + Send + 'static>(&mut self, service: &TimeService<M>) {
         let snap = service.snapshot();
         self.interval.clear();
         wire::encode_frame(
@@ -542,7 +542,7 @@ impl Pacer {
     }
 }
 
-fn run_loop<M: Clone + std::fmt::Debug + 'static>(
+fn run_loop<M: Clone + std::fmt::Debug + Send + 'static>(
     listener: &TcpListener,
     mut woken: &UnixStream,
     mut service: TimeService<M>,

@@ -120,7 +120,7 @@ pub struct TimeService<M = SyncMsg> {
     stats: ServiceStats,
 }
 
-impl<M: Clone + std::fmt::Debug + 'static> TimeService<M> {
+impl<M: Clone + std::fmt::Debug + Send + 'static> TimeService<M> {
     /// Wraps a prebuilt simulation. The service takes over the probe
     /// schedule (`set_probe_schedule(0, seal_every)`).
     ///
@@ -162,7 +162,7 @@ impl<M: Clone + std::fmt::Debug + 'static> TimeService<M> {
         make: impl FnMut(NodeId, usize) -> N,
     ) -> Self
     where
-        N: Node<M> + 'static,
+        N: Node<M> + Send + 'static,
     {
         if params.rho == 0.0 {
             params.rho = scenario.drift_rho();

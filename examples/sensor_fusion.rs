@@ -69,7 +69,7 @@ fn run_network(kind: AlgorithmKind, n: usize) -> Execution<SyncMsg> {
     SimulationBuilder::new(topology)
         .schedules(rates.into_iter().map(RateSchedule::constant).collect())
         .delay_policy(policy)
-        .build_with(|id, n| -> Box<dyn Node<SyncMsg>> {
+        .build_with(|id, n| -> Box<dyn Node<SyncMsg> + Send> {
             let node = kind.build(id, n);
             // The far node also reports long-haul to child 1 (data
             // mule / long link), carrying its clock with it.
@@ -90,7 +90,7 @@ fn run_network(kind: AlgorithmKind, n: usize) -> Execution<SyncMsg> {
 
 /// Wrapper adding a periodic long-haul clock report to one peer.
 struct LongLink {
-    inner: Box<dyn Node<SyncMsg>>,
+    inner: Box<dyn Node<SyncMsg> + Send>,
     peer: usize,
     own_timer: Option<u64>,
 }

@@ -127,17 +127,20 @@ fn chunked_and_stepped_runs_fingerprint_identically() {
         }
         assert_bit_identical(&one_shot, &chunked.into_execution());
 
-        let mut stepped = scenario.build();
-        while stepped
-            .next_event_time()
-            .is_some_and(|t| t <= scenario.horizon_time())
-        {
-            stepped.try_step_observed(&mut []).unwrap();
+        // A step is a run call to the next event time; the last call
+        // settles the run on the horizon.
+        let mut times: Vec<f64> = one_shot.events().iter().map(|e| e.time).collect();
+        times.dedup();
+        times.push(scenario.horizon_time());
+        for shards in [1, 2] {
+            let kind = scenario.algorithm_kind();
+            let mut stepped = scenario.build_sharded_with(shards, |id, n| kind.build(id, n));
+            assert_eq!(stepped.counters().shards.len(), shards);
+            for &t in &times {
+                stepped.try_run_until_observed(t, &mut []).unwrap();
+            }
+            assert_bit_identical(&one_shot, &stepped.into_execution());
         }
-        stepped
-            .try_run_until_observed(scenario.horizon_time(), &mut [])
-            .unwrap(); // settle ran_to on the horizon
-        assert_bit_identical(&one_shot, &stepped.into_execution());
     }
 }
 

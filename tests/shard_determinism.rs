@@ -278,13 +278,9 @@ fn relay_ring(lookahead: f64, horizon: f64, shards: usize) -> Result<Execution<f
         fire_at: horizon * (id + 1) as f64 / (n + 1) as f64,
         relayed: false,
     };
-    if shards == 1 {
-        builder.build_with(make)?.try_execute_until(horizon)
-    } else {
-        let sim = builder.shards(shards).build_sharded_with(make)?;
-        assert_eq!(sim.shard_count(), shards);
-        sim.try_execute_until(horizon)
-    }
+    let sim = builder.shards(shards).build_with(make)?;
+    assert_eq!(sim.counters().shards.len(), shards);
+    sim.try_execute_until(horizon)
 }
 
 /// `2^e` for `-1074 <= e <= 1023`, exact down through the subnormals
@@ -354,7 +350,7 @@ proptest! {
             for shards in [2, 3] {
                 let kind = scenario.algorithm_kind();
                 let sim = scenario.build_sharded_with(shards, |id, n| kind.build(id, n));
-                prop_assert_eq!(sim.shard_count(), shards);
+                prop_assert_eq!(sim.counters().shards.len(), shards);
                 let sharded = sim.try_execute_until(scenario.horizon_time()).unwrap();
                 prop_assert_eq!(
                     fingerprint(&reference),
