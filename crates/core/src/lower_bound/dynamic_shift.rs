@@ -119,16 +119,6 @@ pub struct FreshLinkReport {
     pub validation: RetimingReport,
 }
 
-impl FreshLinkReport {
-    /// `max(|skew_before|, |skew_after|)`: since no node can distinguish
-    /// the executions before the link forms, one of them exhibits at
-    /// least `Δ/4` skew on the link the instant it appears.
-    #[must_use]
-    pub fn skew_abs_max(&self) -> f64 {
-        self.skew_before.abs().max(self.skew_after.abs())
-    }
-}
-
 impl fmt::Display for FreshLinkReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

@@ -389,9 +389,12 @@ impl SimulationBuilder {
 /// ([`SimulationBuilder::record_events`]`(false)`) `message_slots` is
 /// bounded by the peak number of simultaneously in-flight messages and
 /// `recorded_events` stays 0 — the counters a flat-memory assertion
-/// checks. With several partitions each count is summed over them; so
-/// are the high-water marks of queued events and message slots, which
-/// then bound the simultaneous peak from above.
+/// checks. A streamed message in flight holds one queued delivery and one
+/// slot of its send time and payload; the receiver's hardware reading at
+/// arrival is taken when the delivery dispatches. With several partitions
+/// each count is summed over them; so are the high-water marks of queued
+/// events and message slots, which then bound the simultaneous peak from
+/// above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
     /// Events dispatched so far (the quantity the event cap bounds).
@@ -400,8 +403,9 @@ pub struct SimStats {
     pub queued_events: usize,
     /// Event records retained for the final [`Execution`].
     pub recorded_events: usize,
-    /// Message-record slots allocated (recording mode: total messages
-    /// sent; streaming mode: peak in-flight).
+    /// Message slots allocated (recording mode: records in the message
+    /// log, one per message sent; streaming mode: in-flight slots, as many
+    /// as the peak number in flight).
     pub message_slots: usize,
     /// Of those, slots free for reuse (streaming mode only).
     pub free_message_slots: usize,
@@ -629,12 +633,9 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
             clock,
             ..
         } = self;
-        // Streaming mode recycled slots, so the log is not a coherent
-        // message history: the execution carries the run's shape
-        // (topology, schedules, horizon, trajectories) for metric
-        // consumers only.
+        // Streaming mode logs no message, so its execution carries only
+        // the run's shape (topology, schedules, horizon, trajectories).
         let messages = match parts.as_mut_slice() {
-            _ if !frame.record_events => Vec::new(),
             [core] => std::mem::take(&mut core.messages),
             // Merge the partitions' logs back into one partition's append
             // order.
@@ -677,19 +678,21 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
     pub fn stats(&self) -> SimStats {
         let sum = |count: fn(&Part<M>) -> usize| self.parts.iter().map(count).sum();
         let trajectory_breakpoints = self.frame.breakpoints();
+        let (message_slots, free_message_slots, peak_message_slots) = self
+            .parts
+            .iter()
+            .map(|p| p.message_slots(self.frame.record_events))
+            .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
         SimStats {
             dispatched: self.dispatched(),
             queued_events: sum(|p| p.queue.len()),
             recorded_events: self.frame.events.len(),
-            message_slots: sum(|p| p.messages.len()),
-            free_message_slots: sum(|p| p.free_slots.len()),
+            message_slots,
+            free_message_slots,
             trajectory_breakpoints,
             live_schedule_segments: coordinator_clock(&self.clock, &self.parts).live_segments(),
             peak_queued_events: sum(|p| p.peak_queued_events.max(p.queue.len())),
-            peak_message_slots: sum(|p| {
-                p.peak_message_slots
-                    .max(p.messages.len() - p.free_slots.len())
-            }),
+            peak_message_slots,
             peak_trajectory_breakpoints: self.frame.peak_breakpoints.max(trajectory_breakpoints),
             dropped_loss: self.parts.iter().map(|p| p.dropped_loss).sum(),
             dropped_link_down: self.parts.iter().map(|p| p.dropped_link_down).sum(),
@@ -1374,6 +1377,14 @@ mod tests {
             .build_with(|_, _| MaxTest { period: 1.0 })
             .unwrap();
         let mut sim = sim;
+        // Paused between a send at 250 and its arrival at 250.5: every
+        // queued event but the two nodes' armed timers is a delivery, and
+        // each holds exactly one occupied slot.
+        sim.try_run_until_observed(250.25, &mut []).unwrap();
+        let stats = sim.stats();
+        let occupied = stats.message_slots - stats.free_message_slots;
+        assert_eq!(occupied, stats.queued_events - 2, "{stats:?}");
+        assert!(occupied > 0, "the pause falls between two sends");
         sim.try_run_until_observed(500.0, &mut []).unwrap();
         let stats = sim.stats();
         assert_eq!(stats.recorded_events, 0);

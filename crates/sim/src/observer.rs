@@ -419,17 +419,6 @@ impl Observer for GradientProfileObserver {
     }
 }
 
-/// One witnessed violation from [`ValidityObserver`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledValidityViolation {
-    /// The offending node.
-    pub node: NodeId,
-    /// The probe time at which the violation was detected.
-    pub time: f64,
-    /// The node's mean logical rate over the probe interval ending here.
-    pub rate: f64,
-}
-
 /// Streaming validity: checks that every node's logical clock advances at
 /// mean rate at least `min_rate` (the paper fixes 1/2) between consecutive
 /// probes — which also catches every backward jump. This is the sampled
@@ -440,7 +429,6 @@ pub struct ValidityObserver {
     min_rate: f64,
     last: Option<(f64, Vec<f64>)>,
     violations: u64,
-    first: Option<SampledValidityViolation>,
 }
 
 impl ValidityObserver {
@@ -459,7 +447,6 @@ impl ValidityObserver {
             min_rate,
             last: None,
             violations: 0,
-            first: None,
         }
     }
 
@@ -467,12 +454,6 @@ impl ValidityObserver {
     #[must_use]
     pub fn violations(&self) -> u64 {
         self.violations
-    }
-
-    /// The first witnessed violation, if any.
-    #[must_use]
-    pub fn first_violation(&self) -> Option<SampledValidityViolation> {
-        self.first
     }
 
     /// `true` if no violation has been witnessed.
@@ -489,17 +470,9 @@ impl Observer for ValidityObserver {
         if let Some((t0, prev)) = &self.last {
             let dt = view.time() - t0;
             if dt > 0.0 {
-                for (i, (&now, &before)) in logical.iter().zip(prev.iter()).enumerate() {
-                    let rate = (now - before) / dt;
-                    if rate < self.min_rate - 1e-9 {
+                for (&now, &before) in logical.iter().zip(prev.iter()) {
+                    if (now - before) / dt < self.min_rate - 1e-9 {
                         self.violations += 1;
-                        if self.first.is_none() {
-                            self.first = Some(SampledValidityViolation {
-                                node: i,
-                                time: view.time(),
-                                rate,
-                            });
-                        }
                     }
                 }
             }

@@ -14,6 +14,15 @@
 //! and the tracer. Per-node state inside a partition is indexed by the
 //! node's position less the partition's first position.
 //!
+//! A message in flight holds one queued delivery and one slot. When
+//! recording, a local send's slot is its record in the message log.
+//! Otherwise, and for every message a partition receives from another,
+//! the slot is an [`InFlight`]: the send time and the payload, all a
+//! delivery reads. The hardware reading at arrival is part of the log,
+//! taken at send; a streaming delivery of a delay draw queues a
+//! placeholder and reads the receiver's clock when it is dispatched, so a
+//! message dropped in flight or still in flight at the end never reads it.
+//!
 //! The engine instantiates the partition with `Send` boxes ([`Part`]), so
 //! that several partitions can move onto worker threads. The per-event
 //! paths are `#[inline]`: the engine calls them from other modules, and
@@ -58,6 +67,8 @@ pub(crate) struct Queued {
     /// deterministic.
     tie: u64,
     node: NodeId,
+    /// The node's hardware reading at `time`, or NaN for a placeholder
+    /// that dispatch resolves.
     hw: f64,
     kind: QueuedKind,
 }
@@ -65,19 +76,19 @@ pub(crate) struct Queued {
 #[derive(Clone, Copy)]
 pub(crate) enum QueuedKind {
     Start,
-    /// A message sent inside this partition: `msg_index` is its slot in
-    /// the partition's message log.
+    /// A message sent inside this partition: `slot` indexes the message
+    /// log when recording, the in-flight slab when streaming.
     Deliver {
         from: NodeId,
         seq: u64,
-        msg_index: usize,
+        slot: usize,
     },
-    /// A message from another partition: `parked` is its slot in the
-    /// receiver's slab of handoffs.
+    /// A message from another partition: `slot` indexes the in-flight
+    /// slab.
     DeliverRemote {
         from: NodeId,
         seq: u64,
-        parked: usize,
+        slot: usize,
     },
     Timer {
         id: TimerId,
@@ -151,6 +162,12 @@ pub(crate) fn canonical_order(a: &EventRecord, b: &EventRecord) -> Ordering {
         .then_with(|| a.kind.tie_key(a.node).cmp(&b.kind.tie_key(b.node)))
 }
 
+/// What a delivery reads of a message the log does not serve.
+pub(crate) struct InFlight<M> {
+    send_time: f64,
+    payload: M,
+}
+
 /// A message crossing from its sender's partition to its receiver's.
 pub(crate) struct Handoff<M> {
     pub(crate) from: NodeId,
@@ -158,6 +175,7 @@ pub(crate) struct Handoff<M> {
     pub(crate) seq: u64,
     send_time: f64,
     pub(crate) arrival_time: f64,
+    /// NaN when streaming a delay draw, as in [`Queued`].
     arrival_hw: f64,
     /// `(partition index, message slot)` in the sender's log; the slot is
     /// [`NO_SLOT`] in streaming mode.
@@ -165,10 +183,9 @@ pub(crate) struct Handoff<M> {
     payload: M,
 }
 
-/// The slot of a cross-partition message that is in no log. A streaming
-/// run reads a message record only to deliver it, and a cross-partition
-/// delivery reads the handoff instead, so such a send is neither logged
-/// by the sender nor written back by the receiver.
+/// The log slot of a cross-partition message that is in no log: a
+/// streaming send is neither logged by the sender nor written back by the
+/// receiver.
 const NO_SLOT: usize = usize::MAX;
 
 /// A deferred status write-back for a message owned by another
@@ -204,21 +221,6 @@ pub(crate) fn settle<M>(m: &mut MessageRecord<M>, delivered: bool) {
         m.status = MessageStatus::Dropped;
         m.arrival_time = None;
         m.arrival_hw = None;
-    }
-}
-
-/// Stores `item` in a free slot of `slab` (or a new one) and returns the
-/// slot.
-fn store<T>(slab: &mut Vec<T>, free: &mut Vec<usize>, item: T) -> usize {
-    match free.pop() {
-        Some(slot) => {
-            slab[slot] = item;
-            slot
-        }
-        None => {
-            slab.push(item);
-            slab.len() - 1
-        }
     }
 }
 
@@ -529,18 +531,19 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) clock: Box<C>,
     delay: Box<D>,
     send_seq: SendSeq,
+    /// The message log, written only when recording.
     pub(crate) messages: Vec<MessageRecord<M>>,
-    /// Recycled message slots (streaming mode): a delivered or dropped
-    /// message's slot is reused by a later send, bounding the log by the
-    /// peak in-flight count instead of the total sent.
-    pub(crate) free_slots: Vec<usize>,
     /// Merge keys, parallel to `messages`: kept only when recording with
     /// more than one partition.
     pub(crate) msg_keys: Option<Vec<MsgKey>>,
-    /// Handoffs from other partitions awaiting delivery, and their free
-    /// slots.
-    parked: Vec<Handoff<M>>,
-    free_parked: Vec<usize>,
+    /// Messages in flight that the log does not serve, and their free
+    /// slots: a delivered or dropped message's slot is reused by a later
+    /// one, bounding the slab by the peak in-flight count.
+    in_flight: Vec<InFlight<M>>,
+    free_in_flight: Vec<usize>,
+    /// The sender's `(partition, log slot)` of each in-flight slot, kept
+    /// only where `msg_keys` is.
+    owners: Option<Vec<(usize, usize)>>,
     /// Long-lived send/timer buffers reused across dispatches.
     actions: Actions<M>,
     /// Cross-partition sends, drained at the window barrier.
@@ -557,7 +560,8 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) dropped_loss: u64,
     pub(crate) dropped_link_down: u64,
     pub(crate) peak_queued_events: usize,
-    pub(crate) peak_message_slots: usize,
+    /// High-water mark of occupied in-flight slots.
+    peak_in_flight: usize,
     /// Windows, events and busy time, brought up to date as each window
     /// ends.
     pub(crate) counters: ShardCounters,
@@ -599,10 +603,10 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             send_seq: SendSeq::new(span.len()),
             span,
             messages: Vec::new(),
-            free_slots: Vec::new(),
             msg_keys: keyed.then(Vec::new),
-            parked: Vec::new(),
-            free_parked: Vec::new(),
+            in_flight: Vec::new(),
+            free_in_flight: Vec::new(),
+            owners: keyed.then(Vec::new),
             actions: Actions::default(),
             outbox: Vec::new(),
             status_updates: Vec::new(),
@@ -612,7 +616,7 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             dropped_loss: 0,
             dropped_link_down: 0,
             peak_queued_events: 0,
-            peak_message_slots: 0,
+            peak_in_flight: 0,
             counters: ShardCounters::default(),
         }
     }
@@ -638,24 +642,59 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
         self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
     }
 
+    /// Stores a message the log does not serve and returns its slot.
+    #[inline]
+    fn park(&mut self, send_time: f64, payload: M) -> usize {
+        let item = InFlight { send_time, payload };
+        let slot = match self.free_in_flight.pop() {
+            Some(slot) => {
+                self.in_flight[slot] = item;
+                slot
+            }
+            None => {
+                self.in_flight.push(item);
+                self.in_flight.len() - 1
+            }
+        };
+        let occupied = self.in_flight.len() - self.free_in_flight.len();
+        self.peak_in_flight = self.peak_in_flight.max(occupied);
+        slot
+    }
+
     /// Parks a message from another partition and queues its delivery.
     pub(crate) fn accept(&mut self, h: Handoff<M>) {
-        let (time, node, hw, from, seq) = (h.arrival_time, h.to, h.arrival_hw, h.from, h.seq);
-        let parked = store(&mut self.parked, &mut self.free_parked, h);
-        self.push(
-            time,
-            node,
-            hw,
-            QueuedKind::DeliverRemote { from, seq, parked },
-        );
+        let slot = self.park(h.send_time, h.payload);
+        if let Some(owners) = &mut self.owners {
+            owners.resize(self.in_flight.len(), h.owner);
+            owners[slot] = h.owner;
+        }
+        let kind = QueuedKind::DeliverRemote {
+            from: h.from,
+            seq: h.seq,
+            slot,
+        };
+        self.push(h.arrival_time, h.to, h.arrival_hw, kind);
+    }
+
+    /// Message slots `(allocated, free, peak occupied)`: the log's when
+    /// recording, the in-flight slab's when streaming.
+    pub(crate) fn message_slots(&self, record_events: bool) -> (usize, usize, usize) {
+        if record_events {
+            (self.messages.len(), 0, self.messages.len())
+        } else {
+            let free = self.free_in_flight.len();
+            (self.in_flight.len(), free, self.peak_in_flight)
+        }
     }
 
     /// The send time of a delivery's message.
     #[inline]
-    fn send_time(&self, kind: QueuedKind) -> f64 {
+    fn send_time(&self, kind: QueuedKind, record_events: bool) -> f64 {
         match kind {
-            QueuedKind::Deliver { msg_index, .. } => self.messages[msg_index].send_time,
-            QueuedKind::DeliverRemote { parked, .. } => self.parked[parked].send_time,
+            QueuedKind::Deliver { slot, .. } if record_events => self.messages[slot].send_time,
+            QueuedKind::Deliver { slot, .. } | QueuedKind::DeliverRemote { slot, .. } => {
+                self.in_flight[slot].send_time
+            }
             _ => f64::NAN,
         }
     }
@@ -665,18 +704,17 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
     #[inline]
     fn settle_delivery(&mut self, kind: QueuedKind, delivered: bool, record_events: bool) {
         match kind {
-            QueuedKind::Deliver { msg_index, .. } => {
-                settle(&mut self.messages[msg_index], delivered);
-                if !record_events {
-                    self.free_slots.push(msg_index);
-                }
+            QueuedKind::Deliver { slot, .. } if record_events => {
+                settle(&mut self.messages[slot], delivered);
             }
-            QueuedKind::DeliverRemote { parked, .. } => {
-                let (owner, slot) = self.parked[parked].owner;
-                if slot != NO_SLOT {
-                    self.status_updates.push((owner, slot, delivered));
+            QueuedKind::Deliver { slot, .. } | QueuedKind::DeliverRemote { slot, .. } => {
+                // Owners are kept only when recording, where every
+                // in-flight slot is a handoff.
+                if let Some(owners) = &self.owners {
+                    let (owner, logged) = owners[slot];
+                    self.status_updates.push((owner, logged, delivered));
                 }
-                self.free_parked.push(parked);
+                self.free_in_flight.push(slot);
             }
             _ => {}
         }
@@ -720,13 +758,6 @@ where
             ..
         } = ev;
         let local = env.placement.position(node) - self.span.start;
-        // Topology changes enqueue with a placeholder reading; resolve it
-        // now, at dispatch.
-        let hw = if matches!(kind, QueuedKind::TopoChange { .. }) {
-            self.clock.value_at(node, time)
-        } else {
-            hw
-        };
         // In dynamic mode a message only crosses a *tracked* link that
         // stays up from send to arrival; the churn timeline is known in
         // advance, so the drop resolves deterministically the instant the
@@ -738,7 +769,7 @@ where
             QueuedKind::Deliver { from, seq, .. } | QueuedKind::DeliverRemote { from, seq, .. },
         ) = (env.outages, kind)
         {
-            let sent = self.send_time(kind);
+            let sent = self.send_time(kind, env.record_events);
             if view.link_interrupted(from, node, sent, time) {
                 self.settle_delivery(kind, false, env.record_events);
                 self.dropped_link_down += 1;
@@ -755,6 +786,13 @@ where
                 return Ok(None);
             }
         }
+        // Topology changes and streamed delay draws enqueue with a
+        // placeholder reading; resolve it now that the event dispatches.
+        let hw = if hw.is_nan() {
+            self.clock.value_at(node, time)
+        } else {
+            hw
+        };
 
         let record = EventRecord {
             time,
@@ -802,11 +840,12 @@ where
             let target = &mut self.nodes[local];
             match kind {
                 QueuedKind::Start => target.on_start(&mut ctx),
-                QueuedKind::Deliver {
-                    from, msg_index, ..
-                } => target.on_message(&mut ctx, from, &self.messages[msg_index].payload),
-                QueuedKind::DeliverRemote { from, parked, .. } => {
-                    target.on_message(&mut ctx, from, &self.parked[parked].payload);
+                QueuedKind::Deliver { from, slot, .. } if env.record_events => {
+                    target.on_message(&mut ctx, from, &self.messages[slot].payload);
+                }
+                QueuedKind::Deliver { from, slot, .. }
+                | QueuedKind::DeliverRemote { from, slot, .. } => {
+                    target.on_message(&mut ctx, from, &self.in_flight[slot].payload);
                 }
                 QueuedKind::Timer { id } => target.on_timer(&mut ctx, id),
                 QueuedKind::TopoChange { peer, up } => {
@@ -832,7 +871,7 @@ where
                     from,
                     to: node,
                     seq,
-                    send_time: self.send_time(kind),
+                    send_time: self.send_time(kind, env.record_events),
                     hw,
                     logical,
                 },
@@ -870,8 +909,7 @@ where
                         tracer.as_deref_mut(),
                     )
                     .err();
-                // Slots are never recycled when recording, so a send that
-                // logged a record grew the log by one.
+                // A send that logged a record grew the log by one.
                 if let Some(keys) = &mut self.msg_keys {
                     let key = MsgKey {
                         send_time: time,
@@ -940,7 +978,14 @@ where
                      {from}->{to} with distance {d}"
                 );
                 let t = time + delay;
-                Some((t, self.clock.value_at(to, t)))
+                // Only the log reads the receiver's clock at send; a
+                // streamed delivery reads it at dispatch.
+                let h = if env.record_events {
+                    self.clock.value_at(to, t)
+                } else {
+                    f64::NAN
+                };
+                Some((t, h))
             }
             DelayOutcome::ArriveAtHw(h) => {
                 if !h.is_finite() {
@@ -996,10 +1041,7 @@ where
         // whatever is still in flight at the final horizon — which is what
         // lets a run be extended past any horizon chosen up front.
         let remote = arrival.is_some() && !self.span.contains(&env.placement.position(to));
-        let (msg_index, carried) = if remote && !env.record_events {
-            // Streaming: the handoff carries the message whole.
-            (NO_SLOT, Some(payload))
-        } else {
+        let (slot, carried) = if env.record_events {
             // Only a recorded cross-partition send needs two copies of the
             // payload: one stays in this log, one crosses in the handoff.
             let carried = remote.then(|| payload.clone());
@@ -1018,24 +1060,18 @@ where
                 },
                 payload,
             };
-            let slot = store(&mut self.messages, &mut self.free_slots, record);
-            self.peak_message_slots = self
-                .peak_message_slots
-                .max(self.messages.len() - self.free_slots.len());
-            (slot, carried)
+            self.messages.push(record);
+            (self.messages.len() - 1, carried)
+        } else if remote {
+            // Streaming: the handoff carries the message whole.
+            (NO_SLOT, Some(payload))
+        } else {
+            // A streamed local send keeps only what its delivery reads.
+            (self.park(time, payload), None)
         };
 
         match (arrival, carried) {
-            (Some((t, h)), None) => self.push(
-                t,
-                to,
-                h,
-                QueuedKind::Deliver {
-                    from,
-                    seq,
-                    msg_index,
-                },
-            ),
+            (Some((t, h)), None) => self.push(t, to, h, QueuedKind::Deliver { from, seq, slot }),
             (Some((t, h)), Some(payload)) => self.outbox.push(Handoff {
                 from,
                 to,
@@ -1043,7 +1079,7 @@ where
                 send_time: time,
                 arrival_time: t,
                 arrival_hw: h,
-                owner: (self.index, msg_index),
+                owner: (self.index, slot),
                 payload,
             }),
             (None, _) => {}
@@ -1086,5 +1122,8 @@ mod tests {
         // message type, and the recorded event stays 48.
         assert_eq!(std::mem::size_of::<Queued>(), 64);
         assert_eq!(std::mem::size_of::<EventRecord>(), 48);
+        // A streamed message in flight keeps only its send time and
+        // payload.
+        assert_eq!(std::mem::size_of::<InFlight<[u64; 3]>>(), 32);
     }
 }

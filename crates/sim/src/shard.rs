@@ -23,10 +23,14 @@
 //! rounds, each three barriers: (1) run the window and deposit
 //! cross-shard sends in the destination shard's mailbox; (2) drain the
 //! own mailbox — sorted by `(arrival time, from, to, seq)`, so the order
-//! does not depend on which shard deposited first — parking each payload
-//! in a receiver-side slab and queueing its delivery; (3) one leader takes
-//! the next global `t_min` and publishes the next window, or ends the
-//! super-window. A super-window spans at most `window_mult` lookaheads.
+//! does not depend on which shard deposited first — parking each send
+//! time and payload in the receiver's in-flight slab and queueing its
+//! delivery; (3) one leader takes the next global `t_min` and publishes
+//! the next window, or ends the super-window. A streamed delivery's
+//! hardware reading is taken by the receiver's clock fork when it
+//! dispatches; the fork contract makes it the reading the sender's clock
+//! would give, bit for bit. A super-window spans at most `window_mult`
+//! lookaheads.
 //! The multiplier adapts to event density: it doubles (up to `MAX_MULT`)
 //! while rounds average fewer than `DENSITY` events — the sparse regime,
 //! where barriers and merges dominate — and halves when a super-window

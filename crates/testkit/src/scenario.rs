@@ -331,18 +331,6 @@ impl Scenario {
         self.algorithm
     }
 
-    /// The scenario's seed.
-    #[must_use]
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
-    /// The scenario's drift specification.
-    #[must_use]
-    pub fn drift_spec(&self) -> &DriftSpec {
-        &self.drift
-    }
-
     /// The drift bound `rho` this scenario's rates respect: every
     /// hardware rate stays in `[1 - rho, 1 + rho]`, so hardware readings
     /// stay within `rho * t` of real time. This is the uncertainty

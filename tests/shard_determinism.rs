@@ -6,6 +6,7 @@
 //! pins: the shard count trades wall-clock for thread count, never
 //! output.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -15,7 +16,8 @@ use gradient_clock_sync::algorithms::{AlgorithmKind, SyncMsg};
 use gradient_clock_sync::dynamic::ChurnSchedule;
 use gradient_clock_sync::net::{DelayOutcome, DelayPolicy, Topology};
 use gradient_clock_sync::sim::{
-    Context, Execution, MessageRecord, Node, NodeId, SimError, SimulationBuilder, TimerId,
+    Context, EventKind, EventRecord, Execution, MessageRecord, MessageStatus, Node, NodeId,
+    Observer, Probe, SimError, SimulationBuilder, TimerId,
 };
 use proptest::prelude::*;
 
@@ -196,6 +198,65 @@ fn sharded_streaming_observers_match_single_heap_observers() {
             sharded.worst_at().to_bits(),
             "shards={k}: observed worst-skew instant diverged"
         );
+    }
+}
+
+/// Every delivery's `(from, to, seq)` and hardware reading, by `to_bits`.
+#[derive(Default)]
+struct Readings(Vec<((NodeId, NodeId, u64), u64)>);
+
+impl Observer for Readings {
+    fn on_event(&mut self, _view: &Probe<'_>, event: &EventRecord) {
+        if let EventKind::Deliver { from, seq } = event.kind {
+            self.0.push(((from, event.node, seq), event.hw.to_bits()));
+        }
+    }
+}
+
+#[test]
+fn streamed_deliveries_read_the_recorded_arrival_bits() {
+    // A streamed delivery reads the receiver's clock when it dispatches,
+    // the log reads it at send: both must give the same bits, under
+    // either clock source and on either side of a shard cut.
+    let scenario = churned_geometric();
+    let kind = scenario.algorithm_kind();
+    let horizon = scenario.horizon_time();
+    for lazy in [false, true] {
+        for k in [1, 2] {
+            let build = |record: bool| {
+                let builder = SimulationBuilder::new_dynamic(scenario.dynamic_topology().unwrap())
+                    .delay_policy(scenario.delay_policy())
+                    .record_events(record)
+                    .shards(k);
+                let builder = if lazy {
+                    builder.drift_source(scenario.lazy_walk_source().unwrap())
+                } else {
+                    builder.schedules(scenario.schedules())
+                };
+                builder.build_with(|id, n| kind.build(id, n)).unwrap()
+            };
+            let recorded: HashMap<_, _> = build(true)
+                .try_execute_until(horizon)
+                .unwrap()
+                .messages()
+                .iter()
+                .filter(|m| m.status == MessageStatus::Delivered)
+                .map(|m| ((m.from, m.to, m.seq), m.arrival_hw.unwrap().to_bits()))
+                .collect();
+            let mut streamed = Readings::default();
+            build(false)
+                .try_run_until_observed(horizon, &mut [&mut streamed])
+                .unwrap();
+            assert!(streamed.0.len() > 100, "lazy={lazy} k={k}: few deliveries");
+            assert_eq!(streamed.0.len(), recorded.len(), "lazy={lazy} k={k}");
+            for (key, bits) in streamed.0 {
+                assert_eq!(
+                    recorded.get(&key),
+                    Some(&bits),
+                    "lazy={lazy} k={k}: delivery {key:?}"
+                );
+            }
+        }
     }
 }
 
