@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use gcs_sim::{EventKind, Execution, NodeId};
+use gcs_sim::{EventKind, EventRecord, Execution, NodeId};
 
 /// A witnessed difference between two executions' observation sequences.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,28 +104,84 @@ pub(crate) enum Window<'a> {
     Before(&'a [f64]),
 }
 
-/// The one comparison loop behind every check: each node's canonicalized
-/// observations of `left`, restricted to `window`, against the same
-/// positions of `right`. A right sequence too short for the rule is one
-/// [`DistinctionDetail::LengthMismatch`]; a differing kind, or a reading
-/// off by more than `tolerance`, is one distinction per position.
+/// One event list's positions by node, from one counting sort: node `i`'s
+/// are `order[starts[i]..starts[i + 1]]`, in dispatch order. Events at
+/// nodes outside `0..nodes` are left out.
+struct NodeIndex<'a> {
+    events: &'a [EventRecord],
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl<'a> NodeIndex<'a> {
+    fn new(events: &'a [EventRecord], nodes: usize) -> Self {
+        let mut starts = vec![0_u32; nodes + 1];
+        for e in events.iter().filter(|e| e.node < nodes) {
+            starts[e.node + 1] += 1;
+        }
+        for i in 0..nodes {
+            starts[i + 1] += starts[i];
+        }
+        let (mut next, mut order) = (starts.clone(), vec![0; starts[nodes] as usize]);
+        for (pos, e) in events.iter().enumerate().filter(|(_, e)| e.node < nodes) {
+            order[next[e.node] as usize] = u32::try_from(pos).expect("under 2^32 events");
+            next[e.node] += 1;
+        }
+        Self {
+            events,
+            starts,
+            order,
+        }
+    }
+
+    /// `node`'s events, in dispatch order.
+    fn of(&self, node: NodeId) -> impl Iterator<Item = &'a EventRecord> + '_ {
+        let own = &self.order[self.starts[node] as usize..self.starts[node + 1] as usize];
+        own.iter().map(|&p| &self.events[p as usize])
+    }
+}
+
+/// [`event_distinctions`] over two executions, for the nodes both have.
 pub(crate) fn window_distinctions<M1, M2>(
     left: &Execution<M1>,
     right: &Execution<M2>,
     tolerance: f64,
     window: Window<'_>,
 ) -> Vec<Distinction> {
+    let nodes = left.node_count().min(right.node_count());
+    event_distinctions(left.events(), right.events(), nodes, tolerance, window)
+}
+
+/// The one comparison loop behind every check: each node's canonicalized
+/// observations in the `left` events, restricted to `window`, against the
+/// same positions of `right`'s, for nodes `0..nodes`. A right sequence too
+/// short for the rule is one [`DistinctionDetail::LengthMismatch`]; a
+/// differing kind, or a reading off by more than `tolerance`, is one
+/// distinction per position.
+pub(crate) fn event_distinctions(
+    left: &[EventRecord],
+    right: &[EventRecord],
+    nodes: usize,
+    tolerance: f64,
+    window: Window<'_>,
+) -> Vec<Distinction> {
+    let (left_index, right_index) = (NodeIndex::new(left, nodes), NodeIndex::new(right, nodes));
+    let (mut ol, mut or) = (Vec::new(), Vec::new());
     let mut out = Vec::new();
-    for node in 0..left.node_count().min(right.node_count()) {
-        let mut ol = left.observations(node);
-        let mut or = right.observations(node);
-        canonicalize(&mut ol, node);
-        canonicalize(&mut or, node);
+    for node in 0..nodes {
+        for (index, obs) in [(&left_index, &mut ol), (&right_index, &mut or)] {
+            obs.clear();
+            obs.extend(index.of(node).map(|e| (e.hw, e.kind.clone())));
+            canonicalize(obs, node);
+        }
         let (len, length_ok) = match window {
             Window::Whole => (ol.len(), ol.len() == or.len()),
             Window::Prefix => (ol.len(), or.len() >= ol.len()),
             Window::Before(cutoffs) => {
-                let len = left.observation_count_before(node, cutoffs[node]);
+                let len = left_index
+                    .of(node)
+                    .filter(|e| e.time < cutoffs[node])
+                    .count();
                 (len, or.len() >= len)
             }
         };
@@ -376,6 +432,205 @@ mod tests {
                 index: 2,
                 detail: DistinctionDetail::LengthMismatch { left: 3, right: 2 },
             }]
+        );
+    }
+
+    /// The per-node scan that [`window_distinctions`] replaced, kept as
+    /// its reference: each node's observations, and its window length,
+    /// come from a pass over every event.
+    fn oracle<M1, M2>(
+        left: &Execution<M1>,
+        right: &Execution<M2>,
+        tolerance: f64,
+        window: Window<'_>,
+    ) -> Vec<Distinction> {
+        let mut out = Vec::new();
+        for node in 0..left.node_count().min(right.node_count()) {
+            let mut ol = left.observations(node);
+            let mut or = right.observations(node);
+            canonicalize(&mut ol, node);
+            canonicalize(&mut or, node);
+            let (len, length_ok) = match window {
+                Window::Whole => (ol.len(), ol.len() == or.len()),
+                Window::Prefix => (ol.len(), or.len() >= ol.len()),
+                Window::Before(cutoffs) => {
+                    let len = left
+                        .events()
+                        .iter()
+                        .filter(|e| e.node == node && e.time < cutoffs[node])
+                        .count();
+                    (len, or.len() >= len)
+                }
+            };
+            if !length_ok {
+                out.push(Distinction {
+                    node,
+                    index: len.min(or.len()),
+                    detail: DistinctionDetail::LengthMismatch {
+                        left: len,
+                        right: or.len(),
+                    },
+                });
+            }
+            for (index, ((hw_l, kind_l), (hw_r, kind_r))) in ol[..len].iter().zip(&or).enumerate() {
+                let detail = if kind_l != kind_r {
+                    DistinctionDetail::KindMismatch {
+                        left: kind_l.clone(),
+                        right: kind_r.clone(),
+                    }
+                } else if (hw_l - hw_r).abs() > tolerance {
+                    DistinctionDetail::HwMismatch {
+                        left: *hw_l,
+                        right: *hw_r,
+                    }
+                } else {
+                    continue;
+                };
+                out.push(Distinction {
+                    node,
+                    index,
+                    detail,
+                });
+            }
+        }
+        out
+    }
+
+    /// SplitMix64: the case generator of the property test below.
+    struct Cases(u64);
+
+    impl Cases {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// A reading or instant on a grid of halves, so that runs of
+        /// bitwise-equal readings and events at a cutoff are common.
+        fn half(&mut self, steps: u64) -> f64 {
+            self.below(steps) as f64 * 0.5
+        }
+
+        fn kind(&mut self) -> EventKind {
+            match self.below(4) {
+                0 => EventKind::Start,
+                1 => EventKind::Deliver {
+                    from: self.below(3) as usize,
+                    seq: self.below(3),
+                },
+                2 => EventKind::Timer { id: self.below(3) },
+                _ => EventKind::TopologyChange {
+                    peer: self.below(3) as usize,
+                    up: self.below(2) == 0,
+                },
+            }
+        }
+
+        /// Up to 24 events on `nodes` nodes in dispatch order.
+        fn events(&mut self, nodes: usize) -> Vec<gcs_sim::EventRecord> {
+            let mut time = 0.0;
+            (0..self.below(25))
+                .map(|_| {
+                    time += self.half(3);
+                    gcs_sim::EventRecord {
+                        time,
+                        node: self.below(nodes as u64) as usize,
+                        hw: self.half(4),
+                        kind: self.kind(),
+                    }
+                })
+                .collect()
+        }
+
+        /// `left`'s events on `nodes` nodes, each kept, nudged within the
+        /// looser tolerance, moved off its reading, given another kind,
+        /// lost or doubled; then a few adjacent swaps and a random tail.
+        fn variant(
+            &mut self,
+            left: &[gcs_sim::EventRecord],
+            nodes: usize,
+        ) -> Vec<gcs_sim::EventRecord> {
+            let mut events = Vec::new();
+            for e in left {
+                let mut e = e.clone();
+                e.node %= nodes;
+                match self.below(30) {
+                    0 => e.hw += 1e-4,
+                    1 => e.hw += 0.5,
+                    2 => e.kind = self.kind(),
+                    3 => continue,
+                    4 => events.push(e.clone()),
+                    _ => {}
+                }
+                events.push(e);
+            }
+            for _ in 0..self.below(3) {
+                if events.len() >= 2 {
+                    let i = self.below(events.len() as u64 - 1) as usize;
+                    events.swap(i, i + 1);
+                }
+            }
+            let tail = self.events(nodes);
+            let end = events.last().map_or(0.0, |e| e.time);
+            events.extend(tail.into_iter().take(self.below(5) as usize).map(|mut e| {
+                e.time += end;
+                e
+            }));
+            events
+        }
+    }
+
+    fn execution(nodes: usize, events: Vec<gcs_sim::EventRecord>) -> Execution<f64> {
+        Execution::from_parts(
+            Topology::line(nodes),
+            vec![RateSchedule::constant(1.0); nodes],
+            100.0,
+            events,
+            Vec::new(),
+            vec![gcs_clocks::PiecewiseLinear::new(0.0, 0.0, 1.0); nodes],
+        )
+    }
+
+    #[test]
+    fn the_index_returns_exactly_what_the_per_node_scan_returns() {
+        let mut cases = Cases(0x1d15_7a4c);
+        let (mut equal, mut differing) = (0, 0);
+        for _ in 0..600 {
+            let left_nodes = 1 + cases.below(3) as usize;
+            let right_nodes = match cases.below(4) {
+                0 => 1 + cases.below(3) as usize,
+                _ => left_nodes,
+            };
+            let left = cases.events(left_nodes);
+            let right = match cases.below(8) {
+                0 => cases.events(right_nodes),
+                _ => cases.variant(&left, right_nodes),
+            };
+            let (left, right) = (execution(left_nodes, left), execution(right_nodes, right));
+            let cutoffs: Vec<f64> = (0..3).map(|_| cases.half(14)).collect();
+            for window in [Window::Whole, Window::Prefix, Window::Before(&cutoffs)] {
+                for tolerance in [0.0, 1e-3] {
+                    let expected = oracle(&left, &right, tolerance, window);
+                    assert_eq!(
+                        window_distinctions(&left, &right, tolerance, window),
+                        expected,
+                        "{window:?} at tolerance {tolerance}: {left:?} against {right:?}"
+                    );
+                    if expected.is_empty() {
+                        equal += 1;
+                    } else {
+                        differing += 1;
+                    }
+                }
+            }
+        }
+        // Both outcomes are common, so neither side of the check is vacuous.
+        assert!(
+            equal > 500 && differing > 500,
+            "{equal} equal, {differing} differing"
         );
     }
 

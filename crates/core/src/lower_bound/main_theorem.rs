@@ -30,8 +30,8 @@ use gcs_clocks::{DriftBound, RateSchedule};
 use gcs_net::{FixedFractionDelay, Topology};
 use gcs_sim::{Execution, Node, NodeId, SimError, SimulationBuilder};
 
-use crate::indist::prefix_distinctions;
-use crate::replay::replay_execution;
+use crate::indist::{event_distinctions, Window};
+use crate::replay::replay_simulation;
 
 use super::add_skew::{AddSkew, AddSkewError, AddSkewParams};
 
@@ -235,12 +235,6 @@ impl MainTheorem {
         let d = cfg.nodes;
         let tau = cfg.bound.tau();
         let topology = Topology::line(d);
-        let max_neighbor_dist = (0..d)
-            .flat_map(|i| {
-                let t = &topology;
-                t.neighbors_of(i).iter().map(move |&j| t.distance(i, j))
-            })
-            .fold(0.0_f64, f64::max);
 
         // alpha_0: nominal run for tau * n_0.
         let n0 = d - 1;
@@ -275,29 +269,29 @@ impl MainTheorem {
                 .apply(&alpha, AddSkewParams::window(fast, slow, start))
                 .map_err(|source| MainTheoremError::AddSkew { round: k, source })?;
             let beta = outcome.transformed;
-            // `alpha` is dead until the replay replaces it; freeing it here
-            // keeps the replay's peak at two executions, not three.
+            // At the replay's peak, the end of its run, what is live is
+            // `beta`'s events, the replay policy's table and the replayed
+            // execution: `alpha` goes here, the rest of `beta` below.
             drop(alpha);
             let t_prime = beta.horizon();
             let skew_after_transform = beta.skew(fast, slow, t_prime);
 
             // 2. Extend by replaying: nominal suffix of tau*next_span (for
             // the next round's window) plus drain padding for boundary
-            // messages.
-            let extension =
-                tau * next_span as f64 * cfg.extension_factor + cfg.drain_pad * max_neighbor_dist;
+            // messages (line neighbours are one unit apart).
+            let extension = tau * next_span as f64 * cfg.extension_factor + cfg.drain_pad;
             let t_next = t_prime + extension;
-            let replayed = replay_execution(
+            let sim = replay_simulation(
                 &beta,
-                t_next,
                 Box::new(FixedFractionDelay::for_topology(&topology, 0.5)),
                 &make,
             )?;
-            let prefix_ok = if cfg.fidelity_check {
-                prefix_distinctions(&beta, &replayed, 0.0).is_empty()
-            } else {
-                true
-            };
+            // Only the prefix check reads `beta` now, and only its events.
+            let beta_events = cfg.fidelity_check.then(|| beta.into_events());
+            let replayed = sim.try_execute_until(t_next)?;
+            let prefix_ok = beta_events.is_none_or(|events| {
+                event_distinctions(&events, replayed.events(), d, 0.0, Window::Prefix).is_empty()
+            });
 
             // 3. Measure and pigeonhole a sub-pair of span next_span.
             let skew_after_extension = replayed.skew(fast, slow, t_next);

@@ -15,24 +15,24 @@
 //! bit-identical to the prediction; [`crate::indist::prefix_distinctions`]
 //! verifies this.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use gcs_clocks::RateSchedule;
 use gcs_net::{DelayOutcome, DelayPolicy, Topology};
-use gcs_sim::{Execution, MessageStatus, Node, NodeId, SimError, SimulationBuilder};
+use gcs_sim::{Execution, MessageStatus, Node, NodeId, SimError, Simulation, SimulationBuilder};
 
 /// Delay policy that replays recorded arrivals by receiver hardware
 /// reading, with validity-guarded fallback.
 ///
-/// For each `(from, to, seq)` with a recorded arrival reading `h`, the
-/// policy computes the corresponding real time under the receiver's
-/// schedule; if that is a legal delivery for the actual send time (delay in
-/// `[0, d_ij]`), it returns [`DelayOutcome::ArriveAtHw`]. Otherwise — the
-/// replayed run has diverged past the recorded prefix — the fallback
-/// decides.
+/// Per sender it keeps a `to`-sorted list of `(to, readings)`, where
+/// `readings[seq]` is the arrival reading of the pair's `seq`-th message
+/// (seqs are dense from 0 per directed pair) and NaN marks none, as for a
+/// dropped message. For a pinned reading `h`, the policy computes the real
+/// time under the receiver's schedule; if that is a legal delivery for the
+/// actual send time (delay in `[0, d_ij]`), it returns
+/// [`DelayOutcome::ArriveAtHw`]. Otherwise the fallback decides.
 pub struct HwReplayDelay {
-    arrivals: HashMap<(NodeId, NodeId, u64), f64>,
+    arrivals: Vec<Vec<(NodeId, Vec<f64>)>>,
     schedules: Vec<RateSchedule>,
     topology: Topology,
     fallback: Box<dyn DelayPolicy + Send>,
@@ -41,7 +41,7 @@ pub struct HwReplayDelay {
 impl fmt::Debug for HwReplayDelay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HwReplayDelay")
-            .field("recorded", &self.arrivals.len())
+            .field("recorded", &self.len())
             .finish_non_exhaustive()
     }
 }
@@ -51,14 +51,32 @@ impl HwReplayDelay {
     /// with a recorded arrival reading (delivered or in flight) is pinned.
     #[must_use]
     pub fn from_execution<M>(exec: &Execution<M>, fallback: Box<dyn DelayPolicy + Send>) -> Self {
-        let mut arrivals = HashMap::new();
-        for m in exec.messages() {
-            if m.status == MessageStatus::Dropped {
-                continue;
+        let pinned = || {
+            let sent = exec.messages().iter();
+            let kept = sent.filter(|m| m.status != MessageStatus::Dropped);
+            kept.filter_map(|m| Some((m.from, m.to, m.seq as usize, m.arrival_hw?)))
+        };
+        // A counting pass sizes each pair's readings to its last pinned seq.
+        let mut lengths: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); exec.node_count()];
+        for (from, to, seq, _) in pinned() {
+            let list = &mut lengths[from];
+            match list.binary_search_by_key(&to, |&(peer, _)| peer) {
+                Ok(pos) => list[pos].1 = list[pos].1.max(seq + 1),
+                Err(pos) => list.insert(pos, (to, seq + 1)),
             }
-            if let Some(h) = m.arrival_hw {
-                arrivals.insert((m.from, m.to, m.seq), h);
-            }
+        }
+        let mut arrivals: Vec<Vec<(NodeId, Vec<f64>)>> = lengths
+            .iter()
+            .map(|list| {
+                list.iter()
+                    .map(|&(to, n)| (to, vec![f64::NAN; n]))
+                    .collect()
+            })
+            .collect();
+        for (from, to, seq, h) in pinned() {
+            let list = &mut arrivals[from];
+            let pos = list.binary_search_by_key(&to, |(peer, _)| *peer);
+            list[pos.expect("counted above")].1[seq] = h;
         }
         Self {
             arrivals,
@@ -68,22 +86,31 @@ impl HwReplayDelay {
         }
     }
 
+    /// The pinned arrival reading of message `seq` from `from` to `to`.
+    fn pinned(&self, from: NodeId, to: NodeId, seq: u64) -> Option<f64> {
+        let list = self.arrivals.get(from)?;
+        let pos = list.binary_search_by_key(&to, |(peer, _)| *peer).ok()?;
+        let h = *list[pos].1.get(usize::try_from(seq).ok()?)?;
+        (!h.is_nan()).then_some(h)
+    }
+
     /// Number of pinned deliveries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        let readings = self.arrivals.iter().flatten().flat_map(|(_, r)| r);
+        readings.filter(|h| !h.is_nan()).count()
     }
 
     /// True if no deliveries are pinned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.len() == 0
     }
 }
 
 impl DelayPolicy for HwReplayDelay {
     fn decide(&mut self, from: usize, to: usize, seq: u64, send_time: f64) -> DelayOutcome {
-        if let Some(&h) = self.arrivals.get(&(from, to, seq)) {
+        if let Some(h) = self.pinned(from, to, seq) {
             let t = self.schedules[to].time_at_value(h);
             let d = self.topology.distance(from, to);
             if t >= send_time - 1e-9 && t <= send_time + d + 1e-9 {
@@ -92,6 +119,33 @@ impl DelayPolicy for HwReplayDelay {
         }
         self.fallback.decide(from, to, seq, send_time)
     }
+}
+
+/// The replay of `transformed`, built and not yet run. It holds copies of
+/// all it reads, so `transformed` may be dropped before it runs.
+pub(crate) fn replay_simulation<M, N, F>(
+    transformed: &Execution<M>,
+    fallback: Box<dyn DelayPolicy + Send>,
+    make: F,
+) -> Result<Simulation<M>, SimError>
+where
+    M: Clone + fmt::Debug + Send + 'static,
+    N: Node<M> + Send + 'static,
+    F: FnMut(NodeId, usize) -> N,
+{
+    let policy = HwReplayDelay::from_execution(transformed, fallback);
+    let builder = match transformed.dynamic_topology() {
+        // Replays must run under the *recorded* in-flight policy: a
+        // keep-in-flight original delivers messages across link outages
+        // that a default (dropping) replay would silently lose.
+        Some(view) => SimulationBuilder::new_dynamic(view.clone())
+            .drop_in_flight_on_link_down(transformed.drops_in_flight()),
+        None => SimulationBuilder::new(transformed.topology().clone()),
+    };
+    builder
+        .schedules(transformed.schedules().to_vec())
+        .delay_policy(policy)
+        .build_with(make)
 }
 
 /// Re-runs the algorithm under `transformed`'s schedules and recorded
@@ -119,20 +173,7 @@ where
     N: Node<M> + Send + 'static,
     F: FnMut(NodeId, usize) -> N,
 {
-    let policy = HwReplayDelay::from_execution(transformed, fallback);
-    let builder = match transformed.dynamic_topology() {
-        // Replays must run under the *recorded* in-flight policy: a
-        // keep-in-flight original delivers messages across link outages
-        // that a default (dropping) replay would silently lose.
-        Some(view) => SimulationBuilder::new_dynamic(view.clone())
-            .drop_in_flight_on_link_down(transformed.drops_in_flight()),
-        None => SimulationBuilder::new(transformed.topology().clone()),
-    };
-    let sim = builder
-        .schedules(transformed.schedules().to_vec())
-        .delay_policy(policy)
-        .build_with(make)?;
-    sim.try_execute_until(horizon)
+    replay_simulation(transformed, fallback, make)?.try_execute_until(horizon)
 }
 
 /// Convenience: the nominal half-distance fallback used by the paper's
@@ -273,6 +314,61 @@ mod tests {
         let policy = HwReplayDelay::from_execution(&transformed, nominal_fallback(exec.topology()));
         assert_eq!(policy.len(), transformed.messages().len());
         assert!(!policy.is_empty());
+    }
+
+    /// A message between clocks at rate 1, read `hw` on arrival.
+    fn message(
+        (from, to, seq): (NodeId, NodeId, u64),
+        send_time: f64,
+        hw: f64,
+        status: MessageStatus,
+    ) -> gcs_sim::MessageRecord<f64> {
+        gcs_sim::MessageRecord {
+            from,
+            to,
+            seq,
+            send_time,
+            send_hw: send_time,
+            arrival_time: Some(hw),
+            arrival_hw: Some(hw),
+            status,
+            payload: 0.0,
+        }
+    }
+
+    #[test]
+    fn the_table_pins_by_seq_and_falls_back_where_nothing_is_pinned() {
+        use MessageStatus::{Delivered, Dropped, InFlight};
+        // Line 0 - 1 - 2. From 0 to 1: seq 0 delivered, seq 1 dropped
+        // after its reading was taken, seq 2 delivered. From 0 to 2, not
+        // neighbours: seq 0 in flight at the horizon.
+        let topology = Topology::line(3);
+        let exec = Execution::from_parts(
+            topology.clone(),
+            vec![RateSchedule::constant(1.0); 3],
+            10.0,
+            Vec::new(),
+            vec![
+                message((0, 1, 0), 1.0, 1.25, Delivered),
+                message((0, 1, 1), 2.0, 2.25, Dropped),
+                message((0, 1, 2), 3.0, 3.25, Delivered),
+                message((0, 2, 0), 9.0, 10.5, InFlight),
+            ],
+            vec![gcs_clocks::PiecewiseLinear::new(0.0, 0.0, 1.0); 3],
+        );
+        let mut policy = HwReplayDelay::from_execution(&exec, nominal_fallback(&topology));
+        assert_eq!(policy.len(), 3);
+        assert_eq!(policy.decide(0, 1, 0, 1.0), DelayOutcome::ArriveAtHw(1.25));
+        // The dropped message's hole falls back to half the distance.
+        assert_eq!(policy.decide(0, 1, 1, 2.0), DelayOutcome::Delay(0.5));
+        assert_eq!(policy.decide(0, 1, 2, 3.0), DelayOutcome::ArriveAtHw(3.25));
+        // A seq past the end of the pair's readings.
+        assert_eq!(policy.decide(0, 1, 3, 4.0), DelayOutcome::Delay(0.5));
+        // The non-neighbour pair that sent is pinned; its reverse, and a
+        // sender with no table entries at all, fall back.
+        assert_eq!(policy.decide(0, 2, 0, 9.0), DelayOutcome::ArriveAtHw(10.5));
+        assert_eq!(policy.decide(2, 0, 0, 9.0), DelayOutcome::Delay(1.0));
+        assert_eq!(policy.decide(1, 0, 0, 1.0), DelayOutcome::Delay(0.5));
     }
 
     #[test]

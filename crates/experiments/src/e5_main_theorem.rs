@@ -11,6 +11,9 @@
 //!    comparison curve. The witnessed skew must grow with `D` — this is
 //!    the paper's headline: *clock synchronization is not a local
 //!    property*.
+//!
+//! Every round's replayed prefix must match its predicted transformation
+//! bit for bit (`prefix_exact`); a run where one does not panics.
 
 use gcs_algorithms::AlgorithmKind;
 use gcs_clocks::DriftBound;
@@ -73,6 +76,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
             .run(|id, n| kind.build(id, n))
             .expect("construction runs")
     });
+    // The construction's claims rest on each replay reproducing its
+    // predicted prefix exactly, so a diverged prefix stops the experiment.
+    for ((kind, nodes), report) in cells.iter().zip(&reports) {
+        for r in &report.rounds {
+            assert!(
+                r.prefix_ok,
+                "{} at D = {nodes}, round {}: the replayed prefix diverged \
+                 from its predicted transformation",
+                kind.name(),
+                r.k
+            );
+        }
+    }
 
     let gradient = AlgorithmKind::Gradient {
         period: 1.0,

@@ -265,16 +265,12 @@ impl<M> Execution<M> {
             .collect()
     }
 
-    /// The number of events at node `i` dispatched strictly before real
-    /// time `t` — the length of the observation prefix a construction can
-    /// claim indistinguishability over (e.g. "up to the formation of a
-    /// fresh link").
+    /// Consumes the execution and keeps only its events, in dispatch
+    /// order: what an observation check reads, without the messages,
+    /// trajectories and schedules around them.
     #[must_use]
-    pub fn observation_count_before(&self, i: NodeId, t: f64) -> usize {
+    pub fn into_events(self) -> Vec<EventRecord> {
         self.events
-            .iter()
-            .filter(|e| e.node == i && e.time < t)
-            .count()
     }
 }
 
@@ -344,6 +340,13 @@ mod tests {
         assert_eq!(obs[0], (0.0, EventKind::Start));
         assert_eq!(obs[1], (2.0, EventKind::Timer { id: 0 }));
         assert_eq!(e.observations(0).len(), 1);
+    }
+
+    #[test]
+    fn into_events_keeps_the_events() {
+        let e = tiny_execution();
+        let events = e.events().to_vec();
+        assert_eq!(e.into_events(), events);
     }
 
     #[test]

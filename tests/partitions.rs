@@ -14,7 +14,9 @@ use gradient_clock_sync::dynamic::ChurnSchedule;
 use gradient_clock_sync::net::{
     AdversarialDelay, DelayOutcome, DelayPolicy, Topology, UniformDelay,
 };
-use gradient_clock_sync::sim::{Execution, SimError, Simulation, SimulationBuilder, TraceEvent};
+use gradient_clock_sync::sim::{
+    Execution, MessageStatus, SimError, Simulation, SimulationBuilder, TraceEvent,
+};
 use gradient_clock_sync::telemetry::TraceRecorder;
 
 /// An eager clock source that cannot fork.
@@ -165,6 +167,31 @@ fn one_partition_never_forks() {
     let replayed = replay(1);
     assert_eq!(digest(&replayed), REPLAY_DIGEST);
     assert_bit_identical(&replayed, &replay(2));
+}
+
+#[test]
+fn the_replay_table_pins_every_recorded_arrival() {
+    let exec = line()
+        .delay_policy(adversary())
+        .build_with(max_node)
+        .unwrap()
+        .try_execute_until(HORIZON)
+        .unwrap();
+    let recorded: Vec<_> = exec
+        .messages()
+        .iter()
+        .filter(|m| m.status != MessageStatus::Dropped)
+        .filter_map(|m| Some((m, m.arrival_hw?)))
+        .collect();
+    assert!(recorded.len() > 100, "only {} messages", recorded.len());
+    let mut policy = HwReplayDelay::from_execution(&exec, nominal_fallback(exec.topology()));
+    assert_eq!(policy.len(), recorded.len());
+    for (m, hw) in recorded {
+        assert_eq!(
+            policy.decide(m.from, m.to, m.seq, m.send_time),
+            DelayOutcome::ArriveAtHw(hw)
+        );
+    }
 }
 
 /// Runs `case` on a thread of its own under a watchdog, so a hang fails
