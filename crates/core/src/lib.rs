@@ -7,8 +7,8 @@
 //!   (Requirement 1: logical clocks advance at rate ≥ 1/2) and the
 //!   f-gradient property (Requirement 2: `|L_i(t) - L_j(t)| ≤ f(d_ij)`),
 //!   with machine checkers for recorded executions.
-//! - [`analysis`]: skew matrices, exact pairwise maximum skew, empirical
-//!   gradient profiles (observed skew as a function of distance).
+//! - [`analysis`]: exact pairwise maximum skew and empirical gradient
+//!   profiles (observed skew as a function of distance).
 //! - [`retiming`]: the indistinguishability principle (Section 3) made
 //!   executable. A [`retiming::Retiming`] replaces each node's hardware
 //!   clock schedule and moves every recorded event to the real time at

@@ -2,9 +2,9 @@
 //!
 //! A [`Partition`] owns a member set of nodes, ascending by id, which
 //! [`crate::placement`] assigns: their node states, live neighbour lists
-//! and timer counters, a `BinaryHeap` of pending events with its tie
-//! counter, a clock source and a delay policy, the per-pair sequence
-//! numbers, the message slab, and the drop and peak counters.
+//! and timer counters, a `BinaryHeap` of pending events, a clock source
+//! and a delay policy, the per-pair sequence numbers, the message slab,
+//! and the drop and peak counters.
 //! A [`crate::Simulation`] holds one partition per shard: one runs inline,
 //! several run the window protocol ([`crate::shard`]). A [`Frame`] holds
 //! what the engine keeps beside its partitions: the network, the
@@ -54,26 +54,30 @@ use crate::{NodeId, TimerId};
 pub(crate) type Part<M> =
     Partition<M, Box<dyn Node<M> + Send>, dyn ClockSource + Send, dyn DelayPolicy + Send>;
 
-/// The canonical key of simultaneous events ([`EventKind::tie_key`]).
-type TieKey = (NodeId, u8, u64, u64);
-
-/// A queued (not yet dispatched) event.
+/// A queued (not yet dispatched) event, packed into 40 bytes by
+/// [`Queued::new`] and unpacked by [`Queued::kind`].
 ///
-/// Deliveries carry an index into a slab instead of the payload, so the
-/// queue needs no message type parameter.
+/// Deliveries carry a slab index instead of the payload, so the queue
+/// needs no message type parameter. No two pending events share `(time,
+/// EventKind::tie_key)`: a node starts once, `seq` is unique per directed
+/// pair, timer ids are unique per node, and a dynamic topology emits at
+/// most one change per pair per instant. That key alone orders the queue.
 pub(crate) struct Queued {
     pub(crate) time: f64,
-    /// Monotonic tie-breaker making the dispatch order total and
-    /// deterministic.
-    tie: u64,
-    node: NodeId,
     /// The node's hardware reading at `time`, or NaN for a placeholder
     /// that dispatch resolves.
     hw: f64,
-    kind: QueuedKind,
+    /// `seq`, the timer id, or `up`.
+    wide: u64,
+    node: u32,
+    /// `from` or `peer`.
+    a: u32,
+    slot: u32,
+    /// Twice the [`EventKind::tie_key`] rank, plus one if a remote delivery.
+    tag: u8,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum QueuedKind {
     Start,
     /// A message sent inside this partition: `slot` indexes the message
@@ -113,24 +117,59 @@ impl QueuedKind {
     }
 }
 
+/// `value` as a `u32` queue field; panics, naming the value, if it does not fit.
+fn narrow(value: usize, what: &str) -> u32 {
+    u32::try_from(value).unwrap_or_else(|_| panic!("{what} {value} exceeds u32::MAX"))
+}
+
 impl Queued {
-    /// Canonical ordering key for simultaneous events — delegated to
-    /// [`EventKind::tie_key`], the single definition shared with the
-    /// retiming engine: insertion order depends on *when senders acted*,
-    /// which an execution re-timing changes, while the canonical key
-    /// depends only on data that indistinguishability preserves. This
-    /// makes replays of transformed executions order-identical to their
-    /// predictions even when two messages reach a node at exactly the
-    /// same instant, and makes the dispatch order independent of how the
-    /// nodes are partitioned.
-    fn tie_key(&self) -> TieKey {
-        self.kind.record_kind().tie_key(self.node)
+    #[inline]
+    pub(crate) fn new(time: f64, node: NodeId, hw: f64, kind: QueuedKind) -> Self {
+        let (tag, a, wide, slot) = match kind {
+            QueuedKind::Start => (0, 0, 0, 0),
+            QueuedKind::Deliver { from, seq, slot } => (2, from, seq, slot),
+            QueuedKind::DeliverRemote { from, seq, slot } => (3, from, seq, slot),
+            QueuedKind::Timer { id } => (4, 0, id, 0),
+            QueuedKind::TopoChange { peer, up } => (6, peer, u64::from(up), 0),
+        };
+        Self {
+            time,
+            hw,
+            wide,
+            node: narrow(node, "node id"),
+            a: narrow(a, "node id"),
+            slot: narrow(slot, "message slot"),
+            tag,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn kind(&self) -> QueuedKind {
+        let (from, seq, slot) = (self.a as NodeId, self.wide, self.slot as usize);
+        let up = seq != 0;
+        match self.tag {
+            0 => QueuedKind::Start,
+            2 => QueuedKind::Deliver { from, seq, slot },
+            3 => QueuedKind::DeliverRemote { from, seq, slot },
+            4 => QueuedKind::Timer { id: seq },
+            _ => QueuedKind::TopoChange { peer: from, up },
+        }
+    }
+
+    /// The canonical key, read in place: it ranks events exactly as
+    /// [`EventKind::tie_key`], the one definition shared with the retiming
+    /// engine, does (a timer's `(0, id)` as `(id, 0)`). Unlike insertion
+    /// order it survives a re-timing and ignores the partition, so replays
+    /// match their predictions and every shard count dispatches alike.
+    #[inline]
+    fn key(&self) -> (u32, u8, u32, u64) {
+        (self.node, self.tag >> 1, self.a, self.wide)
     }
 }
 
 impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.tie == other.tie
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Queued {}
@@ -140,6 +179,7 @@ impl PartialOrd for Queued {
     }
 }
 impl Ord for Queued {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want earliest-first.
         // Event times are validated finite before they enter the queue,
@@ -150,8 +190,7 @@ impl Ord for Queued {
             .time
             .partial_cmp(&self.time)
             .unwrap_or_else(|| other.time.total_cmp(&self.time))
-            .then_with(|| other.tie_key().cmp(&self.tie_key()))
-            .then_with(|| other.tie.cmp(&self.tie))
+            .then_with(|| other.key().cmp(&self.key()))
     }
 }
 
@@ -199,7 +238,7 @@ pub(crate) type StatusUpdate = (usize, usize, bool);
 #[derive(Clone, Copy)]
 pub(crate) struct MsgKey {
     send_time: f64,
-    sender_key: TieKey,
+    sender_key: (NodeId, u8, u64, u64),
     action_index: usize,
 }
 
@@ -230,12 +269,6 @@ pub(crate) enum Halt {
     Cap(EventRecord),
     /// A non-finite delay or timer target.
     Error(SimError),
-}
-
-impl From<SimError> for Halt {
-    fn from(e: SimError) -> Self {
-        Halt::Error(e)
-    }
 }
 
 /// The event-cap panic, raised where one partition raises it: at the
@@ -354,14 +387,8 @@ impl Frame {
         let starts = (0..self.topology.len()).map(|node| (0.0, node, 0.0, QueuedKind::Start));
         let changes = self.dynamic.iter().flat_map(|view| {
             view.edge_changes().iter().flat_map(|c| {
-                [(c.a, c.b), (c.b, c.a)].map(|(node, peer)| {
-                    (
-                        c.time,
-                        node,
-                        f64::NAN,
-                        QueuedKind::TopoChange { peer, up: c.up },
-                    )
-                })
+                let change = |peer| QueuedKind::TopoChange { peer, up: c.up };
+                [(c.a, c.b), (c.b, c.a)].map(|(node, peer)| (c.time, node, f64::NAN, change(peer)))
             })
         });
         starts.chain(changes)
@@ -527,7 +554,6 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     neighbors: Vec<Vec<NodeId>>,
     next_timer: Vec<TimerId>,
     pub(crate) queue: BinaryHeap<Queued>,
-    tie: u64,
     pub(crate) clock: Box<C>,
     delay: Box<D>,
     send_seq: SendSeq,
@@ -597,7 +623,6 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             neighbors,
             next_timer: vec![0; span.len()],
             queue: BinaryHeap::new(),
-            tie: 0,
             clock,
             delay,
             send_seq: SendSeq::new(span.len()),
@@ -630,15 +655,7 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
     /// Enqueues an event, maintaining the queue-depth high-water mark.
     #[inline]
     pub(crate) fn push(&mut self, time: f64, node: NodeId, hw: f64, kind: QueuedKind) {
-        let tie = self.tie;
-        self.tie += 1;
-        self.queue.push(Queued {
-            time,
-            tie,
-            node,
-            hw,
-            kind,
-        });
+        self.queue.push(Queued::new(time, node, hw, kind));
         self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
     }
 
@@ -750,13 +767,7 @@ where
         cap: u64,
         mut tracer: Option<&mut (dyn Tracer + 'static)>,
     ) -> Result<Option<EventRecord>, Halt> {
-        let Queued {
-            time,
-            node,
-            hw,
-            kind,
-            ..
-        } = ev;
+        let (time, node, hw, kind) = (ev.time, ev.node as NodeId, ev.hw, ev.kind());
         let local = env.placement.position(node) - self.span.start;
         // In dynamic mode a message only crosses a *tracked* link that
         // stays up from send to arrival; the churn timeline is known in
@@ -936,10 +947,7 @@ where
             self.push(fire_time, node, target_hw, QueuedKind::Timer { id });
         }
         self.actions = actions;
-        match err {
-            Some(e) => Err(e.into()),
-            None => Ok(Some(record)),
-        }
+        err.map_or(Ok(Some(record)), |e| Err(Halt::Error(e)))
     }
 
     /// Sends one message: sequence number, delay draw, trace, message
@@ -1091,15 +1099,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn ev(time: f64, tie: u64) -> Queued {
-        Queued {
-            time,
-            tie,
-            node: 0,
-            hw: 0.0,
-            kind: QueuedKind::Start,
-        }
+    fn ev(time: f64, node: NodeId) -> Queued {
+        Queued::new(time, node, 0.0, QueuedKind::Start)
     }
 
     #[test]
@@ -1116,11 +1119,94 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "message slot 4294967296 exceeds u32::MAX")]
+    fn a_field_past_u32_panics_naming_its_value() {
+        let slot = u32::MAX as usize + 1;
+        let _ = Queued::new(
+            0.0,
+            0,
+            0.0,
+            QueuedKind::Deliver {
+                from: 0,
+                seq: 0,
+                slot,
+            },
+        );
+    }
+
+    /// Ids and seqs at the edges of the packed fields, and few enough
+    /// distinct values that keys and times collide often.
+    const IDS: [usize; 4] = [0, 1, u32::MAX as usize - 1, u32::MAX as usize];
+    const WIDE: [u64; 4] = [0, 1, u32::MAX as u64, u64::MAX];
+    const TIMES: [f64; 3] = [0.0, 1.0, 2.5];
+
+    /// `(time, node, kind)` from indices into the pools above.
+    fn event((k, t, (n, a, w)): (u8, u8, (u8, u8, u8))) -> (f64, NodeId, QueuedKind) {
+        let (a, w) = (IDS[usize::from(a)], WIDE[usize::from(w)]);
+        let slot = IDS[usize::from(n ^ 1)];
+        let kind = match k {
+            0 => QueuedKind::Start,
+            1 => QueuedKind::Deliver {
+                from: a,
+                seq: w,
+                slot,
+            },
+            2 => QueuedKind::DeliverRemote {
+                from: a,
+                seq: w,
+                slot,
+            },
+            3 => QueuedKind::Timer { id: w },
+            _ => QueuedKind::TopoChange {
+                peer: a,
+                up: w % 2 == 1,
+            },
+        };
+        (TIMES[usize::from(t)], IDS[usize::from(n)], kind)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The packed comparator is the heap order of `(time,
+        // EventKind::tie_key)`, earliest first, and packing loses nothing.
+        fn packed_order_is_the_canonical_order(
+            raw in proptest::collection::vec((0u8..5, 0u8..3, (0u8..4, 0u8..4, 0u8..4)), 1..16),
+        ) {
+            let events: Vec<_> = raw.into_iter().map(event).collect();
+            for &(t, node, kind) in &events {
+                let q = Queued::new(t, node, 7.5, kind);
+                prop_assert_eq!(q.kind(), kind);
+                prop_assert_eq!((q.time, q.node as NodeId, q.hw), (t, node, 7.5));
+                // A local and a remote delivery with one key tie.
+                let twin = match kind {
+                    QueuedKind::Deliver { from, seq, slot } => {
+                        QueuedKind::DeliverRemote { from, seq, slot }
+                    }
+                    QueuedKind::DeliverRemote { from, seq, slot } => {
+                        QueuedKind::Deliver { from, seq, slot: slot ^ 1 }
+                    }
+                    other => other,
+                };
+                prop_assert!(q == Queued::new(t, node, 0.0, twin));
+                for &(u, other, kind2) in &events {
+                    let expected = u.total_cmp(&t).then_with(|| {
+                        let (x, y) = (kind.record_kind(), kind2.record_kind());
+                        y.tie_key(other).cmp(&x.tie_key(node))
+                    });
+                    let got = q.cmp(&Queued::new(u, other, 0.0, kind2));
+                    prop_assert_eq!(got, expected, "{:?} at {} against {:?} at {}", kind, node, kind2, other);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn queued_event_and_record_sizes_are_unchanged() {
-        // A cross-partition delivery carries a slab index, not the
-        // payload, so the queued event is the same 64 bytes for every
-        // message type, and the recorded event stays 48.
-        assert_eq!(std::mem::size_of::<Queued>(), 64);
+        // A delivery carries a slab index, not the payload, and ids pack
+        // into u32 fields, so the queued event is the same 40 bytes for
+        // every message type, and the recorded event stays 48.
+        assert_eq!(std::mem::size_of::<Queued>(), 40);
         assert_eq!(std::mem::size_of::<EventRecord>(), 48);
         // A streamed message in flight keeps only its send time and
         // payload.
