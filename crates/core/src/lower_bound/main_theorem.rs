@@ -47,9 +47,14 @@ pub struct MainTheoremConfig {
     pub shrink: f64,
     /// Extension length as a multiple of `τ·n_{k+1}` (the paper uses 1).
     pub extension_factor: f64,
-    /// Extra extension padding, in units of the maximum neighbor distance,
-    /// that lets boundary messages drain before the next nominal window
-    /// begins (so the next round's preconditions hold exactly). Default 2.
+    /// Real time added to each round's extension past the re-timed
+    /// execution's horizon, so that the messages in flight there arrive
+    /// before the next nominal window begins (the next round's
+    /// preconditions then hold exactly). A message takes at most its
+    /// pair's distance, and line neighbours are one unit apart, so the
+    /// default 2 covers neighbour-only traffic. An algorithm that messages
+    /// farther pairs (`rbs`, `tree-sync`) needs the largest such distance,
+    /// or Add Skew rejects its next round. Default 2.
     pub drain_pad: f64,
     /// Hard cap on rounds.
     pub max_rounds: usize,

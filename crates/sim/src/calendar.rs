@@ -1,6 +1,7 @@
-//! A bucketed calendar queue. No engine uses it: both dispatch from a
-//! `BinaryHeap`, which measured level on the hold model and ahead end to
-//! end. It is kept, public, only for the benchmark's hold-model metric,
+//! A bucketed calendar queue. No engine uses it: each partition dispatches
+//! from a `BinaryHeap` of the events its current run call can reach, the
+//! rest waiting unsorted beside it, and the heap measured level with this
+//! queue on the hold model and ahead end to end. It is kept, public, only for the benchmark's hold-model metric,
 //! which compares the two queues.
 //!
 //! A calendar queue spreads items over an array of time buckets (one

@@ -513,8 +513,9 @@ impl<M: Clone> Part<M> {
         observers: &mut [&mut dyn Observer],
     ) -> Result<(), SimError> {
         let (started, probe_ns) = (Instant::now(), frame.probe_ns);
+        self.queue.admit(horizon);
         let result = loop {
-            let Some(next_time) = self.next_time() else {
+            let Some(next_time) = self.queue.next_time() else {
                 break Ok(());
             };
             if next_time > horizon {

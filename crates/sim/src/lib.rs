@@ -109,8 +109,9 @@
 //! # Sharded parallel runs
 //!
 //! [`SimulationBuilder::shards`] splits the topology into that many
-//! partitions, each one dispatch core with its own `BinaryHeap` of pending
-//! events. One partition (the default) dispatches inline on the calling
+//! partitions, each one dispatch core with its own queue of pending events:
+//! a heap of those the current run call can reach, and an unsorted list of
+//! the rest. One partition (the default) dispatches inline on the calling
 //! thread. Several dispatch in parallel on scoped threads, in
 //! conservative windows set by the delay policy's
 //! [`gcs_net::DelayPolicy::min_delay_bound`] lookahead, and need a clock

@@ -2,8 +2,9 @@
 //!
 //! A [`Partition`] owns a member set of nodes, ascending by id, which
 //! [`crate::placement`] assigns: their node states, live neighbour lists
-//! and timer counters, a `BinaryHeap` of pending events, a clock source
-//! and a delay policy, the per-pair sequence numbers, the message slab,
+//! and timer counters, its pending events ([`EventQueue`]: a heap of those
+//! the current run call can reach, an unsorted list of the rest), a clock
+//! source and a delay policy, the per-pair sequence numbers, the message slab,
 //! and the drop and peak counters.
 //! A [`crate::Simulation`] holds one partition per shard: one runs inline,
 //! several run the window protocol ([`crate::shard`]). A [`Frame`] holds
@@ -191,6 +192,85 @@ impl Ord for Queued {
             .partial_cmp(&self.time)
             .unwrap_or_else(|| other.time.total_cmp(&self.time))
             .then_with(|| other.key().cmp(&self.key()))
+    }
+}
+
+/// A partition's pending events in two tiers split at the current run
+/// call's horizon: a heap of those at or before `split`, which the call can
+/// reach, and the rest unsorted in `far`, earliest at `far_min`. Every
+/// `near` event precedes every `far` one and `(time, tie_key)` is a total
+/// order, so pops match one heap over both, yet sift only `near`.
+pub(crate) struct EventQueue {
+    near: BinaryHeap<Queued>,
+    far: Vec<Queued>,
+    split: f64,
+    far_min: f64,
+}
+
+impl EventQueue {
+    pub(crate) fn new() -> Self {
+        Self {
+            near: BinaryHeap::new(),
+            far: Vec::new(),
+            split: f64::NEG_INFINITY,
+            far_min: f64::INFINITY,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.near.len() + self.far.len()
+    }
+
+    #[inline]
+    pub(crate) fn push(&mut self, ev: Queued) {
+        debug_assert!(!ev.time.is_nan(), "a NaN event time reached the queue");
+        // IEEE `<=`: -0.0 and 0.0 tie in the heap, so they share a tier.
+        if ev.time <= self.split {
+            self.near.push(ev);
+        } else {
+            self.far_min = self.far_min.min(ev.time);
+            self.far.push(ev);
+        }
+    }
+
+    /// Raises the split to `limit` (never lowers it), moving the far events now due into the heap.
+    pub(crate) fn admit(&mut self, limit: f64) {
+        if limit <= self.split {
+            return;
+        }
+        self.split = limit;
+        if self.far_min > limit {
+            return;
+        }
+        let (mut i, mut far_min) = (0, f64::INFINITY);
+        while let Some(ev) = self.far.get(i) {
+            if ev.time <= limit {
+                self.near.push(self.far.swap_remove(i));
+            } else {
+                far_min = far_min.min(ev.time);
+                i += 1;
+            }
+        }
+        self.far_min = far_min;
+    }
+
+    /// Time of the next pending event.
+    #[inline]
+    pub(crate) fn next_time(&self) -> Option<f64> {
+        match self.near.peek() {
+            Some(ev) => Some(ev.time),
+            None => (!self.far.is_empty()).then_some(self.far_min),
+        }
+    }
+
+    /// The earliest event. With the heap empty it admits the far tier's
+    /// earliest time first, so order never depends on a caller's `admit`.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<Queued> {
+        if self.near.is_empty() && !self.far.is_empty() {
+            self.admit(self.far_min);
+        }
+        self.near.pop()
     }
 }
 
@@ -553,7 +633,7 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) nodes: Vec<N>,
     neighbors: Vec<Vec<NodeId>>,
     next_timer: Vec<TimerId>,
-    pub(crate) queue: BinaryHeap<Queued>,
+    pub(crate) queue: EventQueue,
     pub(crate) clock: Box<C>,
     delay: Box<D>,
     send_seq: SendSeq,
@@ -622,7 +702,7 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             nodes,
             neighbors,
             next_timer: vec![0; span.len()],
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             clock,
             delay,
             send_seq: SendSeq::new(span.len()),
@@ -644,12 +724,6 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             peak_in_flight: 0,
             counters: ShardCounters::default(),
         }
-    }
-
-    /// Time of the next pending event.
-    #[inline]
-    pub(crate) fn next_time(&self) -> Option<f64> {
-        self.queue.peek().map(|ev| ev.time)
     }
 
     /// Enqueues an event, maintaining the queue-depth high-water mark.
@@ -1198,6 +1272,50 @@ mod tests {
                     prop_assert_eq!(got, expected, "{:?} at {} against {:?} at {}", kind, node, kind2, other);
                 }
             }
+        }
+    }
+
+    /// What a pop returned, with times by their bits.
+    fn popped(ev: Option<Queued>) -> Option<(u64, u64, u32, QueuedKind)> {
+        ev.map(|q| (q.time.to_bits(), q.hw.to_bits(), q.node, q.kind()))
+    }
+
+    /// Event times and admit limits, few enough that times tie often and
+    /// limits fall below, at and above the split.
+    const GRID: [f64; 6] = [-0.0, 0.0, 0.5, 1.0, 1.5, 2.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The two tiers pop what one heap over the same pushes pops,
+        // whatever the admits.
+        fn event_queue_pops_as_one_heap(
+            ops in proptest::collection::vec((0u8..5, 0usize..6, 0usize..3), 1..64),
+        ) {
+            let (mut queue, mut heap) = (EventQueue::new(), BinaryHeap::new());
+            for (i, (op, t, node)) in ops.into_iter().enumerate() {
+                match op {
+                    0..=2 => {
+                        // A unique `wide` keeps every key distinct.
+                        let kind = if op == 0 {
+                            QueuedKind::Timer { id: i as u64 }
+                        } else {
+                            QueuedKind::Deliver { from: node ^ 1, seq: i as u64, slot: i }
+                        };
+                        let push = || Queued::new(GRID[t], node, i as f64, kind);
+                        queue.push(push());
+                        heap.push(push());
+                    }
+                    3 => queue.admit(GRID[t]),
+                    _ => prop_assert_eq!(popped(queue.pop()), popped(heap.pop())),
+                }
+                prop_assert_eq!(queue.next_time(), heap.peek().map(|q| q.time));
+                prop_assert_eq!(queue.len(), heap.len());
+            }
+            while !heap.is_empty() {
+                prop_assert_eq!(popped(queue.pop()), popped(heap.pop()));
+            }
+            prop_assert!(queue.pop().is_none());
         }
     }
 

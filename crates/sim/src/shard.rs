@@ -4,7 +4,7 @@
 //! # The window protocol
 //!
 //! The topology is split into `k` member sets, each one dispatch core
-//! ([`crate::partition`]) with its own `BinaryHeap` of pending events, a
+//! ([`crate::partition`]) with its own two-tier queue of pending events, a
 //! forked clock source and a forked delay policy. The sets are
 //! breadth-first chunks of the static base graph ([`crate::placement`]):
 //! on a spatial graph each is a region, so few sends cross shards, and
@@ -203,15 +203,17 @@ impl<M: Clone> Part<M> {
         cap: u64,
     ) -> Result<(), SimError> {
         let started = Instant::now();
+        self.queue.admit(horizon);
         if !env.record_events {
             // No query in this or any later window reaches behind the
             // window start; a windowing clock fork can drop the past.
-            if let Some(t) = self.next_time() {
+            if let Some(t) = self.queue.next_time() {
                 self.clock.compact_before(t);
             }
         }
+        let due = |t: f64| t < end && t <= horizon;
         let result = loop {
-            if !self.next_time().is_some_and(|t| t < end && t <= horizon) {
+            if !self.queue.next_time().is_some_and(due) {
                 break Ok(());
             }
             let ev = self.queue.pop().expect("peeked above");
@@ -279,7 +281,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
         while let Some(t_min) = self
             .parts
             .iter()
-            .filter_map(|s| s.next_time())
+            .filter_map(|s| s.queue.next_time())
             .min_by(f64::total_cmp)
         {
             if t_min > horizon {
@@ -361,7 +363,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
                                 shard.drain(&mut lock(&mailboxes[i]));
                                 Ok(())
                             });
-                            let next = shard.next_time().unwrap_or(f64::INFINITY);
+                            let next = shard.queue.next_time().unwrap_or(f64::INFINITY);
                             next_times[i].store(next.to_bits(), MemOrder::SeqCst);
                             counts[i].store(shard.dispatched - start, MemOrder::SeqCst);
                             if failure.is_some() || shard.overrun.is_some() {

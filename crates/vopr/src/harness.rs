@@ -14,7 +14,8 @@
 //!    bound, not the paper's tight bound).
 //! 5. **weak-gradient / stabilization** — the two-tier dynamic bounds
 //!    (churned runs only; stabilization only when a stable edge exists).
-//! 6. **streaming** — live observers ≡ post-hoc replay, bit for bit.
+//! 6. **streaming** — live observers ≡ post-hoc replay, bit for bit, with
+//!    the live run cut into seed-chosen run calls.
 //! 7. **retiming** — the identity re-timing reproduces the execution:
 //!    fingerprint-bitwise under nominal rates, observation-
 //!    indistinguishable under drift.
@@ -47,6 +48,8 @@ use gcs_testkit::{
     assert_weak_gradient_property, fingerprint, for_each_live_edge_sample, streamed_metrics,
     DriftSpec, StreamedMetrics,
 };
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Knobs for one check run.
 #[derive(Debug, Clone, Copy)]
@@ -361,15 +364,25 @@ fn check_mainstream(
     }
 
     // 6. Streaming ≡ post-hoc: the same observers over the same probe
-    // grid, live (recording off) vs replayed from the record.
+    // grid, live (recording off) vs replayed from the record. The live run
+    // goes to the horizon in one to four seed-chosen run calls, since each
+    // call moves the queue's split between its tiers.
     let (live, streamed) = guard(seed, "streaming", || {
         let mut sim = scenario
             .clone()
             .record_events(false)
             .build_with(sc.make_nodes());
         sim.set_probe_schedule(sc.probe_from, sc.probe_every);
+        let mut rng = StdRng::seed_from_u64(!seed);
+        let mut calls: Vec<f64> = (0..rng.random_range(0..4u32))
+            .map(|_| rng.random_range(0.0..=sc.horizon))
+            .collect();
+        calls.sort_by(f64::total_cmp);
+        calls.push(sc.horizon);
         StreamedMetrics::collect(1.0, |observers| {
-            sim.try_run_until_observed(sc.horizon, observers)
+            calls
+                .iter()
+                .try_for_each(|&until| sim.try_run_until_observed(until, observers))
         })
     })?;
     streamed.map_err(|e| fail(seed, "streaming", format!("streaming run failed: {e}")))?;

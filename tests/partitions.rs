@@ -18,6 +18,7 @@ use gradient_clock_sync::sim::{
     Execution, MessageStatus, SimError, Simulation, SimulationBuilder, TraceEvent,
 };
 use gradient_clock_sync::telemetry::TraceRecorder;
+use proptest::prelude::*;
 
 /// An eager clock source that cannot fork.
 struct NoForkClock(EagerSchedule);
@@ -293,4 +294,44 @@ fn one_partition_accounts_one_window_per_run_call() {
         )
     };
     assert_eq!(account(two), account(stats));
+}
+
+/// The run calls of [`run_calls_slice_nothing`]: ascending seed-chosen
+/// cuts, one of them repeated and followed by a horizon below it, then the
+/// scenario's horizon.
+fn run_calls(mut cuts: Vec<f64>, at: usize) -> Vec<f64> {
+    cuts.sort_by(f64::total_cmp);
+    let at = at % cuts.len();
+    let (repeat, below) = (cuts[at], cuts[at] * 0.5);
+    cuts.splice(at + 1..at + 1, [repeat, below]);
+    cuts.push(40.0);
+    cuts
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // How a run is cut into run calls changes nothing it records or
+    // counts: the execution, the dispatched and still-queued events and
+    // the queue's high-water mark equal those of one call.
+    fn run_calls_slice_nothing(
+        cuts in proptest::collection::vec(0.0f64..40.0, 1..6),
+        at in 0usize..8,
+    ) {
+        let scenario = lossy_churn();
+        let kind = scenario.algorithm_kind();
+        let calls = run_calls(cuts, at);
+        for k in [1, 2] {
+            let run = |horizons: &[f64]| {
+                let mut sim = scenario.build_sharded_with(k, |id, n| kind.build(id, n));
+                for &until in horizons {
+                    sim.try_run_until_observed(until, &mut []).unwrap();
+                }
+                let s = sim.stats();
+                let account = (s.dispatched, s.queued_events, s.peak_queued_events);
+                (digest(&sim.into_execution()), account)
+            };
+            prop_assert_eq!(run(&calls), run(&[40.0]), "k = {}, calls {:?}", k, calls);
+        }
+    }
 }
