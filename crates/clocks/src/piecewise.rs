@@ -255,50 +255,6 @@ impl PiecewiseLinear {
             self.points.drain(..idx);
         }
     }
-
-    /// Composes `self` with a monotone re-timing map: returns `g` such that
-    /// `g(x) = self(map(x))`, where `map` is a nondecreasing
-    /// [`PiecewiseLinear`] from new domain to old domain. Breakpoints of the
-    /// result are the union of `map`'s breakpoints and the preimages of
-    /// `self`'s breakpoints.
-    ///
-    /// This is the operation that transports a logical-clock trajectory
-    /// `L(H)` through a hardware-clock re-timing in the lower-bound
-    /// constructions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` is decreasing somewhere, or if `map`'s range falls
-    /// below `self.start()`.
-    #[must_use]
-    pub fn compose_with_map(&self, map: &PiecewiseLinear) -> PiecewiseLinear {
-        let mut xs: Vec<f64> = map.points.iter().map(|p| p.x).collect();
-        for p in &self.points {
-            if p.x >= map.value_at(map.start()) {
-                let pre = map.inverse_at(p.x);
-                xs.push(pre);
-            }
-        }
-        xs.retain(|x| x.is_finite() && *x >= map.start());
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        xs.dedup();
-
-        let x0 = xs[0];
-        let mut out = PiecewiseLinear::new(
-            x0,
-            self.value_at(map.value_at(x0)),
-            self.slope_at(map.value_at(x0)) * map.slope_at(x0),
-        );
-        for &x in &xs[1..] {
-            let inner = map.value_at(x);
-            out.push(
-                x,
-                self.value_at(inner),
-                self.slope_at(inner) * map.slope_at(x),
-            );
-        }
-        out
-    }
 }
 
 impl fmt::Display for PiecewiseLinear {
@@ -339,6 +295,37 @@ impl PiecewiseLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `f` composed with a monotone re-timing map: `g` such that
+    /// `g(x) = f(map(x))`, where `map` is a nondecreasing
+    /// [`PiecewiseLinear`] from new domain to old domain. Breakpoints of the
+    /// result are the union of `map`'s breakpoints and the preimages of
+    /// `f`'s breakpoints. It exercises `inverse_at`, `value_at` and
+    /// `slope_at` together.
+    fn compose_with_map(f: &PiecewiseLinear, map: &PiecewiseLinear) -> PiecewiseLinear {
+        let mut xs: Vec<f64> = map.points.iter().map(|p| p.x).collect();
+        for p in &f.points {
+            if p.x >= map.value_at(map.start()) {
+                let pre = map.inverse_at(p.x);
+                xs.push(pre);
+            }
+        }
+        xs.retain(|x| x.is_finite() && *x >= map.start());
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        xs.dedup();
+
+        let x0 = xs[0];
+        let mut out = PiecewiseLinear::new(
+            x0,
+            f.value_at(map.value_at(x0)),
+            f.slope_at(map.value_at(x0)) * map.slope_at(x0),
+        );
+        for &x in &xs[1..] {
+            let inner = map.value_at(x);
+            out.push(x, f.value_at(inner), f.slope_at(inner) * map.slope_at(x));
+        }
+        out
+    }
 
     fn staircase() -> PiecewiseLinear {
         let mut f = PiecewiseLinear::new(0.0, 0.0, 1.0);
@@ -434,7 +421,7 @@ mod tests {
     fn compose_with_identity_is_identity() {
         let f = staircase();
         let id = PiecewiseLinear::new(0.0, 0.0, 1.0);
-        let g = f.compose_with_map(&id);
+        let g = compose_with_map(&f, &id);
         for x in [0.0, 3.0, 10.0, 17.2, 25.0] {
             assert!((g.value_at(x) - f.value_at(x)).abs() < 1e-12);
         }
@@ -445,7 +432,7 @@ mod tests {
         // f(x) = 2x; map(x) = x/2 starting at 0 => g(x) = x.
         let f = PiecewiseLinear::new(0.0, 0.0, 2.0);
         let map = PiecewiseLinear::new(0.0, 0.0, 0.5);
-        let g = f.compose_with_map(&map);
+        let g = compose_with_map(&f, &map);
         for x in [0.0, 1.0, 7.5] {
             assert!((g.value_at(x) - x).abs() < 1e-12);
         }
@@ -456,7 +443,7 @@ mod tests {
         // f has a slope change at 10; map(x) = x + 5, so g changes slope at 5.
         let f = staircase();
         let map = PiecewiseLinear::new(0.0, 5.0, 1.0);
-        let g = f.compose_with_map(&map);
+        let g = compose_with_map(&f, &map);
         assert_eq!(g.slope_at(4.0), 1.0);
         assert_eq!(g.slope_at(6.0), 2.0);
         assert!((g.value_at(5.0) - f.value_at(10.0)).abs() < 1e-12);

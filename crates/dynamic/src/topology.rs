@@ -93,11 +93,10 @@ impl std::error::Error for DynamicTopologyError {}
 /// bounds) are fixed per pair, but the communication graph changes. The
 /// view shares the base topology and records up-intervals only for the
 /// *touched* pairs — those an edge event names, plus the base pairs at a
-/// node that joins or leaves — in one flat array, with each node's
-/// activity flips beside them. Every other base pair is live throughout,
-/// so liveness and formation-time queries are a binary search over one
-/// pair's history, and memory is `O(n + churn events)` however many
-/// instants the schedule has.
+/// node that joins or leaves — in one flat array. Every other base pair
+/// is live throughout, so liveness and formation-time queries are a
+/// binary search over one pair's history, and memory is `O(n + churn
+/// events)` however many instants the schedule has.
 ///
 /// Initially every base-topology neighbor pair is live; an edge inserted
 /// by churn between non-adjacent base nodes uses the base distance for
@@ -133,7 +132,9 @@ pub struct DynamicTopology {
     offsets: Vec<usize>,
     spans: Vec<(f64, f64)>,
     /// `(node, time)` of every change of a node's activity, sorted; a
-    /// node absent from the start flips at `NEG_INFINITY`.
+    /// node absent from the start flips at `NEG_INFINITY`. Only the unit
+    /// tests read it, through `active_at`.
+    #[cfg(test)]
     flips: Vec<(usize, f64)>,
     /// Per node: whether it is an endpoint of some tracked pair whose
     /// history is anything but the single interval `(-inf, +inf)`. A pair
@@ -265,6 +266,7 @@ impl DynamicTopology {
             dirty.clear();
             moved.clear();
         }
+        #[cfg(test)]
         flips.sort_by_key(|&(node, _)| node);
         spans.retain(|&(_, start, end)| start < end);
         spans.sort_by_key(|&(k, _, _)| k);
@@ -283,6 +285,7 @@ impl DynamicTopology {
                 .collect(),
             touched,
             incident,
+            #[cfg(test)]
             flips,
             churned: vec![false; n],
         };
@@ -378,8 +381,8 @@ impl DynamicTopology {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn active_at(&self, i: usize, t: f64) -> bool {
+    #[cfg(test)]
+    fn active_at(&self, i: usize, t: f64) -> bool {
         assert!(i < self.len(), "node index out of range");
         let flips = run_of(&self.flips, i, |f| f.0);
         flips.partition_point(|&(_, at)| at <= t) % 2 == 0

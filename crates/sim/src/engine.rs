@@ -389,12 +389,14 @@ impl SimulationBuilder {
 /// ([`SimulationBuilder::record_events`]`(false)`) `message_slots` is
 /// bounded by the peak number of simultaneously in-flight messages and
 /// `recorded_events` stays 0 — the counters a flat-memory assertion
-/// checks. A streamed message in flight holds one queued delivery and one
-/// slot of its send time and payload; the receiver's hardware reading at
-/// arrival is taken when the delivery dispatches. With several partitions
-/// each count is summed over them; so are the high-water marks of queued
-/// events and message slots, which then bound the simultaneous peak from
-/// above.
+/// checks. A streamed message in flight holds one queued delivery and a
+/// slot of its send time and payload, which the local deliveries of one
+/// broadcast ([`crate::Context::send_to_neighbors`]) share; the
+/// receiver's hardware reading at arrival is taken when the delivery
+/// dispatches. The slot counters count messages, not shared slots. With
+/// several partitions each count is summed over them; so are the
+/// high-water marks of queued events and message slots, which then bound
+/// the simultaneous peak from above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimStats {
     /// Events dispatched so far (the quantity the event cap bounds).
@@ -404,10 +406,12 @@ pub struct SimStats {
     /// Event records retained for the final [`Execution`].
     pub recorded_events: usize,
     /// Message slots allocated (recording mode: records in the message
-    /// log, one per message sent; streaming mode: in-flight slots, as many
-    /// as the peak number in flight).
+    /// log, one per message sent; streaming mode: the peak number of
+    /// messages in flight, a broadcast's messages counted one by one
+    /// although they share one slot).
     pub message_slots: usize,
-    /// Of those, slots free for reuse (streaming mode only).
+    /// Of those, slots free for reuse (streaming mode only): the peak less
+    /// the messages now in flight.
     pub free_message_slots: usize,
     /// Total logical-trajectory breakpoints currently held.
     pub trajectory_breakpoints: usize,

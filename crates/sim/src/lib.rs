@@ -91,7 +91,10 @@
 //! skew, gradient profiles, validity — during the run at a configurable
 //! probe cadence; with [`SimulationBuilder::record_events`]`(false)` such
 //! metric runs hold memory proportional to the network's in-flight state,
-//! not the execution's length. The same observers replay over recorded
+//! not the execution's length: a queued delivery per message in flight
+//! and a slot of send time and payload per message, or per broadcast
+//! ([`Context::send_to_neighbors`]), whose local deliveries share one. The
+//! same observers replay over recorded
 //! executions via [`observe_execution`], so streaming and post-hoc metrics
 //! are one implementation.
 //!

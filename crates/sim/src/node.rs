@@ -58,7 +58,7 @@ impl<M, N: Node<M> + ?Sized> Node<M> for Box<N> {
 /// the whole run instead of per callback.
 #[derive(Debug)]
 pub(crate) struct Actions<M> {
-    pub sends: Vec<(NodeId, M)>,
+    pub sends: Vec<Outgoing<M>>,
     pub timers: Vec<(TimerId, f64)>,
 }
 
@@ -69,6 +69,15 @@ impl<M> Default for Actions<M> {
             timers: Vec::new(),
         }
     }
+}
+
+/// One buffered send: to one node, or one payload to every neighbour (a
+/// [`Context::send_to_neighbors`] broadcast, whose streamed local
+/// deliveries share one in-flight slot).
+#[derive(Debug, PartialEq)]
+pub(crate) enum Outgoing<M> {
+    To(NodeId, M),
+    Neighbors(M),
 }
 
 /// The interface through which a [`Node`] observes and affects the world
@@ -202,7 +211,7 @@ impl<'a, M> Context<'a, M> {
     pub fn send(&mut self, to: NodeId, msg: M) {
         assert!(to < self.n, "node index out of range");
         assert!(to != self.id, "a node cannot send to itself");
-        self.actions.sends.push((to, msg));
+        self.actions.sends.push(Outgoing::To(to, msg));
     }
 
     /// Sends a clone of `msg` to every neighbor.
@@ -210,9 +219,7 @@ impl<'a, M> Context<'a, M> {
     where
         M: Clone,
     {
-        for &n in self.neighbors {
-            self.actions.sends.push((n, msg.clone()));
-        }
+        self.actions.sends.push(Outgoing::Neighbors(msg.clone()));
     }
 
     /// Schedules a timer to fire when this node's hardware clock has
@@ -254,10 +261,7 @@ mod tests {
     fn logical_clock_reads_through_trajectory() {
         let mut traj = PiecewiseLinear::new(0.0, 0.0, 1.0);
         let mut next = 0;
-        let mut actions = Actions {
-            sends: vec![],
-            timers: vec![],
-        };
+        let mut actions = Actions::default();
         let neighbors = [0, 2];
         let topology = Topology::line(3);
         let mut ctx = ctx_fixture(&mut traj, &mut next, &mut actions, &neighbors, &topology);
@@ -275,10 +279,7 @@ mod tests {
     fn sends_and_timers_are_buffered() {
         let mut traj = PiecewiseLinear::new(0.0, 0.0, 1.0);
         let mut next = 0;
-        let mut actions = Actions {
-            sends: vec![],
-            timers: vec![],
-        };
+        let mut actions = Actions::default();
         let neighbors = [0, 2];
         let topology = Topology::line(3);
         let mut ctx = ctx_fixture(&mut traj, &mut next, &mut actions, &neighbors, &topology);
@@ -288,7 +289,10 @@ mod tests {
         let t1 = ctx.set_timer(0.5);
         assert_eq!((t0, t1), (0, 1));
         let _ = ctx;
-        assert_eq!(actions.sends, vec![(0, 42), (0, 7), (2, 7)]);
+        assert_eq!(
+            actions.sends,
+            vec![Outgoing::To(0, 42), Outgoing::Neighbors(7)]
+        );
         assert_eq!(actions.timers, vec![(0, 7.5), (1, 5.5)]);
     }
 
@@ -297,10 +301,7 @@ mod tests {
     fn self_send_panics() {
         let mut traj = PiecewiseLinear::new(0.0, 0.0, 1.0);
         let mut next = 0;
-        let mut actions = Actions {
-            sends: vec![],
-            timers: vec![],
-        };
+        let mut actions = Actions::default();
         let neighbors = [0, 2];
         let topology = Topology::line(3);
         let mut ctx = ctx_fixture(&mut traj, &mut next, &mut actions, &neighbors, &topology);
@@ -312,10 +313,7 @@ mod tests {
     fn nonpositive_timer_panics() {
         let mut traj = PiecewiseLinear::new(0.0, 0.0, 1.0);
         let mut next = 0;
-        let mut actions = Actions {
-            sends: vec![],
-            timers: vec![],
-        };
+        let mut actions = Actions::default();
         let neighbors = [0, 2];
         let topology = Topology::line(3);
         let mut ctx = ctx_fixture(&mut traj, &mut next, &mut actions, &neighbors, &topology);
@@ -326,10 +324,7 @@ mod tests {
     fn distance_lookup() {
         let mut traj = PiecewiseLinear::new(0.0, 0.0, 1.0);
         let mut next = 0;
-        let mut actions: Actions<u8> = Actions {
-            sends: vec![],
-            timers: vec![],
-        };
+        let mut actions: Actions<u8> = Actions::default();
         let neighbors = [0, 2];
         let topology = Topology::from_matrix(
             vec![0.0, 1.5, 4.0, 1.5, 0.0, 2.5, 4.0, 2.5, 0.0],

@@ -15,14 +15,17 @@
 //! and the tracer. Per-node state inside a partition is indexed by the
 //! node's position less the partition's first position.
 //!
-//! A message in flight holds one queued delivery and one slot. When
+//! A message in flight holds one queued delivery and a slot. When
 //! recording, a local send's slot is its record in the message log.
 //! Otherwise, and for every message a partition receives from another,
 //! the slot is an [`InFlight`]: the send time and the payload, all a
-//! delivery reads. The hardware reading at arrival is part of the log,
-//! taken at send; a streaming delivery of a delay draw queues a
-//! placeholder and reads the receiver's clock when it is dispatched, so a
-//! message dropped in flight or still in flight at the end never reads it.
+//! delivery reads. The local streamed sends of one broadcast
+//! ([`Context::send_to_neighbors`]) share one such slot, which counts
+//! their pending deliveries and is freed when the last one settles. The
+//! hardware reading at arrival is part of the log, taken at send; a
+//! streaming delivery of a delay draw queues a placeholder and reads the
+//! receiver's clock when it is dispatched, so a message dropped in flight
+//! or still in flight at the end never reads it.
 //!
 //! The engine instantiates the partition with `Send` boxes ([`Part`]), so
 //! that several partitions can move onto worker threads. The per-event
@@ -42,7 +45,7 @@ use gcs_net::{DelayOutcome, DelayPolicy, Topology};
 use crate::engine::SimError;
 use crate::event::{EventKind, EventRecord, MessageRecord, MessageStatus};
 use crate::execution::Execution;
-use crate::node::{Actions, Context, Node};
+use crate::node::{Actions, Context, Node, Outgoing};
 use crate::observer::{Observer, Probe};
 use crate::placement::Placement;
 use crate::send_seq::SendSeq;
@@ -642,10 +645,12 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     /// Merge keys, parallel to `messages`: kept only when recording with
     /// more than one partition.
     pub(crate) msg_keys: Option<Vec<MsgKey>>,
-    /// Messages in flight that the log does not serve, and their free
-    /// slots: a delivered or dropped message's slot is reused by a later
-    /// one, bounding the slab by the peak in-flight count.
+    /// Messages in flight that the log does not serve, the deliveries each
+    /// slot still owes (several for a broadcast), and the free slots: a slot
+    /// whose last delivery settled is reused by a later message, bounding
+    /// the slab by the peak in-flight count.
     in_flight: Vec<InFlight<M>>,
+    pending: Vec<u32>,
     free_in_flight: Vec<usize>,
     /// The sender's `(partition, log slot)` of each in-flight slot, kept
     /// only where `msg_keys` is.
@@ -666,8 +671,9 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) dropped_loss: u64,
     pub(crate) dropped_link_down: u64,
     pub(crate) peak_queued_events: usize,
-    /// High-water mark of occupied in-flight slots.
-    peak_in_flight: usize,
+    /// Messages in the slab's slots, and their high-water mark.
+    live_messages: usize,
+    peak_messages: usize,
     /// Windows, events and busy time, brought up to date as each window
     /// ends.
     pub(crate) counters: ShardCounters,
@@ -710,6 +716,7 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             messages: Vec::new(),
             msg_keys: keyed.then(Vec::new),
             in_flight: Vec::new(),
+            pending: Vec::new(),
             free_in_flight: Vec::new(),
             owners: keyed.then(Vec::new),
             actions: Actions::default(),
@@ -721,7 +728,8 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             dropped_loss: 0,
             dropped_link_down: 0,
             peak_queued_events: 0,
-            peak_in_flight: 0,
+            live_messages: 0,
+            peak_messages: 0,
             counters: ShardCounters::default(),
         }
     }
@@ -733,28 +741,39 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
         self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
     }
 
-    /// Stores a message the log does not serve and returns its slot.
+    /// Stores a message the log does not serve and returns its slot. The
+    /// sends of one broadcast pass one `shared` slot, [`NO_SLOT`] until the
+    /// first of them parks: the others add a delivery to that slot and drop
+    /// their copy of the payload.
     #[inline]
-    fn park(&mut self, send_time: f64, payload: M) -> usize {
+    fn park(&mut self, send_time: f64, payload: M, shared: &mut usize) -> usize {
+        self.live_messages += 1;
+        self.peak_messages = self.peak_messages.max(self.live_messages);
+        if *shared != NO_SLOT {
+            self.pending[*shared] += 1;
+            return *shared;
+        }
         let item = InFlight { send_time, payload };
         let slot = match self.free_in_flight.pop() {
             Some(slot) => {
                 self.in_flight[slot] = item;
+                self.pending[slot] = 1;
                 slot
             }
             None => {
                 self.in_flight.push(item);
+                self.pending.push(1);
                 self.in_flight.len() - 1
             }
         };
-        let occupied = self.in_flight.len() - self.free_in_flight.len();
-        self.peak_in_flight = self.peak_in_flight.max(occupied);
+        *shared = slot;
         slot
     }
 
     /// Parks a message from another partition and queues its delivery.
     pub(crate) fn accept(&mut self, h: Handoff<M>) {
-        let slot = self.park(h.send_time, h.payload);
+        let mut unshared = NO_SLOT;
+        let slot = self.park(h.send_time, h.payload, &mut unshared);
         if let Some(owners) = &mut self.owners {
             owners.resize(self.in_flight.len(), h.owner);
             owners[slot] = h.owner;
@@ -768,13 +787,15 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
     }
 
     /// Message slots `(allocated, free, peak occupied)`: the log's when
-    /// recording, the in-flight slab's when streaming.
+    /// recording. When streaming they count messages, not shared slots:
+    /// `(peak, peak − live, peak)` in flight, what a slab of one slot per
+    /// message would hold.
     pub(crate) fn message_slots(&self, record_events: bool) -> (usize, usize, usize) {
         if record_events {
             (self.messages.len(), 0, self.messages.len())
         } else {
-            let free = self.free_in_flight.len();
-            (self.in_flight.len(), free, self.peak_in_flight)
+            let peak = self.peak_messages;
+            (peak, peak - self.live_messages, peak)
         }
     }
 
@@ -805,7 +826,11 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
                     let (owner, logged) = owners[slot];
                     self.status_updates.push((owner, logged, delivered));
                 }
-                self.free_in_flight.push(slot);
+                self.live_messages -= 1;
+                self.pending[slot] -= 1;
+                if self.pending[slot] == 0 {
+                    self.free_in_flight.push(slot);
+                }
             }
             _ => {}
         }
@@ -981,16 +1006,37 @@ where
         // are long-lived and must come back empty), reporting the first
         // error once the buffers are restored.
         let mut err = None;
-        for (action_index, (to, payload)) in actions.sends.drain(..).enumerate() {
-            if err.is_none() {
+        // The merge keys' index of each message: a broadcast counts once
+        // per neighbour, as when it was buffered as one send each.
+        let mut action_index = 0;
+        for out in actions.sends.drain(..) {
+            if err.is_some() {
+                continue;
+            }
+            // A broadcast goes to the neighbours in order, one clone each
+            // but the last, which takes the payload.
+            let (one, count, payload) = match out {
+                Outgoing::To(to, payload) => (Some(to), 1, payload),
+                Outgoing::Neighbors(payload) => (None, self.neighbors[local].len(), payload),
+            };
+            let mut payload = Some(payload);
+            let mut shared = NO_SLOT;
+            for i in 0..count {
+                let to = one.unwrap_or_else(|| self.neighbors[local][i]);
+                let copy = if i + 1 == count {
+                    payload.take()
+                } else {
+                    payload.clone()
+                };
                 err = self
                     .try_send_message(
                         env,
                         (node, local),
                         to,
-                        payload,
+                        copy.expect("the last send takes the payload"),
                         time,
                         hw,
+                        &mut shared,
                         tracer.as_deref_mut(),
                     )
                     .err();
@@ -1002,6 +1048,10 @@ where
                         action_index,
                     };
                     keys.resize(self.messages.len(), key);
+                }
+                action_index += 1;
+                if err.is_some() {
+                    break;
                 }
             }
         }
@@ -1026,7 +1076,9 @@ where
 
     /// Sends one message: sequence number, delay draw, trace, message
     /// record, then the delivery — queued here, or handed off when the
-    /// receiver belongs to another partition.
+    /// receiver belongs to another partition. `shared` is the slot of the
+    /// broadcast the message belongs to (see [`Partition::park`]); a
+    /// point-to-point send passes its own.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn try_send_message(
@@ -1037,6 +1089,7 @@ where
         payload: M,
         time: f64,
         hw: f64,
+        shared: &mut usize,
         tracer: Option<&mut (dyn Tracer + 'static)>,
     ) -> Result<(), SimError> {
         let seq = self.send_seq.next(local, to);
@@ -1149,7 +1202,7 @@ where
             (NO_SLOT, Some(payload))
         } else {
             // A streamed local send keeps only what its delivery reads.
-            (self.park(time, payload), None)
+            (self.park(time, payload, shared), None)
         };
 
         match (arrival, carried) {
@@ -1317,6 +1370,64 @@ mod tests {
             }
             prop_assert!(queue.pop().is_none());
         }
+    }
+
+    /// The hub of a star broadcasts at start and once more at hardware
+    /// time 1; the leaves only listen.
+    struct Hub;
+
+    impl Node<u64> for Hub {
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            if ctx.id() == 0 {
+                ctx.send_to_neighbors(&7);
+                ctx.set_timer(1.0);
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, u64>, _: NodeId, _: &u64) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, u64>, _: TimerId) {
+            ctx.send_to_neighbors(&8);
+        }
+    }
+
+    #[test]
+    fn a_broadcast_shares_one_slot_until_its_last_delivery_settles() {
+        use gcs_dynamic::{ChurnEvent, ChurnKind, ChurnSchedule};
+        use gcs_net::AdversarialDelay;
+        // Leaf `to` hears the hub after 0.2 · to; the link to leaf 1 goes
+        // down at 0.1, so that message drops when it comes due.
+        let down = ChurnEvent {
+            time: 0.1,
+            kind: ChurnKind::EdgeDown { a: 0, b: 1 },
+        };
+        let view = DynamicTopology::new(Topology::star(5), ChurnSchedule::new(vec![down])).unwrap();
+        let mut sim = crate::SimulationBuilder::new_dynamic(view)
+            .record_events(false)
+            .delay_policy(AdversarialDelay::new(|_, to, _, _| {
+                DelayOutcome::Delay(0.2 * to as f64)
+            }))
+            .build_with(|_, _| Hub)
+            .unwrap();
+        let mut step = |until: f64| {
+            sim.try_run_until_observed(until, &mut []).unwrap();
+            let stats = sim.stats();
+            let part = &sim.parts[0];
+            let slots = (stats.message_slots, stats.free_message_slots);
+            let slab = (
+                part.in_flight.len(),
+                part.pending.clone(),
+                part.free_in_flight.clone(),
+            );
+            (slab, slots, stats.dropped_link_down)
+        };
+        // Four messages in flight, one slot owing four deliveries.
+        assert_eq!(step(0.0), ((1, vec![4], vec![]), (4, 0), 0));
+        // The drop to leaf 1 and the delivery to leaf 2 settle two.
+        assert_eq!(step(0.5), ((1, vec![2], vec![]), (4, 2), 1));
+        // The last delivery frees the slot.
+        assert_eq!(step(0.9), ((1, vec![0], vec![0]), (4, 4), 1));
+        // The next broadcast, to the three live leaves, reuses it.
+        assert_eq!(step(1.0), ((1, vec![3], vec![]), (4, 1), 1));
+        assert_eq!(sim.stats().peak_message_slots, 4);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! 5. **weak-gradient / stabilization** — the two-tier dynamic bounds
 //!    (churned runs only; stabilization only when a stable edge exists).
 //! 6. **streaming** — live observers ≡ post-hoc replay, bit for bit, with
-//!    the live run cut into seed-chosen run calls.
+//!    the live run cut into seed-chosen run calls; at the horizon the live
+//!    run holds exactly the messages the recorded run left unresolved.
 //! 7. **retiming** — the identity re-timing reproduces the execution:
 //!    fingerprint-bitwise under nominal rates, observation-
 //!    indistinguishable under drift.
@@ -41,7 +42,7 @@ use gcs_core::problem::GradientFunction;
 use gcs_core::replay::{nominal_fallback, replay_execution};
 use gcs_core::retiming::Retiming;
 use gcs_net::{AdversarialDelay, DelayOutcome};
-use gcs_sim::Execution;
+use gcs_sim::{EventKind, Execution, SimStats};
 use gcs_telemetry::{render_trace_event, TraceRecorder};
 use gcs_testkit::{
     assert_gradient_property, assert_stabilization, assert_validity_in,
@@ -273,10 +274,12 @@ fn check_mainstream(
     let run_result = guard(seed, "run", || {
         let mut sim = scenario.build_with(sc.make_nodes());
         sim.set_tracer(Box::new(recorder.clone()));
-        sim.try_execute_until(scenario.horizon_time())
+        sim.try_run_until_observed(scenario.horizon_time(), &mut [])
+            .map(|()| (sim.stats(), sim.into_execution()))
     });
     *trace_tail = recorder.events().iter().map(render_trace_event).collect();
-    let exec: Execution<SyncMsg> = run_result?.map_err(|e| fail(seed, "run", e.to_string()))?;
+    let (recorded, exec): (SimStats, Execution<SyncMsg>) =
+        run_result?.map_err(|e| fail(seed, "run", e.to_string()))?;
     ran.push("run");
 
     // 2. Determinism: the whole pipeline again, bit for bit.
@@ -379,13 +382,15 @@ fn check_mainstream(
             .collect();
         calls.sort_by(f64::total_cmp);
         calls.push(sc.horizon);
-        StreamedMetrics::collect(1.0, |observers| {
+        let (live, ran) = StreamedMetrics::collect(1.0, |observers| {
             calls
                 .iter()
                 .try_for_each(|&until| sim.try_run_until_observed(until, observers))
-        })
+        });
+        (live, ran.map(|()| sim.stats()))
     })?;
-    streamed.map_err(|e| fail(seed, "streaming", format!("streaming run failed: {e}")))?;
+    let streamed =
+        streamed.map_err(|e| fail(seed, "streaming", format!("streaming run failed: {e}")))?;
     let posthoc = guard(seed, "streaming", || {
         streamed_metrics(&exec, sc.probe_from, sc.probe_every, 1.0)
     })?;
@@ -394,6 +399,24 @@ fn check_mainstream(
             seed,
             "streaming",
             format!("live {live:?} != post-hoc {posthoc:?}"),
+        ));
+    }
+    // Messages the live run holds at the horizon (a broadcast's deliveries
+    // share one slot, but each counts): the recorded run's sends that were
+    // neither lost, delivered nor dropped on a link outage by then.
+    let delivered = exec
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Deliver { .. }))
+        .count();
+    let settled = recorded.dropped_loss + recorded.dropped_link_down + delivered as u64;
+    let unresolved = recorded.message_slots as u64 - settled;
+    let occupied = (streamed.message_slots - streamed.free_message_slots) as u64;
+    if occupied != unresolved {
+        return Err(fail(
+            seed,
+            "streaming",
+            format!("live run holds {occupied} messages, the record leaves {unresolved} in flight"),
         ));
     }
     ran.push("streaming");

@@ -3,6 +3,8 @@
 //! fallback) forks nothing, takes a tracer and dispatches inline; several
 //! partitions need forkable clocks and delay policies and refuse a tracer.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -15,7 +17,8 @@ use gradient_clock_sync::net::{
     AdversarialDelay, DelayOutcome, DelayPolicy, Topology, UniformDelay,
 };
 use gradient_clock_sync::sim::{
-    Execution, MessageStatus, SimError, Simulation, SimulationBuilder, TraceEvent,
+    Context, EventRecord, Execution, MessageStatus, NodeId, Observer, Probe, SimError, Simulation,
+    SimulationBuilder, TimerId, TraceEvent,
 };
 use gradient_clock_sync::telemetry::TraceRecorder;
 use proptest::prelude::*;
@@ -332,6 +335,116 @@ proptest! {
                 (digest(&sim.into_execution()), account)
             };
             prop_assert_eq!(run(&calls), run(&[40.0]), "k = {}, calls {:?}", k, calls);
+        }
+    }
+}
+
+/// Mixes both kinds of send: on every timer a broadcast between two
+/// point-to-point sends of other values, to the nodes three and five ids
+/// on, and a reply to every third message. Adopts any larger clock value
+/// it hears.
+struct Mixer {
+    heard: u64,
+}
+
+impl gradient_clock_sync::sim::Node<f64> for Mixer {
+    fn on_start(&mut self, ctx: &mut Context<'_, f64>) {
+        ctx.set_timer(0.5 + 0.1 * (ctx.id() % 4) as f64);
+    }
+    fn on_message(&mut self, ctx: &mut Context<'_, f64>, from: NodeId, msg: &f64) {
+        if *msg > ctx.logical_now() {
+            ctx.set_logical(*msg);
+        }
+        self.heard += 1;
+        if self.heard.is_multiple_of(3) {
+            ctx.send(from, ctx.logical_now());
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Context<'_, f64>, _: TimerId) {
+        let (value, n) = (ctx.logical_now(), ctx.node_count());
+        ctx.send((ctx.id() + 3) % n, value + 0.5);
+        ctx.send_to_neighbors(&value);
+        ctx.send((ctx.id() + 5) % n, value + 0.25);
+        ctx.set_timer(1.0);
+    }
+}
+
+/// Folds every event and every probe's logical readings, by `to_bits`.
+#[derive(Default)]
+struct Digest(DefaultHasher);
+
+impl Observer for Digest {
+    fn on_event(&mut self, _view: &Probe<'_>, event: &EventRecord) {
+        (event.time.to_bits(), event.hw.to_bits()).hash(&mut self.0);
+        event.kind.tie_key(event.node).hash(&mut self.0);
+    }
+    fn on_probe(&mut self, view: &Probe<'_>) {
+        view.time().to_bits().hash(&mut self.0);
+        for i in 0..view.node_count() {
+            view.logical(i).to_bits().hash(&mut self.0);
+        }
+    }
+}
+
+const MIX_N: usize = 10;
+const MIX_HORIZON: f64 = 30.0;
+
+/// A lossy ring of [`Mixer`]s under seed-drawn link churn.
+fn mixed_churn(seed: u64) -> Scenario {
+    let edges: Vec<_> = (0..MIX_N).map(|i| (i, (i + 1) % MIX_N)).collect();
+    Scenario::ring(MIX_N)
+        .named("ring10_mixed_churn")
+        .churn(ChurnSchedule::random_churn(&edges, 0.5, MIX_HORIZON, seed))
+        .spread_rates(0.02)
+        .uniform_delay(0.3, 0.9)
+        .message_loss(0.1)
+        .seed(seed)
+        .horizon(MIX_HORIZON)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Broadcasts share a slot when streamed; that changes no execution and
+    // loses no message. Streamed and recorded runs, cut alike into run
+    // calls, feed observers the same digest, and at every cut each message
+    // a streamed partition holds is one queued delivery.
+    fn shared_broadcast_slots_match_the_record(
+        seed in 0u64..1_000_000,
+        cuts in proptest::collection::vec(0.0f64..MIX_HORIZON, 0..5),
+    ) {
+        let scenario = mixed_churn(seed);
+        let changes = scenario.dynamic_topology().unwrap().edge_changes().to_vec();
+        let mut calls = cuts;
+        calls.sort_by(f64::total_cmp);
+        calls.push(MIX_HORIZON);
+        for k in [1, 2] {
+            let run = |record: bool| {
+                let mut sim = scenario
+                    .clone()
+                    .record_events(record)
+                    .build_sharded_with(k, |_, _| Mixer { heard: 0 });
+                sim.set_probe_schedule(0.0, 2.5);
+                let mut digest = Digest::default();
+                let mut occupied = Vec::new();
+                for &until in &calls {
+                    sim.try_run_until_observed(until, &mut [&mut digest]).unwrap();
+                    let s = sim.stats();
+                    // Past time zero every node has one timer armed, and
+                    // each link change not yet dispatched is queued at both
+                    // ends; every other queued event is a delivery.
+                    let pending_changes = changes.iter().filter(|c| c.time > until).count();
+                    let deliveries = s.queued_events - MIX_N - 2 * pending_changes;
+                    occupied.push((s.message_slots - s.free_message_slots, deliveries));
+                }
+                (digest.0.finish(), occupied)
+            };
+            let (streamed, occupied) = run(false);
+            let (recorded, _) = run(true);
+            prop_assert_eq!(streamed, recorded, "k = {}, calls {:?}", k, calls);
+            for (occupied, deliveries) in occupied {
+                prop_assert_eq!(occupied, deliveries, "k = {}, calls {:?}", k, calls);
+            }
         }
     }
 }
