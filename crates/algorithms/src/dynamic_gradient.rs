@@ -144,8 +144,8 @@ impl DynamicGradientNode {
 
     /// Live tracked links (the sparse map's size) — O(degree), the
     /// quantity the scale runs bound.
-    #[must_use]
-    pub fn tracked_links(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn tracked_links(&self) -> usize {
         self.formed.len()
     }
 

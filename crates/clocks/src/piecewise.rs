@@ -157,8 +157,8 @@ impl PiecewiseLinear {
     /// The minimum and maximum slopes over all segments that intersect
     /// `[from, to)`. Returns `None` if the interval is empty or entirely
     /// before `start`.
-    #[must_use]
-    pub fn slope_range(&self, from: f64, to: f64) -> Option<(f64, f64)> {
+    #[cfg(test)]
+    pub(crate) fn slope_range(&self, from: f64, to: f64) -> Option<(f64, f64)> {
         if to <= from || to <= self.start() {
             return None;
         }

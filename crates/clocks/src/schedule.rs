@@ -59,7 +59,8 @@ impl RateSchedule {
     /// Returns an error if the list is empty, does not start at time `0`,
     /// is not strictly increasing in time, or contains a non-positive or
     /// non-finite rate.
-    pub fn from_segments(segments: &[(f64, f64)]) -> Result<Self, ScheduleError> {
+    #[cfg(test)]
+    pub(crate) fn from_segments(segments: &[(f64, f64)]) -> Result<Self, ScheduleError> {
         if segments.is_empty() {
             return Err(ScheduleError::Empty);
         }

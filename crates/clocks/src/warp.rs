@@ -35,7 +35,6 @@ use crate::RateSchedule;
 /// let w = TimeWarp::from_schedule(RateSchedule::builder(0.5).rate_from(10.0, 1.0).build());
 /// assert_eq!(w.apply(10.0), 5.0);
 /// assert_eq!(w.apply(14.0), 9.0);
-/// assert_eq!(w.invert(9.0), 14.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeWarp {
@@ -74,8 +73,8 @@ impl TimeWarp {
     }
 
     /// Whether this is the identity warp (constant rate 1).
-    #[must_use]
-    pub fn is_identity(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_identity(&self) -> bool {
         self.identity
     }
 
@@ -106,8 +105,8 @@ impl TimeWarp {
     /// # Panics
     ///
     /// Panics if `t < 0`.
-    #[must_use]
-    pub fn invert(&self, t: f64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn invert(&self, t: f64) -> f64 {
         if self.identity {
             assert!(t >= 0.0, "warps are defined on t >= 0, got {t}");
             return t;

@@ -74,8 +74,8 @@ impl FreshLinkParams {
     }
 
     /// Caps the shift `Δ` at `max_shift`.
-    #[must_use]
-    pub fn with_max_shift(mut self, max_shift: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_shift(mut self, max_shift: f64) -> Self {
         self.max_shift = Some(max_shift);
         self
     }

@@ -300,8 +300,8 @@ impl DynamicTopology {
     }
 
     /// A static dynamic view (no churn) over `base`.
-    #[must_use]
-    pub fn static_view(base: Topology) -> Self {
+    #[cfg(test)]
+    pub(crate) fn static_view(base: Topology) -> Self {
         Self::new(base, ChurnSchedule::empty()).expect("empty schedule is always valid")
     }
 

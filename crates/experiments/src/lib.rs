@@ -105,8 +105,8 @@ fn all_jobs() -> Vec<Job> {
 }
 
 /// The ids accepted by [`run_selected`], in experiment order.
-#[must_use]
-pub fn experiment_ids() -> Vec<&'static str> {
+#[cfg(test)]
+fn experiment_ids() -> Vec<&'static str> {
     all_jobs().iter().map(|(id, _)| *id).collect()
 }
 

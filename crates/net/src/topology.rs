@@ -723,8 +723,8 @@ impl Topology {
     }
 
     /// All distinct off-diagonal distances, sorted ascending.
-    #[must_use]
-    pub fn distance_classes(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn distance_classes(&self) -> Vec<f64> {
         let mut ds: Vec<f64> = self.pairs().map(|(i, j)| self.distance(i, j)).collect();
         ds.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
         ds.dedup_by(|a, b| (*a - *b).abs() < 1e-12);

@@ -627,9 +627,10 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
 
     /// Finalizes the run into the recorded [`Execution`], whose horizon is
     /// the furthest time the run was driven to ([`Simulation::now`]).
-    /// Messages still in flight are reconciled against that horizon (in
-    /// dynamic topologies, a message whose tracked link went down within
-    /// the horizon is recorded dropped).
+    /// Every logged message is settled against that horizon: delivered if
+    /// it arrives by then, in flight if later, and in dynamic topologies
+    /// dropped if its tracked link went down within the horizon while it
+    /// was in flight.
     #[must_use]
     pub fn into_execution(self) -> Execution<M> {
         let Self {

@@ -15,17 +15,17 @@
 //! and the tracer. Per-node state inside a partition is indexed by the
 //! node's position less the partition's first position.
 //!
-//! A message in flight holds one queued delivery and a slot. When
-//! recording, a local send's slot is its record in the message log.
-//! Otherwise, and for every message a partition receives from another,
-//! the slot is an [`InFlight`]: the send time and the payload, all a
-//! delivery reads. The local streamed sends of one broadcast
-//! ([`Context::send_to_neighbors`]) share one such slot, which counts
-//! their pending deliveries and is freed when the last one settles. The
-//! hardware reading at arrival is part of the log, taken at send; a
-//! streaming delivery of a delay draw queues a placeholder and reads the
-//! receiver's clock when it is dispatched, so a message dropped in flight
-//! or still in flight at the end never reads it.
+//! A message in flight holds one queued delivery and a slot in its
+//! receiver's slab, in both modes: an [`InFlight`], the send time and the
+//! payload, all a delivery reads. The local sends of one broadcast
+//! ([`Context::send_to_neighbors`]) share one slot, which counts their
+//! pending deliveries and is freed when the last one settles. Recording
+//! appends a [`MessageRecord`] with its own copy of the payload at send,
+//! and nothing reads the log before [`Frame::finish`] settles every
+//! status by one rule. The hardware reading at arrival is part of the log,
+//! taken at send; a streaming delivery of a delay draw queues a
+//! placeholder and reads the receiver's clock when it is dispatched, so a
+//! message dropped in flight or still in flight at the end never reads it.
 //!
 //! The engine instantiates the partition with `Send` boxes ([`Part`]), so
 //! that several partitions can move onto worker threads. The per-event
@@ -77,23 +77,15 @@ pub(crate) struct Queued {
     /// `from` or `peer`.
     a: u32,
     slot: u32,
-    /// Twice the [`EventKind::tie_key`] rank, plus one if a remote delivery.
+    /// The [`EventKind::tie_key`] rank.
     tag: u8,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum QueuedKind {
     Start,
-    /// A message sent inside this partition: `slot` indexes the message
-    /// log when recording, the in-flight slab when streaming.
+    /// A message, local or handed off: `slot` indexes the in-flight slab.
     Deliver {
-        from: NodeId,
-        seq: u64,
-        slot: usize,
-    },
-    /// A message from another partition: `slot` indexes the in-flight
-    /// slab.
-    DeliverRemote {
         from: NodeId,
         seq: u64,
         slot: usize,
@@ -112,9 +104,7 @@ impl QueuedKind {
     fn record_kind(self) -> EventKind {
         match self {
             QueuedKind::Start => EventKind::Start,
-            QueuedKind::Deliver { from, seq, .. } | QueuedKind::DeliverRemote { from, seq, .. } => {
-                EventKind::Deliver { from, seq }
-            }
+            QueuedKind::Deliver { from, seq, .. } => EventKind::Deliver { from, seq },
             QueuedKind::Timer { id } => EventKind::Timer { id },
             QueuedKind::TopoChange { peer, up } => EventKind::TopologyChange { peer, up },
         }
@@ -131,10 +121,9 @@ impl Queued {
     pub(crate) fn new(time: f64, node: NodeId, hw: f64, kind: QueuedKind) -> Self {
         let (tag, a, wide, slot) = match kind {
             QueuedKind::Start => (0, 0, 0, 0),
-            QueuedKind::Deliver { from, seq, slot } => (2, from, seq, slot),
-            QueuedKind::DeliverRemote { from, seq, slot } => (3, from, seq, slot),
-            QueuedKind::Timer { id } => (4, 0, id, 0),
-            QueuedKind::TopoChange { peer, up } => (6, peer, u64::from(up), 0),
+            QueuedKind::Deliver { from, seq, slot } => (1, from, seq, slot),
+            QueuedKind::Timer { id } => (2, 0, id, 0),
+            QueuedKind::TopoChange { peer, up } => (3, peer, u64::from(up), 0),
         };
         Self {
             time,
@@ -153,9 +142,8 @@ impl Queued {
         let up = seq != 0;
         match self.tag {
             0 => QueuedKind::Start,
-            2 => QueuedKind::Deliver { from, seq, slot },
-            3 => QueuedKind::DeliverRemote { from, seq, slot },
-            4 => QueuedKind::Timer { id: seq },
+            1 => QueuedKind::Deliver { from, seq, slot },
+            2 => QueuedKind::Timer { id: seq },
             _ => QueuedKind::TopoChange { peer: from, up },
         }
     }
@@ -167,7 +155,7 @@ impl Queued {
     /// match their predictions and every shard count dispatches alike.
     #[inline]
     fn key(&self) -> (u32, u8, u32, u64) {
-        (self.node, self.tag >> 1, self.a, self.wide)
+        (self.node, self.tag, self.a, self.wide)
     }
 }
 
@@ -284,7 +272,7 @@ pub(crate) fn canonical_order(a: &EventRecord, b: &EventRecord) -> Ordering {
         .then_with(|| a.kind.tie_key(a.node).cmp(&b.kind.tie_key(b.node)))
 }
 
-/// What a delivery reads of a message the log does not serve.
+/// What a delivery reads of its message.
 pub(crate) struct InFlight<M> {
     send_time: f64,
     payload: M,
@@ -299,21 +287,11 @@ pub(crate) struct Handoff<M> {
     pub(crate) arrival_time: f64,
     /// NaN when streaming a delay draw, as in [`Queued`].
     arrival_hw: f64,
-    /// `(partition index, message slot)` in the sender's log; the slot is
-    /// [`NO_SLOT`] in streaming mode.
-    owner: (usize, usize),
     payload: M,
 }
 
-/// The log slot of a cross-partition message that is in no log: a
-/// streaming send is neither logged by the sender nor written back by the
-/// receiver.
+/// The shared slot of a broadcast none of whose sends has parked yet.
 const NO_SLOT: usize = usize::MAX;
-
-/// A deferred status write-back for a message owned by another
-/// partition's log: `(owner partition, slot, delivered?)`.
-/// `delivered == false` means a link outage dropped it in flight.
-pub(crate) type StatusUpdate = (usize, usize, bool);
 
 /// Merge key reproducing one partition's message-log append order:
 /// sends are appended per dispatched event (events are totally ordered by
@@ -331,18 +309,6 @@ impl MsgKey {
             .total_cmp(&other.send_time)
             .then_with(|| self.sender_key.cmp(&other.sender_key))
             .then_with(|| self.action_index.cmp(&other.action_index))
-    }
-}
-
-/// Resolves an in-flight message record: delivered, or dropped by a link
-/// outage.
-pub(crate) fn settle<M>(m: &mut MessageRecord<M>, delivered: bool) {
-    if delivered {
-        m.status = MessageStatus::Delivered;
-    } else {
-        m.status = MessageStatus::Dropped;
-        m.arrival_time = None;
-        m.arrival_hw = None;
     }
 }
 
@@ -583,28 +549,33 @@ impl Frame {
             .sum()
     }
 
-    /// Finalizes the run into its [`Execution`]. In dynamic mode a
-    /// message only crosses a *tracked* link that stays up from send to
-    /// arrival. Deliveries inside the horizon were resolved at dispatch;
-    /// for messages still in flight, only churn at or before the horizon
-    /// counts — a link failing beyond the simulated window must not leak
-    /// post-horizon information into the record.
+    /// Finalizes the run into its [`Execution`], settling every logged
+    /// message that has an arrival by one rule, the one dispatch applies:
+    /// with in-flight drops on, a message whose *tracked* link is
+    /// interrupted over `[send, min(arrival, horizon)]` is dropped and
+    /// loses its arrival; otherwise it is delivered if it arrives at or
+    /// before the horizon and stays in flight if after. Only churn at or
+    /// before the horizon counts: a link failing beyond the simulated
+    /// window must not leak post-horizon information into the record.
     pub(crate) fn finish<M>(
         mut self,
         mut messages: Vec<MessageRecord<M>>,
         clock: &dyn ClockSource,
     ) -> Execution<M> {
         let horizon = self.ran_to;
-        if let Some(view) = self.dynamic.as_ref().filter(|_| self.drop_on_link_down) {
-            for m in &mut messages {
-                if m.status != MessageStatus::InFlight {
-                    continue;
-                }
-                if let Some(arrival) = m.arrival_time {
-                    if view.link_interrupted(m.from, m.to, m.send_time, arrival.min(horizon)) {
-                        settle(m, false);
-                    }
-                }
+        let outages = self.dynamic.as_ref().filter(|_| self.drop_on_link_down);
+        for m in &mut messages {
+            let Some(arrival) = m.arrival_time else {
+                continue;
+            };
+            if outages.is_some_and(|v| {
+                v.link_interrupted(m.from, m.to, m.send_time, arrival.min(horizon))
+            }) {
+                m.status = MessageStatus::Dropped;
+                m.arrival_time = None;
+                m.arrival_hw = None;
+            } else if arrival <= horizon {
+                m.status = MessageStatus::Delivered;
             }
         }
         // Materialize the clock prefix the run touched: eager sources
@@ -629,7 +600,6 @@ impl Frame {
 /// One partition: a member set, its queue, its clock and delay handles,
 /// and everything a dispatch in it writes. See the module docs.
 pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
-    pub(crate) index: usize,
     /// The positions of the owned members ([`Placement::span`]).
     pub(crate) span: Range<usize>,
     /// Member states, by position less `span.start`.
@@ -640,28 +610,23 @@ pub(crate) struct Partition<M, N, C: ?Sized, D: ?Sized> {
     pub(crate) clock: Box<C>,
     delay: Box<D>,
     send_seq: SendSeq,
-    /// The message log, written only when recording.
+    /// The message log, appended to only when recording and read only by
+    /// [`Frame::finish`].
     pub(crate) messages: Vec<MessageRecord<M>>,
     /// Merge keys, parallel to `messages`: kept only when recording with
     /// more than one partition.
     pub(crate) msg_keys: Option<Vec<MsgKey>>,
-    /// Messages in flight that the log does not serve, the deliveries each
-    /// slot still owes (several for a broadcast), and the free slots: a slot
-    /// whose last delivery settled is reused by a later message, bounding
-    /// the slab by the peak in-flight count.
+    /// Messages in flight to the members, the deliveries each slot still
+    /// owes (several for a broadcast), and the free slots: a slot whose
+    /// last delivery settled is reused by a later message, bounding the
+    /// slab by the peak in-flight count.
     in_flight: Vec<InFlight<M>>,
     pending: Vec<u32>,
     free_in_flight: Vec<usize>,
-    /// The sender's `(partition, log slot)` of each in-flight slot, kept
-    /// only where `msg_keys` is.
-    owners: Option<Vec<(usize, usize)>>,
     /// Long-lived send/timer buffers reused across dispatches.
     actions: Actions<M>,
     /// Cross-partition sends, drained at the window barrier.
     pub(crate) outbox: Vec<Handoff<M>>,
-    /// Status write-backs for foreign-owned messages, drained at the
-    /// super-window barrier.
-    pub(crate) status_updates: Vec<StatusUpdate>,
     /// Records of the events dispatched this super-window (more than one
     /// partition only).
     pub(crate) window_events: Vec<EventRecord>,
@@ -704,7 +669,6 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             })
             .collect();
         Self {
-            index,
             nodes,
             neighbors,
             next_timer: vec![0; span.len()],
@@ -718,10 +682,8 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
             in_flight: Vec::new(),
             pending: Vec::new(),
             free_in_flight: Vec::new(),
-            owners: keyed.then(Vec::new),
             actions: Actions::default(),
             outbox: Vec::new(),
-            status_updates: Vec::new(),
             window_events: Vec::new(),
             overrun: None,
             dispatched: 0,
@@ -741,10 +703,10 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
         self.peak_queued_events = self.peak_queued_events.max(self.queue.len());
     }
 
-    /// Stores a message the log does not serve and returns its slot. The
-    /// sends of one broadcast pass one `shared` slot, [`NO_SLOT`] until the
-    /// first of them parks: the others add a delivery to that slot and drop
-    /// their copy of the payload.
+    /// Stores a message for its delivery and returns its slot. The sends
+    /// of one broadcast pass one `shared` slot, [`NO_SLOT`] until the first
+    /// of them parks: the others add a delivery to that slot and drop their
+    /// copy of the payload.
     #[inline]
     fn park(&mut self, send_time: f64, payload: M, shared: &mut usize) -> usize {
         self.live_messages += 1;
@@ -774,11 +736,7 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
     pub(crate) fn accept(&mut self, h: Handoff<M>) {
         let mut unshared = NO_SLOT;
         let slot = self.park(h.send_time, h.payload, &mut unshared);
-        if let Some(owners) = &mut self.owners {
-            owners.resize(self.in_flight.len(), h.owner);
-            owners[slot] = h.owner;
-        }
-        let kind = QueuedKind::DeliverRemote {
+        let kind = QueuedKind::Deliver {
             from: h.from,
             seq: h.seq,
             slot,
@@ -799,40 +757,15 @@ impl<M, N, C: ?Sized, D: ?Sized> Partition<M, N, C, D> {
         }
     }
 
-    /// The send time of a delivery's message.
+    /// Settles one delivery of the message in `slot`, freeing the slot at
+    /// its last.
     #[inline]
-    fn send_time(&self, kind: QueuedKind, record_events: bool) -> f64 {
-        match kind {
-            QueuedKind::Deliver { slot, .. } if record_events => self.messages[slot].send_time,
-            QueuedKind::Deliver { slot, .. } | QueuedKind::DeliverRemote { slot, .. } => {
-                self.in_flight[slot].send_time
-            }
-            _ => f64::NAN,
-        }
-    }
-
-    /// Resolves a delivery's message: its record's status (here, or by a
-    /// write-back to the partition that logged it) and its slot.
-    #[inline]
-    fn settle_delivery(&mut self, kind: QueuedKind, delivered: bool, record_events: bool) {
-        match kind {
-            QueuedKind::Deliver { slot, .. } if record_events => {
-                settle(&mut self.messages[slot], delivered);
-            }
-            QueuedKind::Deliver { slot, .. } | QueuedKind::DeliverRemote { slot, .. } => {
-                // Owners are kept only when recording, where every
-                // in-flight slot is a handoff.
-                if let Some(owners) = &self.owners {
-                    let (owner, logged) = owners[slot];
-                    self.status_updates.push((owner, logged, delivered));
-                }
-                self.live_messages -= 1;
-                self.pending[slot] -= 1;
-                if self.pending[slot] == 0 {
-                    self.free_in_flight.push(slot);
-                }
-            }
-            _ => {}
+    fn settle_delivery(&mut self, slot: usize) {
+        self.live_messages -= 1;
+        let pending = &mut self.pending[slot];
+        *pending -= 1;
+        if *pending == 0 {
+            self.free_in_flight.push(slot);
         }
     }
 }
@@ -874,14 +807,10 @@ where
         // delivery comes due. Untracked pairs (direct sends outside the
         // communication graph, e.g. tree-sync probes to a distant source)
         // keep the static always-deliver semantics.
-        if let (
-            Some(view),
-            QueuedKind::Deliver { from, seq, .. } | QueuedKind::DeliverRemote { from, seq, .. },
-        ) = (env.outages, kind)
-        {
-            let sent = self.send_time(kind, env.record_events);
+        if let (Some(view), QueuedKind::Deliver { from, seq, slot }) = (env.outages, kind) {
+            let sent = self.in_flight[slot].send_time;
             if view.link_interrupted(from, node, sent, time) {
-                self.settle_delivery(kind, false, env.record_events);
+                self.settle_delivery(slot);
                 self.dropped_link_down += 1;
                 if let Some(tr) = tracer {
                     tr.record(&TraceEvent::Drop {
@@ -929,9 +858,10 @@ where
         }
 
         // A slot freed here is reused only by the sends drained after the
-        // callback, so the payload and the record's send time stay intact
-        // until then.
-        self.settle_delivery(kind, true, env.record_events);
+        // callback, so its payload and send time stay intact until then.
+        if let QueuedKind::Deliver { slot, .. } = kind {
+            self.settle_delivery(slot);
+        }
 
         // The action buffers are moved out for the duration of the
         // callback and moved back — drained, capacity intact — afterwards.
@@ -950,11 +880,7 @@ where
             let target = &mut self.nodes[local];
             match kind {
                 QueuedKind::Start => target.on_start(&mut ctx),
-                QueuedKind::Deliver { from, slot, .. } if env.record_events => {
-                    target.on_message(&mut ctx, from, &self.messages[slot].payload);
-                }
-                QueuedKind::Deliver { from, slot, .. }
-                | QueuedKind::DeliverRemote { from, slot, .. } => {
+                QueuedKind::Deliver { from, slot, .. } => {
                     target.on_message(&mut ctx, from, &self.in_flight[slot].payload);
                 }
                 QueuedKind::Timer { id } => target.on_timer(&mut ctx, id),
@@ -975,13 +901,12 @@ where
                     hw,
                     logical,
                 },
-                QueuedKind::Deliver { from, seq, .. }
-                | QueuedKind::DeliverRemote { from, seq, .. } => TraceEvent::Deliver {
+                QueuedKind::Deliver { from, seq, slot } => TraceEvent::Deliver {
                     time,
                     from,
                     to: node,
                     seq,
-                    send_time: self.send_time(kind, env.record_events),
+                    send_time: self.in_flight[slot].send_time,
                     hw,
                     logical,
                 },
@@ -1019,21 +944,15 @@ where
                 Outgoing::To(to, payload) => (Some(to), 1, payload),
                 Outgoing::Neighbors(payload) => (None, self.neighbors[local].len(), payload),
             };
-            let mut payload = Some(payload);
             let mut shared = NO_SLOT;
-            for i in 0..count {
+            for (i, payload) in std::iter::repeat_n(payload, count).enumerate() {
                 let to = one.unwrap_or_else(|| self.neighbors[local][i]);
-                let copy = if i + 1 == count {
-                    payload.take()
-                } else {
-                    payload.clone()
-                };
                 err = self
                     .try_send_message(
                         env,
                         (node, local),
                         to,
-                        copy.expect("the last send takes the payload"),
+                        payload,
                         time,
                         hw,
                         &mut shared,
@@ -1075,9 +994,9 @@ where
     }
 
     /// Sends one message: sequence number, delay draw, trace, message
-    /// record, then the delivery — queued here, or handed off when the
-    /// receiver belongs to another partition. `shared` is the slot of the
-    /// broadcast the message belongs to (see [`Partition::park`]); a
+    /// record, then the delivery — parked and queued here, or handed off
+    /// when the receiver belongs to another partition. `shared` is the slot
+    /// of the broadcast the message belongs to (see [`Partition::park`]); a
     /// point-to-point send passes its own.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -1140,8 +1059,8 @@ where
             DelayOutcome::Drop => None,
         };
 
-        // Trace and count before any mode-specific bookkeeping, so the
-        // event stream is identical in recorded and streaming mode.
+        // Trace before any mode-specific bookkeeping, so the event stream
+        // is identical in recorded and streaming mode.
         if let Some(tr) = tracer {
             tr.record(&TraceEvent::Send {
                 time,
@@ -1162,25 +1081,11 @@ where
                 });
             }
         }
-        if arrival.is_none() {
-            self.dropped_loss += 1;
-            if !env.record_events {
-                // Streaming mode keeps no record and schedules no
-                // delivery: the message is gone.
-                return Ok(());
-            }
-        }
-
-        // Every message starts `InFlight`; delivery (or a link outage)
-        // resolves it at dispatch time, and finalization reconciles
-        // whatever is still in flight at the final horizon — which is what
-        // lets a run be extended past any horizon chosen up front.
-        let remote = arrival.is_some() && !self.span.contains(&env.placement.position(to));
-        let (slot, carried) = if env.record_events {
-            // Only a recorded cross-partition send needs two copies of the
-            // payload: one stays in this log, one crosses in the handoff.
-            let carried = remote.then(|| payload.clone());
-            let record = MessageRecord {
+        // Every record with an arrival starts `InFlight`, and
+        // `Frame::finish` settles it against the final horizon — which is
+        // what lets a run be extended past any horizon chosen up front.
+        if env.record_events {
+            self.messages.push(MessageRecord {
                 from,
                 to,
                 seq,
@@ -1193,31 +1098,26 @@ where
                 } else {
                     MessageStatus::Dropped
                 },
-                payload,
-            };
-            self.messages.push(record);
-            (self.messages.len() - 1, carried)
-        } else if remote {
-            // Streaming: the handoff carries the message whole.
-            (NO_SLOT, Some(payload))
-        } else {
-            // A streamed local send keeps only what its delivery reads.
-            (self.park(time, payload, shared), None)
+                payload: payload.clone(),
+            });
+        }
+        let Some((t, h)) = arrival else {
+            self.dropped_loss += 1;
+            return Ok(());
         };
-
-        match (arrival, carried) {
-            (Some((t, h)), None) => self.push(t, to, h, QueuedKind::Deliver { from, seq, slot }),
-            (Some((t, h)), Some(payload)) => self.outbox.push(Handoff {
+        if self.span.contains(&env.placement.position(to)) {
+            let slot = self.park(time, payload, shared);
+            self.push(t, to, h, QueuedKind::Deliver { from, seq, slot });
+        } else {
+            self.outbox.push(Handoff {
                 from,
                 to,
                 seq,
                 send_time: time,
                 arrival_time: t,
                 arrival_hw: h,
-                owner: (self.index, slot),
                 payload,
-            }),
-            (None, _) => {}
+            });
         }
         Ok(())
     }
@@ -1278,12 +1178,7 @@ mod tests {
                 seq: w,
                 slot,
             },
-            2 => QueuedKind::DeliverRemote {
-                from: a,
-                seq: w,
-                slot,
-            },
-            3 => QueuedKind::Timer { id: w },
+            2 => QueuedKind::Timer { id: w },
             _ => QueuedKind::TopoChange {
                 peer: a,
                 up: w % 2 == 1,
@@ -1298,24 +1193,13 @@ mod tests {
         // The packed comparator is the heap order of `(time,
         // EventKind::tie_key)`, earliest first, and packing loses nothing.
         fn packed_order_is_the_canonical_order(
-            raw in proptest::collection::vec((0u8..5, 0u8..3, (0u8..4, 0u8..4, 0u8..4)), 1..16),
+            raw in proptest::collection::vec((0u8..4, 0u8..3, (0u8..4, 0u8..4, 0u8..4)), 1..16),
         ) {
             let events: Vec<_> = raw.into_iter().map(event).collect();
             for &(t, node, kind) in &events {
                 let q = Queued::new(t, node, 7.5, kind);
                 prop_assert_eq!(q.kind(), kind);
                 prop_assert_eq!((q.time, q.node as NodeId, q.hw), (t, node, 7.5));
-                // A local and a remote delivery with one key tie.
-                let twin = match kind {
-                    QueuedKind::Deliver { from, seq, slot } => {
-                        QueuedKind::DeliverRemote { from, seq, slot }
-                    }
-                    QueuedKind::DeliverRemote { from, seq, slot } => {
-                        QueuedKind::Deliver { from, seq, slot: slot ^ 1 }
-                    }
-                    other => other,
-                };
-                prop_assert!(q == Queued::new(t, node, 0.0, twin));
                 for &(u, other, kind2) in &events {
                     let expected = u.total_cmp(&t).then_with(|| {
                         let (x, y) = (kind.record_kind(), kind2.record_kind());

@@ -45,14 +45,14 @@
 //! among distinct simultaneous events, so the handoff insertion order
 //! cannot influence dispatch order — which is what makes executions
 //! bit-identical for every shard count. After each super-window the
-//! coordinator applies the status write-backs for
-//! messages logged by another shard, merges the shards' event records by
-//! `(time, tie_key)`, and replays them through the observers with probes
-//! interleaved; `on_event` views are evaluated there, under the rule
-//! stated on [`crate::Observer::on_event`]. When recording, per-shard
-//! message logs are merged at finalization by `(send_time, sender event
-//! tie_key, intra-event index)` — the exact append order of one
-//! partition.
+//! coordinator merges the shards' event records by `(time, tie_key)` and
+//! replays them through the observers with probes interleaved; `on_event`
+//! views are evaluated there, under the rule stated on
+//! [`crate::Observer::on_event`]. When recording, each shard logs the
+//! messages it sends and nothing else writes them: the per-shard logs are
+//! merged at finalization by `(send_time, sender event tie_key,
+//! intra-event index)` — the exact append order of one partition — and
+//! [`crate::partition::Frame::finish`] settles every status.
 //!
 //! # Failures
 //!
@@ -106,7 +106,7 @@ use gcs_clocks::PiecewiseLinear;
 use crate::engine::{coordinator_clock, SimError, Simulation};
 use crate::event::EventRecord;
 use crate::observer::Observer;
-use crate::partition::{canonical_order, cap_exceeded, settle, Env, Halt, Handoff, Part};
+use crate::partition::{canonical_order, cap_exceeded, Env, Halt, Handoff, Part};
 
 /// Adds the wall-clock nanoseconds since `started` to `acc`; `None`
 /// (nothing was timed) adds nothing.
@@ -144,9 +144,9 @@ pub struct ShardCounters {
 pub struct ShardedCounters {
     /// One entry per shard, in shard order.
     pub shards: Vec<ShardCounters>,
-    /// Coordinator nanoseconds between super-windows: status write-backs,
-    /// event merge and observer replay (probes excluded; zero with one
-    /// partition, whose observers run inline in `run_ns`).
+    /// Coordinator nanoseconds between super-windows: event merge and
+    /// observer replay (probes excluded; zero with one partition, whose
+    /// observers run inline in `run_ns`).
     pub finish_ns: u64,
     /// Coordinator nanoseconds firing probes: trajectory compaction and
     /// the observers' `on_probe`.
@@ -415,8 +415,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
         Ok(rounds.load(MemOrder::SeqCst))
     }
 
-    /// The super-window barrier work: foreign status write-backs, event
-    /// merge, observer replay, and the multiplier update.
+    /// The super-window barrier work: event merge, observer replay, and the
+    /// multiplier update.
     fn finish_super_window(
         &mut self,
         rounds: u64,
@@ -425,20 +425,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
     ) {
         let started = Instant::now();
         let probe_ns_before = self.frame.probe_ns;
-        // 1. Status write-backs for messages logged by another shard.
-        // Deferring them to the super-window boundary is safe: nothing
-        // reads a message's status before finalization, and such messages
-        // are logged only when recording, where slots are never recycled.
-        let updates: Vec<_> = self
-            .parts
-            .iter_mut()
-            .flat_map(|s| s.status_updates.drain(..))
-            .collect();
-        for (owner, slot, delivered) in updates {
-            settle(&mut self.parts[owner].messages[slot], delivered);
-        }
-
-        // 2. Merge the super-window's event records by the canonical order
+        // 1. Merge the super-window's event records by the canonical order
         // and replay them through the observers with probes interleaved.
         // Rounds cover disjoint ascending time ranges, so one global sort
         // equals the per-window sorts concatenated.
@@ -470,7 +457,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Simulation<M> {
             self.frame.observe(&record, clock, observers);
         }
 
-        // 3. Adapt the super-window multiplier to the observed density.
+        // 2. Adapt the super-window multiplier to the observed density.
         if window_total >= BATCH_CAP {
             self.window_mult = (self.window_mult / 2).max(1);
         } else if window_total < DENSITY.saturating_mul(rounds) {

@@ -18,8 +18,8 @@
 //!
 //! The event stream is identical in recorded and streaming mode
 //! ([`crate::SimulationBuilder::record_events`]`(false)`): every hook
-//! fires before any mode-specific bookkeeping (slot recycling, early
-//! returns for unrecorded loss drops). Within one dispatched engine
+//! fires before any mode-specific bookkeeping (the message log, slot
+//! recycling). Within one dispatched engine
 //! event the order is: due [`TraceEvent::ProbeFired`]s, then the
 //! dispatch event itself (with post-callback hardware/logical
 //! readings), then one [`TraceEvent::Send`] per message the callback

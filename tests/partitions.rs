@@ -12,7 +12,7 @@ use gcs_testkit::prelude::*;
 use gradient_clock_sync::algorithms::{AlgorithmKind, SyncMsg};
 use gradient_clock_sync::clocks::{ClockSource, EagerSchedule, RateSchedule};
 use gradient_clock_sync::core::replay::{nominal_fallback, HwReplayDelay};
-use gradient_clock_sync::dynamic::ChurnSchedule;
+use gradient_clock_sync::dynamic::{ChurnEvent, ChurnKind, ChurnSchedule, DynamicTopology};
 use gradient_clock_sync::net::{
     AdversarialDelay, DelayOutcome, DelayPolicy, Topology, UniformDelay,
 };
@@ -445,6 +445,96 @@ proptest! {
             for (occupied, deliveries) in occupied {
                 prop_assert_eq!(occupied, deliveries, "k = {}, calls {:?}", k, calls);
             }
+        }
+    }
+}
+
+/// At hardware time 0.5 nodes 0 to 3 of a line send the five messages of
+/// [`statuses_follow_one_rule_at_every_shard_count_and_cut`].
+struct FiveSends;
+
+impl gradient_clock_sync::sim::Node<f64> for FiveSends {
+    fn on_start(&mut self, ctx: &mut Context<'_, f64>) {
+        ctx.set_timer(0.5);
+    }
+    fn on_message(&mut self, _: &mut Context<'_, f64>, _: NodeId, _: &f64) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_, f64>, _: TimerId) {
+        let to: &[NodeId] = match ctx.id() {
+            0 => &[1, 2],
+            1 => &[2],
+            2 => &[3],
+            _ => &[2],
+        };
+        for &to in to {
+            ctx.send(to, ctx.hw_now());
+        }
+    }
+}
+
+/// A delay for each of the five messages, or a loss; forkable, with a
+/// lookahead, so that two shards run.
+#[derive(Debug, Clone)]
+struct FiveDelays;
+
+impl DelayPolicy for FiveDelays {
+    fn decide(&mut self, from: usize, to: usize, _seq: u64, _t: f64) -> DelayOutcome {
+        match (from, to) {
+            (0, 1) => DelayOutcome::Delay(0.5),
+            (1, 2) => DelayOutcome::Delay(0.4),
+            (2, 3) => DelayOutcome::Delay(0.9),
+            (0, 2) => DelayOutcome::Delay(0.3),
+            _ => DelayOutcome::Drop,
+        }
+    }
+    fn min_delay_bound(&self) -> f64 {
+        0.25
+    }
+    fn fork(&self) -> Option<Box<dyn DelayPolicy + Send>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[test]
+fn statuses_follow_one_rule_at_every_shard_count_and_cut() {
+    // Links 0-1 and 2-3 go down after the horizon of 1.0, link 1-2 inside
+    // it, so all three are tracked; the pair 0-2 is not a link.
+    let down = |time, a, b| ChurnEvent {
+        time,
+        kind: ChurnKind::EdgeDown { a, b },
+    };
+    let churn = ChurnSchedule::new(vec![down(3.0, 0, 1), down(0.7, 1, 2), down(1.2, 2, 3)]);
+    let view = DynamicTopology::new(Topology::line(4), churn).unwrap();
+    use MessageStatus::{Delivered, Dropped, InFlight};
+    let expected = vec![
+        // Arrives exactly at the horizon.
+        (0, 1, Delivered, Some(1.0)),
+        // Untracked: delivered whatever the churn.
+        (0, 2, Delivered, Some(0.8)),
+        // Its link falls at 0.7, before its arrival at 0.9.
+        (1, 2, Dropped, None),
+        // Its link falls at 1.2, after the horizon, while it is in flight.
+        (2, 3, InFlight, Some(1.4)),
+        // Lost at send.
+        (3, 2, Dropped, None),
+    ];
+    for k in [1, 2] {
+        for calls in [&[1.0][..], &[0.75, 1.0]] {
+            let mut sim = SimulationBuilder::new_dynamic(view.clone())
+                .delay_policy(FiveDelays)
+                .shards(k)
+                .build_with(|_, _| FiveSends)
+                .unwrap();
+            assert_eq!(sim.counters().shards.len(), k);
+            for &until in calls {
+                sim.try_run_until_observed(until, &mut []).unwrap();
+            }
+            let exec = sim.into_execution();
+            let got: Vec<_> = exec
+                .messages()
+                .iter()
+                .map(|m| (m.from, m.to, m.status, m.arrival_time))
+                .collect();
+            assert_eq!(got, expected, "k = {k}, calls {calls:?}");
         }
     }
 }
